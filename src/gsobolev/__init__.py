@@ -37,7 +37,6 @@ from .kernels import (
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
-    SymmetricMatrix,
     check_negative_definite,
     distance_matrix,
     divisibility_check,
@@ -54,13 +53,13 @@ from .measures import (
     save_measures,
 )
 from .metrics import (
-    DistanceRequest,
     EquivalenceConstants,
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
     beta_weights,
     equivalence_constants,
     measure_distance,
+    pair_distances,
     prepare_root,
     sample_roots,
     sliced_distance,

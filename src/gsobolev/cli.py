@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GSobolevError
+from .errors import GSobolevError, ParseError
 from .graph import Graph, load_graph, save_graph
 from .kernels import (
     GramSpec,
@@ -35,9 +35,12 @@ from .measures import DiscreteMeasure, gamma_mass, load_measures, save_measures
 from .metrics import (
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
-    measure_distance,
+    beta_weights,
+    pair_distances,
     prepare_root,
     sample_roots,
+    sobolev_ipm_distance,
+    sobolev_transport_distance,
 )
 from .oracles import LP_MAX_NODES, wasserstein1_lp
 from .synth import (
@@ -67,7 +70,6 @@ class RunConfig:
     roots: tuple[int, ...] | tuple[str, int, int]
     p: float
     variant: str
-    threads: int
     seed: int
 
     def resolve_roots(self, g: Graph) -> list[int]:
@@ -111,14 +113,6 @@ def _parse_root(text: str) -> tuple:
         raise CliError(f"root must be an integer or sliced:K:SEED, got {text!r}")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("GSOBOLEV_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
         raise CliError(f"{what} file not found: {path}")
@@ -133,21 +127,24 @@ def _load_inputs(cfg: RunConfig) -> tuple[Graph, list[DiscreteMeasure]]:
     return g, measures
 
 
-def _parse_pairs(path: str, n: int) -> list[tuple[int, int]]:
-    pairs = []
+def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct pairs ``i <= j`` of a pair file, sorted, as two index arrays."""
+    pairs = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
             tok = text.replace(",", " ").split()
-            if len(tok) != 2:
-                raise GSobolevError(f"{path}:{lineno}: pair line must be 'i j'")
-            i, j = int(tok[0]), int(tok[1])
+            try:
+                i, j = (int(t) for t in tok)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: pair line must be 'i j'")
             if not (0 <= i < n and 0 <= j < n):
-                raise GSobolevError(f"{path}:{lineno}: index outside [0, {n})")
-            pairs.append((min(i, j), max(i, j)))
-    return sorted(set(pairs))
+                raise ParseError(f"{path}:{lineno}: index outside [0, {n})")
+            pairs.add((min(i, j), max(i, j)))
+    first, second = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+    return first, second
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -161,46 +158,37 @@ def cmd_distance(args: argparse.Namespace) -> int:
         roots=_parse_root(args.root),
         p=p,
         variant=variant,
-        threads=args.threads,
         seed=args.seed,
     )
     g, measures = _load_inputs(cfg)
     roots = cfg.resolve_roots(g)
     n = len(measures)
     if args.pairs == "all":
-        wanted = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        first, second = np.triu_indices(n, 1)
     else:
-        wanted = _parse_pairs(_require_file(args.pairs, "pairs"), n)
+        first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
     t0 = time.perf_counter()
     prepared = {r: prepare_root(g, r) for r in roots}
     prep_ms = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    acc = np.zeros(len(wanted))
-    use_matrix = args.pairs == "all"
+    # Cumulative vectors only for the measures some pair references.
+    used, slot = np.unique(np.concatenate([first, second]), return_inverse=True)
+    acc = np.zeros(first.size)
     for r in roots:
         rs, prep = prepared[r]
-        if use_matrix:
-            vecs = [gamma_mass(rs, mu) for mu in measures]
-            D = distance_matrix(prep, vecs, p, threads=cfg.threads, variant=variant)
-            acc += np.array([D.value(i, j) for i, j in wanted])
-        else:
-            acc += np.array(
-                [
-                    measure_distance(rs, prep, measures[i], measures[j], p, variant)
-                    for i, j in wanted
-                ]
-            )
+        vecs = [gamma_mass(rs, measures[k]) for k in used]
+        acc += pair_distances(prep, vecs, slot[: first.size], slot[first.size :], p, variant)
     acc /= len(roots)
     eval_ms = (time.perf_counter() - t0) * 1e3
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("i,j,distance\n")
-        for (i, j), d in zip(wanted, acc):
+        for i, j, d in zip(first.tolist(), second.tolist(), acc.tolist()):
             fh.write(f"{i},{j},{d:.17g}\n")
     print(
-        f"distance: {len(wanted)} pairs, {len(roots)} root(s), "
+        f"distance: {first.size} pairs, {len(roots)} root(s), "
         f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms -> {args.out}",
         file=sys.stderr,
     )
@@ -224,7 +212,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
         roots=_parse_root(args.root),
         p=p,
         variant=VARIANT_SOBOLEV_IPM,
-        threads=args.threads,
         seed=args.seed,
     )
     g, measures = _load_inputs(cfg)
@@ -237,14 +224,10 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     n = len(measures)
-    D_full = np.zeros((n, n))
+    D = np.zeros((n, n))
     for r in roots:
-        _, prep = prepared[r]
-        D_full += distance_matrix(prep, vectors[r], p, threads=cfg.threads).full()
-    D_full /= len(roots)
-    from .kernels import SymmetricMatrix
-
-    D = SymmetricMatrix.from_full(D_full)
+        D += distance_matrix(prepared[r][1], vectors[r], p)
+    D /= len(roots)
     spec = GramSpec(
         p=p, t=args.t, form=KERNEL_FLAGS[args.kernel],
         allow_outside_range=args.allow_outside_range,
@@ -308,12 +291,14 @@ def _time_pairs(fn, pairs, repeat: int = 1) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = []
-    for tok in args.sizes.split(","):
-        try:
-            sizes.append(int(tok))
-        except ValueError:
-            raise CliError(f"--sizes must be comma-separated integers, got {tok!r}")
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",")]
+    except ValueError:
+        raise CliError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if min(sizes) < 2:
+        raise CliError(f"every --sizes entry needs at least 2 nodes, got {args.sizes!r}")
+    if args.count < 2 or args.max_pairs < 1:
+        raise CliError("bench needs --count >= 2 and --max-pairs >= 1 to time any pair")
     families = args.families.split(",")
     for fam in families:
         if fam not in FAMILIES:
@@ -331,8 +316,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             measures = random_measures(g, args.count, args.support_size, seed=args.seed)
             t0 = time.perf_counter()
             rs, prep = prepare_root(g, 0)
-            from .metrics import beta_weights
-
             beta_weights(prep, p)
             vecs = [gamma_mass(rs, mu) for mu in measures]
             prep_ms = (time.perf_counter() - t0) * 1e3
@@ -341,7 +324,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if len(pairs) > args.max_pairs:
                 idx = rng.choice(len(pairs), size=args.max_pairs, replace=False)
                 pairs = [pairs[int(k)] for k in sorted(idx)]
-            from .metrics import sobolev_ipm_distance, sobolev_transport_distance
 
             s_ns = _time_pairs(
                 lambda i, j: sobolev_ipm_distance(prep, vecs[i], vecs[j], p), pairs, 3
@@ -391,6 +373,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
+    if args.m < 2:
+        raise CliError(f"--m must be at least 2, got {args.m}")
     if args.points < args.m:
         raise CliError(f"--points must be >= --m ({args.points} < {args.m})")
     if args.family not in FAMILIES:
@@ -423,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--measures", required=True, help="measure file")
         p_.add_argument("--root", default="0", help="root node id, or sliced:K:SEED")
         p_.add_argument("--p", default="1", help="order, a decimal >= 1 or 'inf'")
-        p_.add_argument("--threads", type=int, default=_default_threads())
         p_.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("distance", help="pairwise distances to CSV")

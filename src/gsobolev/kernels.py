@@ -10,7 +10,6 @@ with random centered quadratic forms and spectrally.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +19,10 @@ from .errors import (
     InvalidExponent,
     NonConvergence,
     NonPositiveEntry,
-    RootMismatch,
 )
 from .graph import EdgePrep
 from .measures import SparseEdgeVector
-from .metrics import (
-    VARIANT_SOBOLEV_IPM,
-    VARIANT_SOBOLEV_TRANSPORT,
-    beta_weights,
-    _check_order,
-)
+from .metrics import VARIANT_SOBOLEV_IPM, _check_order, pair_distances
 
 KERNEL_EXP = "exp_neg_t_d"
 KERNEL_EXP_POW = "exp_neg_t_d_pow_p"
@@ -41,111 +34,29 @@ ND_QUAD_RTOL = 1e-8
 EIG_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricMatrix:
-    """Symmetric matrix stored as its row-major upper triangle."""
-
-    dim: int
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        need = self.dim * (self.dim + 1) // 2
-        arr = np.asarray(self.upper, dtype=np.float64).reshape(-1)
-        if arr.size != need:
-            raise ValueError(f"upper triangle needs {need} entries, got {arr.size}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "upper", arr)
-
-    def _idx(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.dim - i * (i - 1) // 2 + (j - i)
-
-    def value(self, i: int, j: int) -> float:
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexError((i, j))
-        return float(self.upper[self._idx(i, j)])
-
-    def full(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.float64)
-        iu = np.triu_indices(self.dim)
-        out[iu] = self.upper
-        out[(iu[1], iu[0])] = self.upper
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        return np.array([self.value(i, i) for i in range(self.dim)])
-
-    def max_entry(self) -> float:
-        return float(np.max(self.upper)) if self.upper.size else 0.0
-
-    @classmethod
-    def from_full(cls, arr: np.ndarray) -> "SymmetricMatrix":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square array")
-        return cls(a.shape[0], a[np.triu_indices(a.shape[0])])
+def _square(m: np.ndarray) -> np.ndarray:
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    return a
 
 
 def distance_matrix(
     prep: EdgePrep,
     vectors: list[SparseEdgeVector],
     p: float,
-    threads: int = 1,
     variant: str = VARIANT_SOBOLEV_IPM,
-) -> SymmetricMatrix:
-    """All-pairs distances between cumulative vectors under one root.
-
-    Evaluates the upper triangle row by row on a dense scatter of the
-    vectors over the union of touched edges; rows are independent, so with
-    ``threads > 1`` they are split across a thread pool.  Each entry is a
-    pure function of its pair, which keeps the output identical for any
-    thread count.
-    """
+) -> np.ndarray:
+    """All-pairs distances between cumulative vectors under one root, as a
+    symmetric array with a zero diagonal.  Each entry is the per-pair
+    functions' value, bit for bit."""
     n = len(vectors)
-    p = _check_order(p, allow_inf=variant == VARIANT_SOBOLEV_IPM)
-    for vec in vectors:
-        if vec.root != prep.root:
-            raise RootMismatch(
-                f"vector for root {vec.root}, preprocessing for root {prep.root}"
-            )
-    if n == 0:
-        return SymmetricMatrix(0, np.zeros(0))
-    union = np.unique(np.concatenate([vec.edge_ids for vec in vectors]))
-    G = np.zeros((n, union.size), dtype=np.float64)
-    for i, vec in enumerate(vectors):
-        G[i, np.searchsorted(union, vec.edge_ids)] = vec.values
-    if math.isinf(p):
-        wvec = 1.0 / (1.0 + prep.lambda_gamma[union])
-    elif variant == VARIANT_SOBOLEV_IPM:
-        wvec = beta_weights(prep, p)[union]
-    elif variant == VARIANT_SOBOLEV_TRANSPORT:
-        wvec = prep.edge_lengths[union]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    out = np.zeros((n, n), dtype=np.float64)
-
-    def fill_rows(rows: range) -> None:
-        for i in rows:
-            if i + 1 >= n:
-                continue
-            diff = np.abs(G[i + 1 :] - G[i])
-            if math.isinf(p):
-                vals = np.max(diff * wvec, axis=1) if union.size else np.zeros(n - i - 1)
-            elif p == 1.0:
-                vals = (diff * wvec).sum(axis=1)
-            else:
-                vals = ((diff**p) * wvec).sum(axis=1) ** (1.0 / p)
-            out[i, i + 1 :] = vals
-
-    if threads <= 1 or n < 4:
-        fill_rows(range(n))
-    else:
-        chunks = [range(k, n, threads) for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_rows, chunks))
-    return SymmetricMatrix.from_full(out + out.T)
+    i, j = np.triu_indices(n, 1)
+    d = pair_distances(prep, vectors, i, j, p, variant)
+    out = np.zeros((n, n))
+    out[i, j] = d
+    out[j, i] = d
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,21 +87,21 @@ class GramSpec:
             )
 
 
-def gram_matrix(d: SymmetricMatrix, spec: GramSpec) -> SymmetricMatrix:
+def gram_matrix(d: np.ndarray, spec: GramSpec) -> np.ndarray:
     """Entrywise exponential kernel of a distance matrix.
 
     ``exp(-t * d)`` or ``exp(-t * d**p)`` per ``spec.form``.  The diagonal of
     a distance matrix is zero, so the kernel diagonal is exactly one.
     """
+    d = _square(d)
     if spec.measures is not None:
         idx = list(spec.measures)
-        if any(not 0 <= i < d.dim for i in idx):
-            raise IndexError(f"measure index outside [0, {d.dim})")
-        d = SymmetricMatrix.from_full(d.full()[np.ix_(idx, idx)])
-    x = d.upper
+        if any(not 0 <= i < len(d) for i in idx):
+            raise IndexError(f"measure index outside [0, {len(d)})")
+        d = d[np.ix_(idx, idx)]
     if spec.form == KERNEL_EXP_POW and spec.p != 1.0:
-        x = x**spec.p
-    return SymmetricMatrix(d.dim, np.exp(-spec.t * x))
+        d = d**spec.p
+    return np.exp(-spec.t * d)
 
 
 @dataclass(frozen=True)
@@ -210,7 +121,7 @@ class DefinitenessReport:
 
 
 def check_negative_definite(
-    d: SymmetricMatrix, p: float, trials: int = 200, seed: int = 0
+    d: np.ndarray, p: float, trials: int = 200, seed: int = 0
 ) -> DefinitenessReport:
     """Test that ``d`` behaves as a negative definite matrix.
 
@@ -222,12 +133,12 @@ def check_negative_definite(
     that range.
     """
     _check_order(p, allow_inf=True)
-    D = d.full()
-    n = d.dim
+    D = _square(d)
+    n = len(D)
     if n == 0:
         return DefinitenessReport(0, 0, 0.0, 0.0, True, not 1.0 <= p <= 2.0)
     rng = np.random.default_rng(seed)
-    scale = d.max_entry()
+    scale = float(D.max())
     violations = 0
     worst = -math.inf
     for _ in range(trials):
@@ -254,17 +165,18 @@ def check_negative_definite(
     )
 
 
-def min_eigenvalue(m: SymmetricMatrix) -> float:
+def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    if m.dim == 0:
+    m = _square(m)
+    if m.size == 0:
         return 0.0
     try:
-        return float(np.linalg.eigvalsh(m.full()).min())
+        return float(np.linalg.eigvalsh(m).min())
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 
 
-def divisibility_check(gram: SymmetricMatrix, n: int) -> bool:
+def divisibility_check(gram: np.ndarray, n: int) -> bool:
     """Whether the entrywise ``n``-th root of a kernel matrix stays positive
     semidefinite (the hallmark of an infinitely divisible kernel).
 
@@ -272,26 +184,28 @@ def divisibility_check(gram: SymmetricMatrix, n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if gram.upper.size and gram.upper.min() <= 0.0:
+    gram = _square(gram)
+    if gram.size and gram.min() <= 0.0:
         raise NonPositiveEntry(
-            f"entrywise root needs positive entries, min is {gram.upper.min()!r}"
+            f"entrywise root needs positive entries, min is {gram.min()!r}"
         )
-    root = SymmetricMatrix(gram.dim, gram.upper ** (1.0 / n))
-    floor = -EIG_TOL * max(gram.dim, 1) * max(root.max_entry(), 1.0)
+    root = gram ** (1.0 / n)
+    floor = -EIG_TOL * max(len(gram), 1) * max(root.max(initial=0.0), 1.0)
     return min_eigenvalue(root) >= floor
 
 
-def write_matrix_csv(m: SymmetricMatrix, path: str) -> None:
+def write_matrix_csv(m: np.ndarray, path: str) -> None:
     """Serialize: first line the dimension, then the full square matrix with
     17 significant digits."""
-    full = m.full()
+    m = _square(m)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.dim}\n")
-        for row in full:
+        fh.write(f"{len(m)}\n")
+        for row in m.tolist():
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def read_matrix_csv(path: str) -> SymmetricMatrix:
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Read what :func:`write_matrix_csv` writes, as a symmetric array."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -303,4 +217,4 @@ def read_matrix_csv(path: str) -> SymmetricMatrix:
     full = np.vstack(rows) if rows else np.zeros((0, 0))
     if full.shape != (dim, dim):
         raise ValueError(f"{path}: expected a {dim}x{dim} matrix")
-    return SymmetricMatrix.from_full((full + full.T) / 2.0)
+    return (full + full.T) / 2.0

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InvalidExponent, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
 from .measures import DiscreteMeasure, SparseEdgeVector, gamma_mass
-
-# Orders this close to 2 take the logarithmic branch of the edge weight.
-P2_BRANCH_TOL = 1e-9
 
 VARIANT_SOBOLEV_IPM = "regularized_sobolev_ipm"
 VARIANT_SOBOLEV_TRANSPORT = "sobolev_transport"
@@ -40,21 +39,6 @@ def _check_order(p: float, *, allow_inf: bool = False) -> float:
     if math.isinf(p) and not allow_inf:
         raise InvalidExponent("order p must be finite here; use the max-form variant")
     return p
-
-
-@dataclass(frozen=True)
-class DistanceRequest:
-    """What to compute: order, variant, and the roots to average over."""
-
-    p: float
-    variant: str = VARIANT_SOBOLEV_IPM
-    roots: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_order(self.p, allow_inf=self.variant == VARIANT_SOBOLEV_IPM)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
 
 
 @dataclass(frozen=True)
@@ -81,43 +65,95 @@ def equivalence_constants(total_length: float, p: float) -> EquivalenceConstants
     return EquivalenceConstants(c1=c1, c2=c2, degenerate=(L == 0.0))
 
 
-def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
-    """Per-edge closed-form weights for order ``p`` (cached on ``prep``).
-
-    For edge ``e`` with length ``w`` and downstream length ``g``::
-
-        p = 1:        w                                  (exact)
-        p = 2:        log(1 + w / (1 + g))
-        otherwise:    ((1 + g + w)**(2-p) - (1 + g)**(2-p)) / (2 - p)
-
-    All three agree with ``integral_0^1 (1 + g + w t)**(1-p) w dt``; the
-    order-2 case is singled out because the general expression degenerates to
-    0/0 there, and order 1 is returned exactly so the transport baseline and
-    this distance coincide bit for bit.
-    """
-    p = _check_order(p)
-    key = float(p)
+def _cached_weights(prep: EdgePrep, key: float, make) -> np.ndarray:
     cached = prep.beta_cache.get(key)
     if cached is not None:
         return cached
-    w = prep.edge_lengths
-    g = prep.lambda_gamma
-    if p == 1.0:
-        beta = w.copy()
-    elif abs(p - 2.0) < P2_BRANCH_TOL:
-        beta = np.log1p(w / (1.0 + g))
-    else:
-        q = 2.0 - p
-        beta = ((1.0 + g + w) ** q - (1.0 + g) ** q) / q
-    beta.flags.writeable = False
+    weights = make()
+    weights.flags.writeable = False
     with prep._beta_lock:
-        return prep.beta_cache.setdefault(key, beta)
+        return prep.beta_cache.setdefault(key, weights)
+
+
+def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
+    """Per-edge closed-form weights for order ``p`` (cached on ``prep``).
+
+    For edge ``e`` with length ``w`` and downstream length ``g``, the weight
+    ``integral_0^1 (1 + g + w t)**(1-p) w dt`` equals, with ``q = 2 - p``::
+
+        (1 + g)**q * expm1(q * log1p(w / (1 + g))) / q     (q != 0)
+        log1p(w / (1 + g))                                 (q == 0)
+
+    The first form is ``((1 + g + w)**q - (1 + g)**q) / q`` without its
+    cancellation, so it stays accurate for orders arbitrarily close to 2
+    and tends to the second.  Order 1 returns ``w`` exactly, so the transport
+    baseline and this distance coincide bit for bit.
+    """
+    p = _check_order(p)
+
+    def make() -> np.ndarray:
+        w = prep.edge_lengths
+        if p == 1.0:
+            return w.copy()
+        scale = 1.0 + prep.lambda_gamma
+        log_ratio = np.log1p(w / scale)
+        q = 2.0 - p
+        if q == 0.0:
+            return log_ratio
+        return scale**q * np.expm1(q * log_ratio) / q
+
+    return _cached_weights(prep, p, make)
+
+
+def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
+    """The per-edge weight vector of a (variant, order): ``beta(p)`` for the
+    regularized IPM, raw edge lengths for the transport baseline, and
+    ``1 / (1 + downstream length)`` for the IPM's max form at ``p = inf``.
+
+    The weight along an edge is largest at the far end of the edge's
+    downstream region, where it equals ``1 + lambda_gamma[e]``; the essential
+    supremum of the weighted difference is therefore attained there.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    p = _check_order(p, allow_inf=variant == VARIANT_SOBOLEV_IPM)
+    if variant == VARIANT_SOBOLEV_TRANSPORT:
+        return prep.edge_lengths
+    if math.isinf(p):
+        return _cached_weights(prep, p, lambda: 1.0 / (1.0 + prep.lambda_gamma))
+    return beta_weights(prep, p)
+
+
+def _reduce_pairs(
+    rows: np.ndarray,
+    edges: np.ndarray,
+    diff: np.ndarray,
+    n_pairs: int,
+    weights: np.ndarray,
+    p: float,
+) -> np.ndarray:
+    """Distances of ``n_pairs`` pairs from the entries of ``|Gamma_i - Gamma_j|``.
+
+    Entry ``k`` says that pair ``rows[k]`` differs by ``diff[k]`` on edge
+    ``edges[k]``; within a pair, edges come in increasing order.  Each pair
+    is reduced on its own, sequentially in that order (``bincount`` adds
+    its weights one by one), so a pair's bits never depend on the batch it
+    sits in.  Zero differences may be present or absent: adding ``+0.0`` to
+    a nonnegative sum, or a zero to a max, changes no bit.
+    """
+    if math.isinf(p):
+        out = np.zeros(n_pairs)
+        np.maximum.at(out, rows, weights[edges] * diff)
+        return out
+    terms = weights[edges] * (diff if p == 1.0 else diff**p)
+    total = np.bincount(rows, weights=terms, minlength=n_pairs)
+    return total if p == 1.0 else total ** (1.0 / p)
 
 
 def _merged_abs_diff(
     u: SparseEdgeVector, v: SparseEdgeVector
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union of touched edges and |u - v| on it."""
+    """Union of touched edges, in increasing order, and |u - v| on it."""
     if u.root != v.root:
         raise RootMismatch(f"vectors built for roots {u.root} and {v.root}")
     ids = np.concatenate([u.edge_ids, v.edge_ids])
@@ -136,53 +172,87 @@ def _check_prep(prep: EdgePrep, u: SparseEdgeVector) -> None:
         )
 
 
+def _pair_distance(
+    prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float, variant: str
+) -> float:
+    weights = _edge_weights(prep, p, variant)
+    _check_prep(prep, u)
+    ids, diff = _merged_abs_diff(u, v)
+    rows = np.zeros(ids.size, dtype=np.intp)
+    return float(_reduce_pairs(rows, ids, diff, 1, weights, p)[0])
+
+
+# Stored entries of Gamma[I] plus Gamma[J] per block of a batch: bounds the
+# temporaries of `pair_distances` whatever the number of pairs.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def pair_distances(
+    prep: EdgePrep,
+    vectors: Sequence[SparseEdgeVector],
+    first: np.ndarray,
+    second: np.ndarray,
+    p: float,
+    variant: str = VARIANT_SOBOLEV_IPM,
+) -> np.ndarray:
+    """Distances between ``vectors[first[k]]`` and ``vectors[second[k]]``
+    for every ``k``, under one prepared root.
+
+    The vectors are stacked as the rows of one sparse matrix ``Gamma``, and
+    ``Gamma[first] - Gamma[second]`` yields each pair's differences with
+    edges sorted and exact zeros dropped.  Pairs run in blocks of bounded
+    stored size.  Every entry equals the per-pair functions' value bit for
+    bit.
+    """
+    weights = _edge_weights(prep, p, variant)
+    for vec in vectors:
+        _check_prep(prep, vec)
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    out = np.empty(first.size)
+    if first.size == 0:
+        return out
+    nnz = np.array([vec.edge_ids.size for vec in vectors], dtype=np.intp)
+    gamma = csr_matrix(
+        (
+            np.concatenate([vec.values for vec in vectors]),
+            np.concatenate([vec.edge_ids for vec in vectors]),
+            np.concatenate([[0], np.cumsum(nnz)]),
+        ),
+        shape=(len(vectors), prep.edge_lengths.size),
+    )
+    cost = np.cumsum(nnz[first] + nnz[second])
+    cuts = np.searchsorted(cost, np.arange(_BLOCK_ENTRIES, cost[-1], _BLOCK_ENTRIES))
+    bounds = np.unique(np.concatenate([[0], cuts, [first.size]]))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        d = gamma[first[start:stop]] - gamma[second[start:stop]]
+        rows = np.repeat(np.arange(stop - start), np.diff(d.indptr))
+        out[start:stop] = _reduce_pairs(
+            rows, d.indices, np.abs(d.data), stop - start, weights, p
+        )
+    return out
+
+
 def sobolev_ipm_distance(
     prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float
 ) -> float:
     """Regularized Sobolev IPM of finite order ``p`` from cumulative vectors."""
-    p = _check_order(p)
-    _check_prep(prep, u)
-    beta = beta_weights(prep, p)
-    ids, diff = _merged_abs_diff(u, v)
-    if ids.size == 0:
-        return 0.0
-    if p == 1.0:
-        return math.fsum((beta[ids] * diff).tolist())
-    total = math.fsum((beta[ids] * diff**p).tolist())
-    return total ** (1.0 / p)
+    return _pair_distance(prep, u, v, _check_order(p), VARIANT_SOBOLEV_IPM)
 
 
 def sobolev_ipm_infinity(
     prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector
 ) -> float:
     """Order-infinity variant: max over touched edges of
-    ``|difference| / (1 + downstream length)``.
-
-    The weight along an edge is largest at the far end of the edge's
-    downstream region, where it equals ``1 + lambda_gamma[e]``; the essential
-    supremum of the weighted difference is therefore attained there.
-    """
-    _check_prep(prep, u)
-    ids, diff = _merged_abs_diff(u, v)
-    if ids.size == 0:
-        return 0.0
-    return float(np.max(diff / (1.0 + prep.lambda_gamma[ids])))
+    ``|difference| / (1 + downstream length)``."""
+    return _pair_distance(prep, u, v, math.inf, VARIANT_SOBOLEV_IPM)
 
 
 def sobolev_transport_distance(
     prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float
 ) -> float:
     """Unregularized transport baseline: edge lengths as weights."""
-    p = _check_order(p)
-    _check_prep(prep, u)
-    w = prep.edge_lengths
-    ids, diff = _merged_abs_diff(u, v)
-    if ids.size == 0:
-        return 0.0
-    if p == 1.0:
-        return math.fsum((w[ids] * diff).tolist())
-    total = math.fsum((w[ids] * diff**p).tolist())
-    return total ** (1.0 / p)
+    return _pair_distance(prep, u, v, p, VARIANT_SOBOLEV_TRANSPORT)
 
 
 def prepare_root(g: Graph, root: int) -> tuple[RootedStructure, EdgePrep]:
@@ -208,15 +278,7 @@ def measure_distance(
     variant: str = VARIANT_SOBOLEV_IPM,
 ) -> float:
     """Distance between two measures under one prepared root."""
-    u = gamma_mass(rs, mu)
-    v = gamma_mass(rs, nu)
-    if variant == VARIANT_SOBOLEV_IPM:
-        if math.isinf(p):
-            return sobolev_ipm_infinity(prep, u, v)
-        return sobolev_ipm_distance(prep, u, v, p)
-    if variant == VARIANT_SOBOLEV_TRANSPORT:
-        return sobolev_transport_distance(prep, u, v, p)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _pair_distance(prep, gamma_mass(rs, mu), gamma_mass(rs, nu), p, variant)
 
 
 def sliced_distance(

@@ -320,7 +320,7 @@ def definiteness_suite(
                     lo = min_eigenvalue(K)
                     psd_n += 1
                     psd_worst = max(psd_worst, -lo)
-                    if lo < -1e-8 * K.max_entry():
+                    if lo < -1e-8 * K.max():
                         psd_bad += 1
                     for nroot in roots:
                         div_n += 1

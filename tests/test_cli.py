@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsobolev
 from gsobolev import load_graph, load_measures, read_matrix_csv
-from gsobolev.cli import _default_threads, _parse_p, _parse_root, CliError, main
+from gsobolev.cli import _parse_p, _parse_root, CliError, main
 from gsobolev.verify import SuiteReport, SuiteCheck
 
 
@@ -54,16 +58,6 @@ class TestParsers:
         for bad in ("sliced:4", "sliced:a:b", "sliced:0:1", "x"):
             with pytest.raises(CliError):
                 _parse_root(bad)
-
-    def test_default_threads(self, monkeypatch):
-        monkeypatch.delenv("GSOBOLEV_THREADS", raising=False)
-        assert _default_threads() == 1
-        monkeypatch.setenv("GSOBOLEV_THREADS", "6")
-        assert _default_threads() == 6
-        monkeypatch.setenv("GSOBOLEV_THREADS", "-2")
-        assert _default_threads() == 1
-        monkeypatch.setenv("GSOBOLEV_THREADS", "many")
-        assert _default_threads() == 1
 
 
 class TestDistanceCommand:
@@ -119,17 +113,34 @@ class TestDistanceCommand:
         rows = read_distance_csv(out)
         assert rows[(0, 1)] == 0.5
 
-    def test_threads_do_not_change_output(self, files):
-        outs = []
-        for threads in ("1", "4"):
-            out = files["dir"] / f"d{threads}.csv"
-            code = main([
-                "distance", "--graph", files["graph"], "--measures", files["measures"],
-                "--p", "1.5", "--threads", threads, "--out", str(out),
-            ])
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_pair_file_matches_all_pairs_bytes(self, tmp_path):
+        prefix = str(tmp_path / "inst")
+        assert main([
+            "synth", "--points", "200", "--m", "40", "--count", "12",
+            "--support-size", "4", "--seed", "3", "--out-prefix", prefix,
+        ]) == 0
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("".join(f"{j} {i}\n" for i in range(12) for j in range(i + 1, 12)))
+        for p in ("1", "1.5", "2", "inf"):
+            outs = []
+            for source in ("all", str(pairs)):
+                out = tmp_path / "d.csv"
+                assert main([
+                    "distance", "--graph", prefix + ".graph",
+                    "--measures", prefix + ".measures", "--root", "sliced:3:1",
+                    "--p", p, "--pairs", source, "--out", str(out),
+                ]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], p
+
+    def test_malformed_pair_line(self, files):
+        pairs = files["dir"] / "pairs.txt"
+        pairs.write_text("0 1\n0 x\n")
+        code = main([
+            "distance", "--graph", files["graph"], "--measures", files["measures"],
+            "--pairs", str(pairs), "--out", str(files["dir"] / "d.csv"),
+        ])
+        assert code == 3
 
     def test_transport_needs_finite_order(self, files):
         code = main([
@@ -180,8 +191,8 @@ class TestGramCommand:
         ])
         assert code == 0
         K = read_matrix_csv(out)
-        assert K.dim == 3
-        assert K.value(0, 1) == pytest.approx(math.exp(-0.6367614216550531), rel=1e-12)
+        assert K.shape == (3, 3)
+        assert K[0, 1] == pytest.approx(math.exp(-0.6367614216550531), rel=1e-12)
         sidecar = json.loads((files["dir"] / "k.csv.json").read_text())
         assert set(sidecar) == {
             "min_eigenvalue", "nd_violations", "preprocessing_ms", "gram_ms",
@@ -198,7 +209,7 @@ class TestGramCommand:
         assert code == 0
         K = read_matrix_csv(out)
         # exp(-d^2) with d^2 = log 1.5 on the nearest pair
-        assert K.value(0, 1) == pytest.approx(1.0 / 1.5, rel=1e-12)
+        assert K[0, 1] == pytest.approx(1.0 / 1.5, rel=1e-12)
 
     def test_order_outside_guarantee_refused_then_allowed(self, files):
         out = str(files["dir"] / "k.csv")
@@ -273,6 +284,15 @@ class TestBenchCommand:
         code = main(["bench", "--sizes", "10,x", "--out", str(tmp_path / "b.csv")])
         assert code == 2
 
+    def test_too_few_nodes(self, tmp_path):
+        code = main(["bench", "--sizes", "1", "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+
+    def test_no_pairs_to_time(self, tmp_path):
+        for flags in (["--count", "1"], ["--max-pairs", "0"]):
+            code = main(["bench", "--sizes", "10", *flags, "--out", str(tmp_path / "b.csv")])
+            assert code == 2
+
     def test_bad_family(self, tmp_path):
         code = main([
             "bench", "--sizes", "10", "--families", "dense",
@@ -303,6 +323,14 @@ class TestSynthCommand:
         ]) == 0
         assert len(read_distance_csv(out)) == 15
 
+    def test_no_measures(self, tmp_path):
+        code = main(["synth", "--count", "0", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+
+    def test_one_node(self, tmp_path):
+        code = main(["synth", "--m", "1", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+
     def test_points_below_m(self, tmp_path):
         code = main([
             "synth", "--points", "5", "--m", "10",
@@ -317,6 +345,16 @@ class TestEntryPoint:
         assert exe, "console script should be on PATH after installation"
         proc = subprocess.run(
             [exe, "--help"], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0
+        assert "distance" in proc.stdout and "verify" in proc.stdout
+
+    def test_module_entry_point(self):
+        src = str(Path(gsobolev.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gsobolev", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert "distance" in proc.stdout and "verify" in proc.stdout

@@ -16,7 +16,7 @@ from gsobolev import (
     KERNEL_EXP_POW,
     NonPositiveEntry,
     RootMismatch,
-    SymmetricMatrix,
+    VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
     check_negative_definite,
     distance_matrix,
@@ -40,62 +40,34 @@ def path_triple(path_graph):
     return rs, prep, vecs
 
 
-class TestSymmetricMatrix:
-    def test_round_trip(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        m = SymmetricMatrix.from_full(a)
-        np.testing.assert_array_equal(m.full(), a)
-        assert m.value(0, 2) == 3.0
-        assert m.value(2, 0) == 3.0
-        np.testing.assert_array_equal(m.diagonal(), [1.0, 4.0, 6.0])
-        assert m.max_entry() == 6.0
-
-    def test_wrong_triangle_size(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix(3, np.zeros(5))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix.from_full(np.zeros((2, 3)))
-
-    def test_index_error(self):
-        m = SymmetricMatrix.from_full(np.zeros((2, 2)))
-        with pytest.raises(IndexError):
-            m.value(0, 2)
-
-    def test_empty(self):
-        m = SymmetricMatrix(0, np.zeros(0))
-        assert m.full().shape == (0, 0)
-        assert m.max_entry() == 0.0
-
-
 class TestDistanceMatrix:
     def test_pinned_order_one(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, 1.0)
         np.testing.assert_array_equal(
-            D.full(), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+            D, [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
         )
 
     def test_pinned_order_two(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, 2.0)
-        assert D.value(0, 1) == pytest.approx(0.6367614216550531, rel=1e-15)
-        assert D.value(0, 2) == pytest.approx(1.0481470739682048, rel=1e-15)
-        assert D.value(1, 2) == pytest.approx(0.8325546111576977, rel=1e-15)
+        assert D[0, 1] == pytest.approx(0.6367614216550531, rel=1e-15)
+        assert D[0, 2] == pytest.approx(1.0481470739682048, rel=1e-15)
+        assert D[1, 2] == pytest.approx(0.8325546111576977, rel=1e-15)
 
     def test_pinned_order_infinity(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, math.inf)
         np.testing.assert_allclose(
-            D.full(), [[0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [1.0, 1.0, 0.0]]
+            D, [[0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [1.0, 1.0, 0.0]]
         )
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_matches_per_pair(self, p):
         g = random_weighted_graph(3)
         rng = np.random.default_rng(42)
-        rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
+        root = int(rng.integers(g.node_count))
+        rs, prep = prepare_root(g, root)
         pool = []
         for _ in range(8):
             nodes = rng.choice(g.node_count, size=3, replace=False)
@@ -103,37 +75,31 @@ class TestDistanceMatrix:
             pool.append(
                 DiscreteMeasure(tuple(int(x) for x in nodes), tuple(mass / mass.sum()))
             )
+        # a duplicated measure, zero-mass support nodes (at the root and off
+        # it, the latter storing explicit zeros in Gamma), a Dirac at the root
+        pool.append(pool[2])
+        pool.append(DiscreteMeasure(pool[0].nodes + (root,), pool[0].masses + (0.0,)))
+        other = next(x for x in range(g.node_count) if x not in pool[1].nodes)
+        pool.append(DiscreteMeasure(pool[1].nodes + (other,), pool[1].masses + (0.0,)))
+        pool.append(DiscreteMeasure.dirac(root))
         vecs = [gamma_mass(rs, mu) for mu in pool]
-        D = distance_matrix(prep, vecs, p)
-        for i in range(8):
-            for j in range(8):
-                want = measure_distance(rs, prep, pool[i], pool[j], p)
-                assert D.value(i, j) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        variants = [VARIANT_SOBOLEV_IPM]
+        if math.isfinite(p):
+            variants.append(VARIANT_SOBOLEV_TRANSPORT)
+        for variant in variants:
+            D = distance_matrix(prep, vecs, p, variant=variant)
+            for i in range(len(pool)):
+                for j in range(len(pool)):
+                    want = measure_distance(rs, prep, pool[i], pool[j], p, variant)
+                    assert D[i, j] == want, (variant, i, j)
 
     def test_transport_variant_matches(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, 2.0, variant=VARIANT_SOBOLEV_TRANSPORT)
         # raw unit lengths: same values as the order-1 matrix except the
         # two-edge pair, which collapses to 2 ** (1/2)
-        assert D.value(0, 1) == 1.0
-        assert D.value(0, 2) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_thread_count_does_not_change_bits(self):
-        g = random_weighted_graph(5, n_lo=15, n_hi=25)
-        rng = np.random.default_rng(7)
-        rs, prep = prepare_root(g, 0)
-        pool = []
-        for _ in range(12):
-            nodes = rng.choice(g.node_count, size=4, replace=False)
-            mass = rng.dirichlet(np.ones(4))
-            pool.append(
-                DiscreteMeasure(tuple(int(x) for x in nodes), tuple(mass / mass.sum()))
-            )
-        vecs = [gamma_mass(rs, mu) for mu in pool]
-        base = distance_matrix(prep, vecs, 1.5, threads=1)
-        for threads in (2, 4, 7):
-            again = distance_matrix(prep, vecs, 1.5, threads=threads)
-            assert np.array_equal(base.upper, again.upper)
+        assert D[0, 1] == 1.0
+        assert D[0, 2] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_root_mismatch(self, path_graph):
         _, prep0 = prepare_root(path_graph, 0)
@@ -144,13 +110,13 @@ class TestDistanceMatrix:
 
     def test_empty_input(self, path_graph):
         _, prep = prepare_root(path_graph, 0)
-        assert distance_matrix(prep, [], 2.0).dim == 0
+        assert distance_matrix(prep, [], 2.0).shape == (0, 0)
 
     def test_all_at_root(self, path_graph):
         rs, prep = prepare_root(path_graph, 0)
         vecs = [gamma_mass(rs, DiscreteMeasure.dirac(0))] * 3
-        assert distance_matrix(prep, vecs, 2.0).max_entry() == 0.0
-        assert distance_matrix(prep, vecs, math.inf).max_entry() == 0.0
+        assert distance_matrix(prep, vecs, 2.0).max() == 0.0
+        assert distance_matrix(prep, vecs, math.inf).max() == 0.0
 
 
 class TestGramMatrix:
@@ -159,7 +125,7 @@ class TestGramMatrix:
         D = distance_matrix(prep, vecs, 2.0)
         K = gram_matrix(D, GramSpec(p=2.0, t=1.0))
         np.testing.assert_allclose(
-            K.full(),
+            K,
             [
                 [1.0, 0.52900287, 0.35058676],
                 [0.52900287, 1.0, 0.43493677],
@@ -168,28 +134,28 @@ class TestGramMatrix:
             rtol=1e-7,
         )
         assert min_eigenvalue(K) == pytest.approx(0.4570534647840941, rel=1e-12)
-        np.testing.assert_array_equal(K.diagonal(), np.ones(3))
+        np.testing.assert_array_equal(np.diag(K), np.ones(3))
 
     def test_power_form(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, 2.0)
         K = gram_matrix(D, GramSpec(p=2.0, t=0.5, form=KERNEL_EXP_POW))
-        want = math.exp(-0.5 * D.value(0, 1) ** 2)
-        assert K.value(0, 1) == pytest.approx(want, rel=1e-15)
+        want = math.exp(-0.5 * D[0, 1] ** 2)
+        assert K[0, 1] == pytest.approx(want, rel=1e-15)
 
     def test_bandwidth_scales_monotonically(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, 1.0)
-        k_narrow = gram_matrix(D, GramSpec(p=1.0, t=10.0)).value(0, 2)
-        k_wide = gram_matrix(D, GramSpec(p=1.0, t=0.1)).value(0, 2)
+        k_narrow = gram_matrix(D, GramSpec(p=1.0, t=10.0))[0, 2]
+        k_wide = gram_matrix(D, GramSpec(p=1.0, t=0.1))[0, 2]
         assert k_narrow < k_wide < 1.0
 
     def test_subset_selection(self, path_triple):
         _, prep, vecs = path_triple
         D = distance_matrix(prep, vecs, 1.0)
         K = gram_matrix(D, GramSpec(p=1.0, t=1.0, measures=(0, 2)))
-        assert K.dim == 2
-        assert K.value(0, 1) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert K.shape == (2, 2)
+        assert K[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_subset_out_of_range(self, path_triple):
         _, prep, vecs = path_triple
@@ -230,9 +196,7 @@ class TestDefiniteness:
     def test_detects_violation(self):
         # cube of the line metric on four points: the doubly centered
         # negation has an eigenvalue near -5, far past any tolerance
-        D = SymmetricMatrix.from_full(
-            np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))) ** 3
-        )
+        D = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))) ** 3
         rep = check_negative_definite(D, 1.0, trials=200, seed=0)
         assert not rep.passed
         assert not rep.spectral_passed
@@ -241,8 +205,19 @@ class TestDefiniteness:
         assert rep.worst > 0.0
 
     def test_empty_matrix(self):
-        rep = check_negative_definite(SymmetricMatrix(0, np.zeros(0)), 1.0)
+        rep = check_negative_definite(np.zeros((0, 0)), 1.0)
         assert rep.passed
+
+    def test_non_square_rejected(self):
+        rect = np.ones((2, 3))
+        for check in (
+            lambda: check_negative_definite(rect, 1.0),
+            lambda: min_eigenvalue(rect),
+            lambda: divisibility_check(rect, 2),
+            lambda: gram_matrix(rect, GramSpec(p=1.0, t=1.0)),
+        ):
+            with pytest.raises(ValueError):
+                check()
 
 
 class TestDivisibility:
@@ -260,9 +235,8 @@ class TestDivisibility:
             divisibility_check(K, 0)
 
     def test_rejects_zero_entries(self):
-        m = SymmetricMatrix.from_full(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonPositiveEntry):
-            divisibility_check(m, 2)
+            divisibility_check(np.eye(2), 2)
 
 
 class TestMatrixCsv:
@@ -272,8 +246,7 @@ class TestMatrixCsv:
         path = str(tmp_path / "d.csv")
         write_matrix_csv(D, path)
         back = read_matrix_csv(path)
-        assert back.dim == 3
-        np.testing.assert_array_equal(back.upper, D.upper)
+        np.testing.assert_array_equal(back, D)
         first = open(path).readline().strip()
         assert first == "3"
 

@@ -9,12 +9,11 @@ import pytest
 
 from gsobolev import (
     DiscreteMeasure,
-    DistanceRequest,
     EdgePrep,
     InvalidExponent,
     RootMismatch,
-    VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
+    beta_quadrature,
     beta_weights,
     equivalence_constants,
     gamma_mass,
@@ -58,15 +57,14 @@ class TestBetaWeights:
             0.8284271247461903, rel=1e-15
         )
 
-    def test_log_branch_engages_near_two(self):
-        prep = one_edge_prep(2.0, 1.0)
-        exact = math.log1p(1.0 / 3.0)
-        for p in (2.0, 2.0 + 1e-10, 2.0 - 1e-10):
-            assert float(beta_weights(one_edge_prep(2.0, 1.0), p)[0]) == exact
-        # just outside the branch window the general form takes over smoothly
-        off = float(beta_weights(prep, 2.0 + 1e-7)[0])
-        assert off == pytest.approx(exact, rel=1e-6)
-        assert off != exact
+    def test_accurate_near_two(self):
+        exact = np.log1p(1.0 / 3.0)
+        assert float(beta_weights(one_edge_prep(2.0, 1.0), 2.0)[0]) == exact
+        for eps in (1e-10, 1.5e-9, 1e-7):
+            for p in (2.0 + eps, 2.0 - eps):
+                got = float(beta_weights(one_edge_prep(2.0, 1.0), p)[0])
+                ref = beta_quadrature(2.0, 1.0, p)
+                assert abs(got - ref) <= 1e-12 * ref, p
 
     def test_decreasing_in_downstream_length(self):
         vals = [float(beta_weights(one_edge_prep(lam, 1.0), 2.0)[0]) for lam in (0.0, 1.0, 5.0)]
@@ -176,16 +174,6 @@ class TestInfinityScaling:
 
 
 class TestOrderAndVariantValidation:
-    def test_request_validates(self):
-        DistanceRequest(p=2.0)
-        DistanceRequest(p=math.inf, variant=VARIANT_SOBOLEV_IPM)
-        with pytest.raises(InvalidExponent):
-            DistanceRequest(p=0.9)
-        with pytest.raises(InvalidExponent):
-            DistanceRequest(p=math.inf, variant=VARIANT_SOBOLEV_TRANSPORT)
-        with pytest.raises(ValueError):
-            DistanceRequest(p=2.0, variant="nope")
-
     def test_root_mismatch(self, path_graph):
         _, prep0 = prepare_root(path_graph, 0)
         rs2, _ = prepare_root(path_graph, 2)
@@ -208,6 +196,10 @@ class TestOrderAndVariantValidation:
         assert measure_distance(rs, prep, mu, nu, math.inf) == 1.0
         with pytest.raises(ValueError):
             measure_distance(rs, prep, mu, nu, 1.0, "nope")
+        with pytest.raises(InvalidExponent):
+            measure_distance(rs, prep, mu, nu, 0.9)
+        with pytest.raises(InvalidExponent):
+            measure_distance(rs, prep, mu, nu, math.inf, VARIANT_SOBOLEV_TRANSPORT)
 
 
 class TestEquivalenceConstants:
