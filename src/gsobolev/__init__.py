@@ -49,6 +49,7 @@ from .measures import (
     DiscreteMeasure,
     SparseEdgeVector,
     gamma_mass,
+    gamma_masses,
     load_measures,
     save_measures,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GSobolevError, ParseError
-from .graph import Graph, load_graph, save_graph
+from .graph import Graph, lambda_gamma, load_graph, save_graph, shortest_path_tree
 from .kernels import (
     GramSpec,
     KERNEL_EXP,
@@ -31,7 +31,7 @@ from .kernels import (
     min_eigenvalue,
     write_matrix_csv,
 )
-from .measures import DiscreteMeasure, gamma_mass, load_measures, save_measures
+from .measures import DiscreteMeasure, gamma_masses, load_measures, save_measures
 from .metrics import (
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
@@ -178,7 +178,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     acc = np.zeros(first.size)
     for r in roots:
         rs, prep = prepared[r]
-        vecs = [gamma_mass(rs, measures[k]) for k in used]
+        vecs = gamma_masses(rs, [measures[k] for k in used])
         acc += pair_distances(prep, vecs, slot[: first.size], slot[first.size :], p, variant)
     acc /= len(roots)
     eval_ms = (time.perf_counter() - t0) * 1e3
@@ -219,7 +219,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     prepared = {r: prepare_root(g, r) for r in roots}
-    vectors = {r: [gamma_mass(rs, mu) for mu in measures] for r, (rs, _) in prepared.items()}
+    vectors = {r: gamma_masses(rs, measures) for r, (rs, _) in prepared.items()}
     prep_ms = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -315,10 +315,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             g = build_random_graph(centroids, fam, seed=args.seed)
             measures = random_measures(g, args.count, args.support_size, seed=args.seed)
             t0 = time.perf_counter()
-            rs, prep = prepare_root(g, 0)
+            rs = shortest_path_tree(g, 0)
+            t1 = time.perf_counter()
+            prep = lambda_gamma(g, rs)
             beta_weights(prep, p)
-            vecs = [gamma_mass(rs, mu) for mu in measures]
-            prep_ms = (time.perf_counter() - t0) * 1e3
+            t2 = time.perf_counter()
+            vecs = gamma_masses(rs, measures)
+            t3 = time.perf_counter()
+            tree_ms, lambda_ms, gamma_ms = (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3
+            prep_ms = tree_ms + lambda_ms + gamma_ms
 
             pairs = [(i, j) for i in range(len(measures)) for j in range(i + 1, len(measures))]
             if len(pairs) > args.max_pairs:
@@ -351,6 +356,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "family": fam,
                     "edges": g.edge_count,
                     "preprocessing_ms": f"{prep_ms:.2f}",
+                    "tree_ms": f"{tree_ms:.2f}",
+                    "lambda_ms": f"{lambda_ms:.2f}",
+                    "gamma_ms": f"{gamma_ms:.2f}",
                     "per_pair_ns_sipm": f"{s_ns:.0f}",
                     "per_pair_ns_st": f"{st_ns:.0f}",
                     "per_pair_ms_lp": lp_cell,
@@ -358,7 +366,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 }
             )
             print(
-                f"bench M={m} family={fam}: |E|={g.edge_count}, prep {prep_ms:.1f} ms, "
+                f"bench M={m} family={fam}: |E|={g.edge_count}, prep {prep_ms:.1f} ms "
+                f"(tree {tree_ms:.1f}, lambda {lambda_ms:.1f}, gamma {gamma_ms:.1f}), "
                 f"sipm {s_ns:.0f} ns/pair, st {st_ns:.0f} ns/pair, "
                 f"lp {lp_cell or 'skipped'} ms/pair, mean union {union:.1f} edges",
                 file=sys.stderr,
@@ -379,6 +388,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"--m must be at least 2, got {args.m}")
     if args.points < args.m:
         raise CliError(f"--points must be >= --m ({args.points} < {args.m})")
+    if args.dim < 1:
+        raise CliError(f"--dim must be at least 1, got {args.dim}")
     if args.family not in FAMILIES:
         raise CliError(f"unknown family {args.family!r}; pick from {FAMILIES}")
     rng = np.random.default_rng(args.seed)

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import (
     Disconnected,
@@ -142,44 +144,70 @@ def load_graph(path: str) -> Graph:
     """Parse a graph file.
 
     Format: first significant line ``n m``, then ``m`` lines ``u v w`` with
-    0-based node ids and positive lengths.  Lines starting with ``#`` and
-    blank lines are ignored.
+    0-based node ids and positive lengths.  Whole-line ``#`` comments and
+    blank lines are ignored; anything after the three fields of an edge line,
+    a trailing comment included, is an error.  The edge lines stream through
+    one ``np.loadtxt`` call; on an error the file is read again to name the
+    offending line.
     """
-    rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            rows.append((lineno, text.split()))
-    if not rows:
-        raise ParseError(f"{path}: no data lines")
-    lineno, header = rows[0]
-    if len(header) != 2:
-        raise ParseError(f"{path}:{lineno}: header must be 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: header must hold two integers") from exc
-    if n < 1 or m < 0:
-        raise ParseError(f"{path}:{lineno}: need n >= 1 and m >= 0")
-    body = rows[1:]
-    if len(body) != m:
-        raise ParseError(f"{path}: header promises {m} edges, found {len(body)}")
-    u = np.empty(m, dtype=np.int64)
-    v = np.empty(m, dtype=np.int64)
-    w = np.empty(m, dtype=np.float64)
-    for i, (lineno, tok) in enumerate(body):
-        if len(tok) != 3:
-            raise ParseError(f"{path}:{lineno}: edge line must be 'u v w'")
+        lines = _significant_lines(fh)
+        lineno, text = next(lines, (0, ""))
+        if not lineno:
+            raise ParseError(f"{path}: no data lines")
+        header = text.split()
+        if len(header) != 2:
+            raise ParseError(f"{path}:{lineno}: header must be 'n m'")
         try:
-            u[i], v[i] = int(tok[0]), int(tok[1])
-            w[i] = float(tok[2])
+            n, m = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: cannot parse edge line") from exc
-        if not (0 <= u[i] < n and 0 <= v[i] < n):
-            raise ParseError(f"{path}:{lineno}: node id outside [0, {n})")
-    return Graph(n, u, v, w)
+            raise ParseError(f"{path}:{lineno}: header must hold two integers") from exc
+        if n < 1 or m < 0:
+            raise ParseError(f"{path}:{lineno}: need n >= 1 and m >= 0")
+        body = (text for _, text in lines)
+        first = next(body, None)
+        if first is None:  # np.loadtxt warns on empty input
+            edges = np.empty(0, dtype=_EDGE_LINE)
+        else:
+            try:
+                edges = np.loadtxt(
+                    chain([first], body), dtype=_EDGE_LINE, comments=None, ndmin=1
+                )
+            except ValueError:
+                raise _edge_line_error(path) from None
+    if edges.size != m:
+        raise ParseError(f"{path}: header promises {m} edges, found {edges.size}")
+    u, v = np.ascontiguousarray(edges["u"]), np.ascontiguousarray(edges["v"])
+    outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if outside.size:
+        with open(path, "r", encoding="utf-8") as fh:
+            lineno, _ = next(islice(_significant_lines(fh), int(outside[0]) + 1, None))
+        raise ParseError(f"{path}:{lineno}: node id outside [0, {n})")
+    return Graph(n, u, v, np.ascontiguousarray(edges["w"]))
+
+
+_EDGE_LINE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _significant_lines(fh: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of the lines that are neither blank nor a
+    whole-line ``#`` comment."""
+    for lineno, raw in enumerate(fh, start=1):
+        if raw.strip()[:1] not in ("", "#"):
+            yield lineno, raw
+
+
+def _edge_line_error(path: str) -> ParseError:
+    """The error naming the first edge line that ``np.loadtxt`` refuses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, text in islice(_significant_lines(fh), 1, None):
+            if len(text.split()) != 3:
+                return ParseError(f"{path}:{lineno}: edge line must be 'u v w'")
+            try:
+                np.loadtxt([text], dtype=_EDGE_LINE, comments=None)
+            except ValueError:
+                return ParseError(f"{path}:{lineno}: cannot parse edge line")
+    return ParseError(f"{path}: cannot parse edge lines")
 
 
 def save_graph(g: Graph, path: str) -> None:
@@ -198,8 +226,12 @@ class RootedStructure:
     for every non-root node, the tree predecessor; when several predecessors
     produce equal-length root paths (within ``TIE_RTOL`` relative tolerance)
     the smallest node id wins and the tie is recorded in ``warnings``.
-    ``topo_order`` lists nodes by increasing distance with every parent placed
-    before its children, so subtree accumulations can run as one linear scan.
+    ``depth`` counts the tree edges on each node's root path, and
+    ``lift[k][x]`` is the node ``2**k`` tree steps above ``x`` (the root once
+    the path ends), kept for every ``k`` with ``2**k`` below the largest
+    depth.  ``topo_order`` lists nodes by increasing distance, then depth, so
+    every parent comes before its children and subtree accumulations can run
+    as one linear scan.
     """
 
     graph: Graph
@@ -208,6 +240,8 @@ class RootedStructure:
     parent: np.ndarray
     parent_edge: np.ndarray
     tree_edge_mask: np.ndarray
+    depth: np.ndarray
+    lift: tuple[np.ndarray, ...]
     topo_order: np.ndarray
     warnings: tuple[str, ...]
     _gamma_cache: dict = field(default_factory=dict, repr=False)
@@ -255,33 +289,29 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     if n > 1 and kids.size != n - 1:
         raise AssertionError("some node has no shortest-path predecessor")
 
-    tie_notes = []
-    for v in kids[counts > 1]:
-        k = int(counts[kids == v][0])
-        tie_notes.append(
-            f"node {int(v)}: {k} equal-length root paths within tolerance; "
-            f"kept parent {int(parent[v])} (smallest id)"
-        )
+    tied = counts > 1
+    tie_notes = [
+        f"node {int(v)}: {int(k)} equal-length root paths within tolerance; "
+        f"kept parent {int(parent[v])} (smallest id)"
+        for v, k in zip(kids[tied], counts[tied])
+    ]
 
     tree_edge_mask = np.zeros(g.edge_count, dtype=bool)
     tree_edge_mask[parent_edge[parent_edge >= 0]] = True
 
-    # Depth breaks the (pathological) case of a parent at equal float
-    # distance, keeping parents strictly before children in topo_order.
-    depth = np.full(n, -1, dtype=np.int64)
+    # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
+    # ``depth`` counts the edges from each node to its ``anc``.  Depth breaks
+    # the (pathological) case of a parent at equal float distance, keeping
+    # parents strictly before children in topo_order.
+    anc = parent.copy()
+    anc[root] = root
+    depth = np.ones(n, dtype=np.int64)
     depth[root] = 0
-    for start in range(n):
-        if depth[start] >= 0:
-            continue
-        chain = []
-        x = start
-        while depth[x] < 0:
-            chain.append(x)
-            x = int(parent[x])
-        d = int(depth[x])
-        while chain:
-            d += 1
-            depth[chain.pop()] = d
+    lift = []
+    while (anc != root).any():
+        lift.append(_freeze(anc))
+        depth += depth[anc]
+        anc = anc[anc]
     topo_order = np.lexsort((np.arange(n), depth, dist))
 
     return RootedStructure(
@@ -291,6 +321,8 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         parent=_freeze(parent),
         parent_edge=_freeze(parent_edge),
         tree_edge_mask=_freeze(tree_edge_mask),
+        depth=_freeze(depth),
+        lift=tuple(lift),
         topo_order=_freeze(topo_order.astype(np.int64)),
         warnings=tuple(tie_notes),
     )
@@ -351,11 +383,20 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     np.add.at(portion, eu, share_u)
     np.add.at(portion, ev, share_v)
 
-    sub = portion.copy()
-    parent = rs.parent
-    for x in rs.topo_order[::-1]:
-        if x != rs.root:
-            sub[parent[x]] += sub[x]
+    # Subtree sums sub[x] = portion[x] + sum of sub over the children of x.
+    # Numbered in reverse topological order this is a unit lower-triangular
+    # system.  The solve keeps each row's columns sorted, so it adds the
+    # children one by one in that order, exactly as a children-before-parents
+    # scan would.
+    rev = rs.topo_order[::-1]
+    pos = np.empty(n, dtype=np.int64)
+    pos[rev] = np.arange(n)
+    kids = rev[rev != rs.root]
+    tri = csr_array(
+        (np.full(kids.size, -1.0), (pos[rs.parent[kids]], pos[kids])), shape=(n, n)
+    )
+    sub = np.empty(n, dtype=np.float64)
+    sub[rev] = spsolve_triangular(tri, portion[rev], lower=True, unit_diagonal=True)
 
     lam = np.zeros(m, dtype=np.float64)
     below = rs.parent_edge >= 0

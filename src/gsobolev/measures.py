@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     NodeOutOfRange,
     ParseError,
 )
-from .graph import Graph, RootedStructure, root_path_edges
+from .graph import Graph, RootedStructure
 
 # Tolerance on |total mass - 1| accepted without renormalizing.
 MASS_TOL = 1e-9
@@ -110,28 +111,104 @@ class SparseEdgeVector:
         return [(int(e), float(x)) for e, x in zip(self.edge_ids, self.values)]
 
 
-def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> SparseEdgeVector:
-    """Cumulative edge vector of ``mu`` under the root of ``rs``.
+# Cells of the (support points x steps) root-path table built per pass of
+# gamma_masses; bounds its scratch memory.
+_PASS_CELLS = 1 << 20
 
-    Walks each support point's recorded root path once, accumulating the
-    point's mass on every edge crossed.  Results are cached on ``rs`` per
-    measure; concurrent reads are free and insertion takes the cache lock.
+
+def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> SparseEdgeVector:
+    """Cumulative edge vector of ``mu`` under the root of ``rs``: the
+    one-measure call of :func:`gamma_masses`.  The cache is read first, as
+    per-pair callers look the same measures up again and again."""
+    vec = rs._gamma_cache.get(mu)
+    return vec if vec is not None else gamma_masses(rs, [mu])[0]
+
+
+def gamma_masses(
+    rs: RootedStructure, measures: Sequence[DiscreteMeasure]
+) -> list[SparseEdgeVector]:
+    """Cumulative edge vectors of ``measures`` under the root of ``rs``, in order.
+
+    Vectors are cached on ``rs`` per measure, so repeated or equal measures
+    get the same object; concurrent reads are free and insertion takes the
+    cache lock.  The uncached measures are computed together.
     """
-    cached = rs._gamma_cache.get(mu)
-    if cached is not None:
-        return cached
+    cache = rs._gamma_cache
+    todo = [mu for mu in measures if mu not in cache]
+    if todo:
+        _cache_new(rs, list(dict.fromkeys(todo)))
+    return [cache[mu] for mu in measures]
+
+
+def _cache_new(rs: RootedStructure, todo: list[DiscreteMeasure]) -> None:
+    """Compute and cache the vectors of the distinct measures ``todo``, in
+    passes whose root-path tables hold about ``_PASS_CELLS`` cells."""
     n = rs.graph.node_count
-    if mu.max_node() >= n:
-        raise NodeOutOfRange(f"support node {mu.max_node()} outside [0, {n})")
-    acc: dict[int, float] = {}
-    for node, mass in zip(mu.nodes, mu.masses):
-        for e in root_path_edges(rs, node):
-            acc[e] = acc.get(e, 0.0) + mass
-    ids = np.fromiter(sorted(acc), dtype=np.int64, count=len(acc))
-    vals = np.array([acc[int(e)] for e in ids], dtype=np.float64)
-    vec = SparseEdgeVector(rs.root, ids, vals)
-    with rs._gamma_lock:
-        return rs._gamma_cache.setdefault(mu, vec)
+    for mu in todo:
+        if mu.max_node() >= n:
+            raise NodeOutOfRange(f"support node {mu.max_node()} outside [0, {n})")
+    sizes = [mu.support_size for mu in todo]
+    nodes = np.fromiter(chain.from_iterable(mu.nodes for mu in todo), np.int64)
+    masses = np.fromiter(chain.from_iterable(mu.masses for mu in todo), np.float64)
+    ends = np.cumsum(sizes)
+    deepest = np.maximum.reduceat(rs.depth[nodes], ends - sizes).tolist()
+    for start, stop, steps in _passes(sizes, deepest):
+        pts = slice(ends[start] - sizes[start], ends[stop - 1])
+        entries = _root_path_sums(rs, sizes[start:stop], nodes[pts], masses[pts], steps)
+        vecs = [SparseEdgeVector(rs.root, ids, vals) for ids, vals in entries]
+        with rs._gamma_lock:
+            for mu, vec in zip(todo[start:stop], vecs):
+                rs._gamma_cache.setdefault(mu, vec)
+
+
+def _passes(sizes: list[int], deepest: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Split measures with ``sizes`` support points and ``deepest`` longest
+    root paths into runs ``[start, stop)`` whose table (points x ``steps``)
+    holds at most ``_PASS_CELLS`` cells, or holds one measure."""
+    start, points, steps = 0, 0, 0
+    for k, (size, deep) in enumerate(zip(sizes, deepest)):
+        if points and (points + size) * max(steps, deep) > _PASS_CELLS:
+            yield start, k, steps
+            start, points, steps = k, 0, 0
+        points, steps = points + size, max(steps, deep)
+    yield start, len(sizes), steps
+
+
+def _root_path_sums(
+    rs: RootedStructure,
+    sizes: list[int],
+    nodes: np.ndarray,
+    masses: np.ndarray,
+    steps: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Edge ids and values of the cumulative vectors of consecutive measures
+    with ``sizes`` support points each, given as flat ``nodes``/``masses``
+    whose root paths are at most ``steps`` edges long.
+
+    Row ``p`` of the table ``up`` lists the nodes ``0, 1, ...`` tree steps
+    above ``nodes[p]``, filled by doubling: ``rs.lift[k]`` maps the first
+    ``2**k`` columns to the next ``2**k``.  Each (measure, edge) entry then
+    sums its points' masses with ``np.bincount``, which adds in table order,
+    point by point: the order a point-by-point walk adds them.
+    """
+    m = rs.graph.edge_count
+    depth = rs.depth[nodes]
+    up = np.empty((nodes.size, steps), dtype=np.int64)
+    up[:, :1] = nodes[:, None]
+    for k, lift in enumerate(rs.lift):
+        span = 1 << k
+        if span >= steps:
+            break
+        width = min(span, steps - span)
+        up[:, span : span + width] = lift[up[:, :width]]
+    path = up[np.arange(steps) < depth[:, None]]
+    owner = np.repeat(np.arange(len(sizes)) * m, sizes)
+    key = np.repeat(owner, depth) + rs.parent_edge[path]
+    uniq, entry = np.unique(key, return_inverse=True)
+    vals = np.bincount(entry, weights=np.repeat(masses, depth))
+    ids = uniq % m
+    cut = np.searchsorted(uniq, np.arange(len(sizes) + 1) * m).tolist()
+    return [(ids[a:b], vals[a:b]) for a, b in zip(cut, cut[1:])]
 
 
 def save_measures(measures: Sequence[DiscreteMeasure], path: str) -> None:

@@ -103,16 +103,18 @@ def farthest_point_clustering(
     k = min(m, n)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    # min squared distance from each point to the chosen set
+    # min squared distance from each point to the chosen set, and the index
+    # of the first centroid attaining it (moved only on a strictly smaller
+    # distance, so ties keep the smaller index)
     gap = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    assignment = np.zeros(n, dtype=np.int64)
     while len(chosen) < k:
         nxt = int(np.argmax(gap))
+        d2 = ((pts - pts[nxt]) ** 2).sum(axis=1)
+        assignment[d2 < gap] = len(chosen)
         chosen.append(nxt)
-        gap = np.minimum(gap, ((pts - pts[nxt]) ** 2).sum(axis=1))
-    centroids = pts[chosen]
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assignment = np.argmin(d2, axis=1).astype(np.int64)
-    return PointCloud(centroids.copy()), assignment
+        gap = np.minimum(gap, d2)
+    return PointCloud(pts[chosen].copy()), assignment
 
 
 def _edge_target(m: int, family: str) -> int:

@@ -25,7 +25,7 @@ from .kernels import (
     gram_matrix,
     min_eigenvalue,
 )
-from .measures import DiscreteMeasure, gamma_mass
+from .measures import DiscreteMeasure, gamma_mass, gamma_masses
 from .metrics import (
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
@@ -306,7 +306,7 @@ def definiteness_suite(
         g = _pool_graph(rng)
         rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
         pool = _pool_measures(rng, g, set_size)
-        vecs = [gamma_mass(rs, mu) for mu in pool]
+        vecs = gamma_masses(rs, pool)
         for p in ps:
             D = distance_matrix(prep, vecs, p)
             rep = check_negative_definite(D, p, trials=trials, seed=_child_seed(rng))

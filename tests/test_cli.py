@@ -272,13 +272,19 @@ class TestBenchCommand:
             "--seed", "0", "--out", out,
         ])
         assert code == 0
-        lines = open(out).read().strip().splitlines()
-        assert lines[0].startswith("M,family,edges,preprocessing_ms")
+        lines = Path(out).read_text().strip().splitlines()
+        assert lines[0].startswith(
+            "M,family,edges,preprocessing_ms,tree_ms,lambda_ms,gamma_ms,per_pair_ns_sipm"
+        )
         assert len(lines) == 2
-        cells = lines[1].split(",")
-        assert cells[0] == "30" and cells[1] == "log"
-        assert float(cells[4]) > 0.0  # per-pair closed-form time
-        assert float(cells[6]) > 0.0  # per-pair LP time
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["M"] == "30" and row["family"] == "log"
+        layers = [float(row[k]) for k in ("tree_ms", "lambda_ms", "gamma_ms")]
+        assert min(layers) > 0.0
+        # the total is the sum of the three set-up layers, each rounded to 0.01
+        assert float(row["preprocessing_ms"]) == pytest.approx(sum(layers), abs=0.02)
+        assert float(row["per_pair_ns_sipm"]) > 0.0  # per-pair closed-form time
+        assert float(row["per_pair_ms_lp"]) > 0.0  # per-pair LP time
 
     def test_bad_sizes(self, tmp_path):
         code = main(["bench", "--sizes", "10,x", "--out", str(tmp_path / "b.csv")])
@@ -336,6 +342,16 @@ class TestSynthCommand:
             "synth", "--points", "5", "--m", "10",
             "--out-prefix", str(tmp_path / "x"),
         ])
+        assert code == 2
+
+    def test_zero_dim(self, tmp_path):
+        # zero-dimensional points all coincide; refused before any file is written
+        code = main(["synth", "--dim", "0", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x.graph").exists()
+
+    def test_negative_dim(self, tmp_path):
+        code = main(["synth", "--dim", "-1", "--out-prefix", str(tmp_path / "x")])
         assert code == 2
 
 

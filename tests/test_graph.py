@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import floyd_warshall
@@ -26,6 +28,48 @@ def write(tmp_path, text):
     path = tmp_path / "g.txt"
     path.write_text(text)
     return str(path)
+
+
+def chain_to_root(rs, x):
+    """Nodes from ``x`` up to, not including, the root, one parent at a time."""
+    out = []
+    while x != rs.root:
+        out.append(int(x))
+        x = rs.parent[x]
+    return out
+
+
+def path_of(n, seed=0):
+    """Path 0 - 1 - ... - (n-1) with generic lengths."""
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, n - 1)
+    return Graph(n, np.arange(n - 1), np.arange(1, n), w)
+
+
+def star_of(leaves, seed=0):
+    """Star centred on node 0, plus a few leaf-to-leaf chords."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, i, float(rng.uniform(0.5, 2.0))) for i in range(1, leaves + 1)]
+    chords = {(i, i + 1) for i in rng.choice(np.arange(1, leaves), size=leaves // 4)}
+    edges += [(int(a), int(b), float(rng.uniform(0.5, 2.0))) for a, b in sorted(chords)]
+    return Graph.from_edges(leaves + 1, edges)
+
+
+def lambda_by_scan(g, rs):
+    """Reference downstream lengths: edge shares gathered per node, then one
+    children-before-parents scan over the reverse topological order."""
+    eu, ev, w = g.edge_u, g.edge_v, g.edge_w
+    du, dv = rs.dist[eu], rs.dist[ev]
+    portion = np.zeros(g.node_count)
+    np.add.at(portion, eu, np.clip((dv - du + w) / (2.0 * w), 0.0, 1.0) * w)
+    np.add.at(portion, ev, np.clip((du - dv + w) / (2.0 * w), 0.0, 1.0) * w)
+    sub = portion.copy()
+    for x in rs.topo_order[::-1]:
+        if x != rs.root:
+            sub[rs.parent[x]] += sub[x]
+    lam = np.zeros(g.edge_count)
+    below = rs.parent_edge >= 0
+    lam[rs.parent_edge[below]] = sub[below]
+    return lam
 
 
 class TestLoadGraph:
@@ -80,6 +124,38 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(write(tmp_path, "2 1\n0 one 1.0\n"))
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("2 1\n0 one 1.0\n", 2),
+            ("3 2\n0 1 1.0\n# note\n\n1 2\n", 5),  # wrong column count
+            ("3 2\n0 1 1.0\n1 2 2.5 4\n", 3),
+            ("3 2\n0 1 1.0\n1 2.0 2.5\n", 3),  # a node id must be an integer
+            ("3 2\n0 1 1.0 # trailing comment\n1 2 2.5\n", 2),
+            ("3 2\n0 1 1.0\n\n1 3 2.5\n", 4),  # node id outside the header range
+        ],
+    )
+    def test_error_names_the_line(self, tmp_path, text, line):
+        with pytest.raises(ParseError) as err:
+            load_graph(write(tmp_path, text))
+        assert f"g.txt:{line}:" in str(err.value)
+
+    def test_header_only_graph(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_graph(write(tmp_path, "1 0\n"))
+        assert (g.node_count, g.edge_count) == (1, 0)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"# a path\r\n3 2\r\n0 1 1.0\r\n\r\n1 2 2.5\r\n")
+        g = load_graph(str(path))
+        assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [1, 2]
+        assert g.edge_w.tolist() == [1.0, 2.5]
+        path.write_bytes(b"3 2\r\n0 1 1.0\r\n1 x 2.5\r\n")
+        with pytest.raises(ParseError, match="g.txt:3:"):
+            load_graph(str(path))
+
 
 class TestGraphInvariants:
     def test_arrays_frozen(self, path_graph):
@@ -116,6 +192,18 @@ class TestShortestPathTree:
         assert "node 2" in rs.warnings[0]
         assert rs.parent[2] == 1
         assert rs.tree_edges == {0, 1, 3}
+
+    def test_unit_grid_tie_warnings(self):
+        # 3 x 3 unit grid, node r * 3 + c: every node off the first row and
+        # column has two shortest root paths and keeps the parent above it
+        edges = [(r * 3 + c, r * 3 + c + 1, 1.0) for r in range(3) for c in range(2)]
+        edges += [(r * 3 + c, r * 3 + c + 3, 1.0) for r in range(2) for c in range(3)]
+        rs = shortest_path_tree(Graph.from_edges(9, edges), 0)
+        assert rs.warnings == tuple(
+            f"node {v}: 2 equal-length root paths within tolerance; "
+            f"kept parent {v - 3} (smallest id)"
+            for v in (4, 5, 7, 8)
+        )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_ties_on_generic_weights(self, seed):
@@ -156,6 +244,25 @@ class TestShortestPathTree:
             if v != 0:
                 assert pos[rs.parent[v]] < pos[v]
         assert (np.diff(rs.dist[rs.topo_order]) >= 0).all()
+
+
+    @pytest.mark.parametrize(
+        "g,root",
+        [(random_weighted_graph(seed), seed) for seed in range(6)]
+        + [(path_of(300), 0), (path_of(300), 150), (star_of(200), 0), (star_of(200), 7)],
+    )
+    def test_depth_and_topo_order_match_chain_walk(self, g, root):
+        rs = shortest_path_tree(g, root % g.node_count)
+        depth = np.array([len(chain_to_root(rs, x)) for x in range(g.node_count)])
+        np.testing.assert_array_equal(rs.depth, depth)
+        expect = np.lexsort((np.arange(g.node_count), depth, rs.dist))
+        np.testing.assert_array_equal(rs.topo_order, expect)
+        # lift[k][x] is 2**k steps up the chain, the root once it runs out
+        assert 2 ** len(rs.lift) >= depth.max() > 2 ** (len(rs.lift) - 1)
+        for k, up in enumerate(rs.lift):
+            for x in range(g.node_count):
+                chain = chain_to_root(rs, x) + [rs.root]
+                assert up[x] == chain[min(2**k, len(chain) - 1)]
 
 
 class TestRootPathEdges:
@@ -248,6 +355,16 @@ class TestLambdaGamma:
                 outer = prep.lambda_gamma[rs.parent_edge[par]]
                 # everything beyond e, plus e itself, sits beyond the parent edge
                 assert lam + g.edge_w[e] <= outer + 1e-9 * max(1.0, L)
+
+    @pytest.mark.parametrize(
+        "g,root",
+        [(random_weighted_graph(seed, n_lo=20, n_hi=300), seed) for seed in range(10)]
+        + [(star_of(2000), 0), (star_of(2000), 5), (path_of(10_000), 0), (path_of(10_000), 4321)],
+    )
+    def test_matches_sequential_scan(self, g, root):
+        rs = shortest_path_tree(g, root % g.node_count)
+        prep = lambda_gamma(g, rs)
+        np.testing.assert_array_equal(prep.lambda_gamma, lambda_by_scan(g, rs))
 
     def test_rejects_foreign_structure(self, path_graph, triangle):
         rs = shortest_path_tree(triangle, 0)

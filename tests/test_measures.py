@@ -7,18 +7,38 @@ import pytest
 
 from gsobolev import (
     DiscreteMeasure,
+    Graph,
     MassNotNormalized,
     NegativeMass,
     NodeOutOfRange,
     ParseError,
     SparseEdgeVector,
     gamma_mass,
+    gamma_masses,
     load_measures,
     root_path_edges,
     save_measures,
     shortest_path_tree,
 )
+from gsobolev import measures as measures_module
 from conftest import random_weighted_graph
+
+
+def walk_sums(rs, mu):
+    """Reference cumulative vector: each support point in turn adds its mass
+    to every edge of its recorded root path."""
+    acc: dict[int, float] = {}
+    for node, mass in zip(mu.nodes, mu.masses):
+        for e in root_path_edges(rs, node):
+            acc[e] = acc.get(e, 0.0) + mass
+    ids = sorted(acc)
+    return ids, [acc[e] for e in ids]
+
+
+def random_measure(rng, n, size):
+    nodes = rng.choice(n, size=size, replace=False)
+    masses = rng.dirichlet(np.ones(size))
+    return DiscreteMeasure(tuple(int(x) for x in nodes), tuple(masses / masses.sum()))
 
 
 class TestDiscreteMeasure:
@@ -140,14 +160,16 @@ class TestGammaMass:
         mu = DiscreteMeasure(tuple(int(x) for x in nodes), tuple(masses / masses.sum()))
 
         expect = np.zeros(g.edge_count)
+        touched = set()
         for node, mass in zip(mu.nodes, mu.masses):
             for e in root_path_edges(rs, node):
                 expect[e] += mass
+                touched.add(e)
         vec = gamma_mass(rs, mu)
+        assert vec.edge_ids.tolist() == sorted(touched)
         dense = np.zeros(g.edge_count)
         dense[vec.edge_ids] = vec.values
-        np.testing.assert_allclose(dense, expect, rtol=1e-12, atol=1e-15)
-        assert (np.diff(vec.edge_ids) > 0).all()
+        np.testing.assert_array_equal(dense, expect)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_total_outflow_is_offroot_mass(self, seed):
@@ -164,6 +186,70 @@ class TestGammaMass:
         out = sum(val for e, val in vec.pairs if e in root_edges)
         away = sum(m for n, m in zip(mu.nodes, mu.masses) if n != 0)
         assert out == pytest.approx(away, abs=1e-12)
+
+
+class TestGammaMasses:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batch_matches_one_at_a_time(self, seed):
+        g = random_weighted_graph(seed, n_lo=20, n_hi=120)
+        rng = np.random.default_rng(seed)
+        root = int(rng.integers(g.node_count))
+        pool = [random_measure(rng, g.node_count, int(rng.integers(1, 8))) for _ in range(12)]
+        pool.append(DiscreteMeasure.dirac(root))  # nothing crosses an edge
+        pool.append(DiscreteMeasure(pool[0].nodes, pool[0].masses))  # equal, distinct object
+        pool.append(pool[3])  # the same object twice
+        # all mass at the root, a zero-mass point elsewhere: its path holds 0.0
+        pool.append(DiscreteMeasure((root, (root + 1) % g.node_count), (1.0, 0.0)))
+
+        single = shortest_path_tree(g, root)
+        expect = [gamma_mass(single, mu) for mu in pool]
+        rs = shortest_path_tree(g, root)
+        early = [gamma_mass(rs, pool[k]) for k in (1, 5)]  # cached before the batch
+        got = gamma_masses(rs, pool)
+        assert len(got) == len(pool)
+        for vec, ref, mu in zip(got, expect, pool):
+            ids, vals = walk_sums(rs, mu)
+            assert vec.edge_ids.tolist() == ref.edge_ids.tolist() == ids
+            assert vec.values.tolist() == ref.values.tolist() == vals
+        assert got[1] is early[0] and got[5] is early[1]
+        assert got[-3] is got[0] and got[-2] is got[3]
+        assert got[-4].edge_ids.size == 0
+        assert got[-1].edge_ids.size > 0 and not got[-1].values.any()
+        assert all(gamma_mass(rs, mu) is vec for mu, vec in zip(pool, got))
+
+    def test_passes_do_not_change_bits(self, monkeypatch):
+        g = random_weighted_graph(3, n_lo=60, n_hi=80)
+        rng = np.random.default_rng(3)
+        pool = [random_measure(rng, g.node_count, 5) for _ in range(20)]
+        whole = gamma_masses(shortest_path_tree(g, 0), pool)
+        # a table budget below any one measure's: one measure per pass
+        monkeypatch.setattr(measures_module, "_PASS_CELLS", 3)
+        split = gamma_masses(shortest_path_tree(g, 0), pool)
+        for a, b in zip(whole, split):
+            assert a.edge_ids.tolist() == b.edge_ids.tolist()
+            assert a.values.tolist() == b.values.tolist()
+
+    def test_deep_path(self):
+        # root paths thousands of edges long that overlap almost entirely
+        n = 3000
+        w = np.random.default_rng(1).uniform(0.5, 2.0, n - 1)
+        g = Graph(n, np.arange(n - 1), np.arange(1, n), w)
+        rng = np.random.default_rng(2)
+        pool = [random_measure(rng, n, 6) for _ in range(8)]
+        for root in (0, 1234):
+            rs = shortest_path_tree(g, root)
+            for vec, mu in zip(gamma_masses(rs, pool), pool):
+                ids, vals = walk_sums(rs, mu)
+                assert vec.edge_ids.tolist() == ids
+                assert vec.values.tolist() == vals
+
+    def test_empty_batch(self, path_graph):
+        assert gamma_masses(shortest_path_tree(path_graph, 0), []) == []
+
+    def test_support_outside_graph(self, path_graph):
+        rs = shortest_path_tree(path_graph, 0)
+        with pytest.raises(NodeOutOfRange):
+            gamma_masses(rs, [DiscreteMeasure.dirac(1), DiscreteMeasure.dirac(7)])
 
 
 class TestMeasureFiles:

@@ -106,6 +106,38 @@ class TestFarthestPointClustering:
         d2 = ((pc.points[:, None, :] - centroids.points[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(assignment, np.argmin(d2, axis=1))
 
+    @staticmethod
+    def tensor_assignment(pc, centroids):
+        """Reference: the full N x M x d distance tensor, first minimum wins."""
+        d2 = ((pc.points[:, None, :] - centroids.points[None, :, :]) ** 2).sum(axis=2)
+        return np.argmin(d2, axis=1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_assignment_matches_tensor_formula(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        pc = PointCloud(rng.random((int(rng.integers(20, 200)), dim)))
+        centroids, assignment = farthest_point_clustering(pc, int(rng.integers(1, 20)), seed=seed)
+        np.testing.assert_array_equal(assignment, self.tensor_assignment(pc, centroids))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_assignment_with_duplicates(self, seed):
+        # repeated points and repeated centroids tie exactly; the smaller
+        # centroid index must win, as in the tensor formula
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 3, size=(12, 2)).astype(float)
+        pc = PointCloud(base[rng.integers(0, 12, size=60)])
+        for m in (3, 8, 60):
+            centroids, assignment = farthest_point_clustering(pc, m, seed=seed)
+            np.testing.assert_array_equal(assignment, self.tensor_assignment(pc, centroids))
+
+    def test_assignment_when_every_point_is_a_centroid(self):
+        rng = np.random.default_rng(8)
+        pc = PointCloud(rng.random((30, 2)))
+        centroids, assignment = farthest_point_clustering(pc, 30, seed=2)
+        np.testing.assert_array_equal(assignment, self.tensor_assignment(pc, centroids))
+        np.testing.assert_array_equal(centroids.points[assignment], pc.points)
+
     def test_two_approximation(self):
         # greedy k-center radius is within twice the optimum; against the
         # crude lower bound (max pair distance / 2 for k = 2) that means the
