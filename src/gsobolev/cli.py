@@ -10,12 +10,15 @@ generation).  Exit codes: 0 on success, 1 when a verification suite fails,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -75,6 +78,8 @@ class RunConfig:
     def resolve_roots(self, g: Graph) -> list[int]:
         if self.roots and self.roots[0] == "sliced":
             _, k, seed = self.roots
+            if k > g.node_count:
+                raise CliError(f"sliced root count {k} exceeds the {g.node_count} nodes")
             return sample_roots(g, int(k), int(seed))
         roots = [int(r) for r in self.roots]
         for r in roots:
@@ -128,8 +133,31 @@ def _load_inputs(cfg: RunConfig) -> tuple[Graph, list[DiscreteMeasure]]:
 
 
 def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pairs ``i <= j`` of a pair file, sorted, as two index arrays."""
-    pairs = set()
+    """Distinct pairs ``i <= j`` of a pair file, sorted, as two index arrays.
+
+    Commas count as blanks, and the lines go to one ``np.loadtxt`` call.
+    A file it refuses (whole-line ``#`` comments included) or that holds an
+    index outside ``[0, n)`` is scanned line by line instead, which names
+    the offending line.  Pairs are deduplicated and sorted as the keys
+    ``min * n + max``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read().replace(",", " ")
+    pairs = None
+    if text.strip():  # np.loadtxt warns on input without data
+        try:
+            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
+        pairs = np.array(list(_scan_pairs(path, n)), dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return (keys // n).astype(np.intp), (keys % n).astype(np.intp)
+
+
+def _scan_pairs(path: str, n: int) -> Iterator[tuple[int, int]]:
+    """The pairs of a pair file, one line at a time; a bad line raises a
+    :class:`ParseError` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -142,9 +170,27 @@ def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
                 raise ParseError(f"{path}:{lineno}: pair line must be 'i j'")
             if not (0 <= i < n and 0 <= j < n):
                 raise ParseError(f"{path}:{lineno}: index outside [0, {n})")
-            pairs.add((min(i, j), max(i, j)))
-    first, second = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
-    return first, second
+            yield i, j
+
+
+# Lines per formatted block of the distance CSV.
+_CSV_BLOCK = 4096
+
+
+def _write_distance_csv(
+    path: str, first: np.ndarray, second: np.ndarray, values: np.ndarray
+) -> None:
+    """``i,j,distance`` lines, the distance at 17 significant digits,
+    formatted one block of lines per ``%`` operation."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("i,j,distance\n")
+        for start in range(0, first.size, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, first.size)
+            cells: list = [None] * (3 * (stop - start))
+            cells[0::3] = first[start:stop].tolist()
+            cells[1::3] = second[start:stop].tolist()
+            cells[2::3] = values[start:stop].tolist()
+            fh.write("%d,%d,%.17g\n" * (stop - start) % tuple(cells))
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -183,10 +229,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     acc /= len(roots)
     eval_ms = (time.perf_counter() - t0) * 1e3
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("i,j,distance\n")
-        for i, j, d in zip(first.tolist(), second.tolist(), acc.tolist()):
-            fh.write(f"{i},{j},{d:.17g}\n")
+    _write_distance_csv(args.out, first, second, acc)
     print(
         f"distance: {first.size} pairs, {len(roots)} root(s), "
         f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms -> {args.out}",
@@ -204,8 +247,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
             f"p={p} is outside [1, 2], where positive definiteness is guaranteed; "
             f"pass --allow-outside-range to proceed"
         )
-    if args.t <= 0.0 or math.isnan(args.t):
-        raise CliError(f"bandwidth --t must be positive, got {args.t}")
+    if not (math.isfinite(args.t) and args.t > 0.0):
+        raise CliError(f"bandwidth --t must be positive and finite, got {args.t}")
     cfg = RunConfig(
         graph_path=_require_file(args.graph, "graph"),
         measures_path=_require_file(args.measures, "measures"),
@@ -314,6 +357,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             centroids, _ = farthest_point_clustering(pts, m, seed=args.seed)
             g = build_random_graph(centroids, fam, seed=args.seed)
             measures = random_measures(g, args.count, args.support_size, seed=args.seed)
+            with tempfile.TemporaryDirectory() as tmp:
+                graph_path = os.path.join(tmp, "bench.graph")
+                save_graph(g, graph_path)
+                t0 = time.perf_counter()
+                load_graph(graph_path)
+                parse_ms = (time.perf_counter() - t0) * 1e3
             t0 = time.perf_counter()
             rs = shortest_path_tree(g, 0)
             t1 = time.perf_counter()
@@ -355,6 +404,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "M": m,
                     "family": fam,
                     "edges": g.edge_count,
+                    "parse_ms": f"{parse_ms:.2f}",
                     "preprocessing_ms": f"{prep_ms:.2f}",
                     "tree_ms": f"{tree_ms:.2f}",
                     "lambda_ms": f"{lambda_ms:.2f}",
@@ -366,7 +416,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 }
             )
             print(
-                f"bench M={m} family={fam}: |E|={g.edge_count}, prep {prep_ms:.1f} ms "
+                f"bench M={m} family={fam}: |E|={g.edge_count}, parse {parse_ms:.1f} ms, "
+                f"prep {prep_ms:.1f} ms "
                 f"(tree {tree_ms:.1f}, lambda {lambda_ms:.1f}, gamma {gamma_ms:.1f}), "
                 f"sipm {s_ns:.0f} ns/pair, st {st_ns:.0f} ns/pair, "
                 f"lp {lp_cell or 'skipped'} ms/pair, mean union {union:.1f} edges",

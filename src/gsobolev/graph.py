@@ -146,13 +146,14 @@ def load_graph(path: str) -> Graph:
     Format: first significant line ``n m``, then ``m`` lines ``u v w`` with
     0-based node ids and positive lengths.  Whole-line ``#`` comments and
     blank lines are ignored; anything after the three fields of an edge line,
-    a trailing comment included, is an error.  The edge lines stream through
-    one ``np.loadtxt`` call; on an error the file is read again to name the
-    offending line.
+    a trailing comment included, is an error.  The header is read line by
+    line; the edge lines then go to one ``np.loadtxt`` call on the file
+    itself, which reads it in chunks and skips blank lines.  A body that
+    ``np.loadtxt`` refuses, whole-line comments included, is read again
+    through the per-line filter, which names the offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _significant_lines(fh)
-        lineno, text = next(lines, (0, ""))
+        lineno, text = next(_significant_lines(fh), (0, ""))
         if not lineno:
             raise ParseError(f"{path}: no data lines")
         header = text.split()
@@ -164,17 +165,18 @@ def load_graph(path: str) -> Graph:
             raise ParseError(f"{path}:{lineno}: header must hold two integers") from exc
         if n < 1 or m < 0:
             raise ParseError(f"{path}:{lineno}: need n >= 1 and m >= 0")
-        body = (text for _, text in lines)
-        first = next(body, None)
-        if first is None:  # np.loadtxt warns on empty input
-            edges = np.empty(0, dtype=_EDGE_LINE)
-        else:
-            try:
-                edges = np.loadtxt(
-                    chain([first], body), dtype=_EDGE_LINE, comments=None, ndmin=1
-                )
-            except ValueError:
-                raise _edge_line_error(path) from None
+        # np.loadtxt warns on input without data, so find the first body line.
+        body_line = next((k for k, raw in enumerate(fh, lineno + 1) if raw.strip()), 0)
+    if not body_line:
+        edges = np.empty(0, dtype=_EDGE_LINE)
+    else:
+        try:
+            edges = np.loadtxt(
+                path, dtype=_EDGE_LINE, comments=None, skiprows=body_line - 1,
+                ndmin=1, encoding="utf-8",
+            )
+        except ValueError:
+            edges = _filtered_edges(path)
     if edges.size != m:
         raise ParseError(f"{path}: header promises {m} edges, found {edges.size}")
     u, v = np.ascontiguousarray(edges["u"]), np.ascontiguousarray(edges["v"])
@@ -195,6 +197,22 @@ def _significant_lines(fh: Iterable[str]) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(fh, start=1):
         if raw.strip()[:1] not in ("", "#"):
             yield lineno, raw
+
+
+def _filtered_edges(path: str) -> np.ndarray:
+    """The edge lines with whole-line comments and blank lines dropped by
+    :func:`_significant_lines`, through ``np.loadtxt``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        body = (text for _, text in islice(_significant_lines(fh), 1, None))
+        first = next(body, None)
+        if first is None:  # np.loadtxt warns on empty input
+            return np.empty(0, dtype=_EDGE_LINE)
+        try:
+            return np.loadtxt(
+                chain([first], body), dtype=_EDGE_LINE, comments=None, ndmin=1
+            )
+        except ValueError:
+            raise _edge_line_error(path) from None
 
 
 def _edge_line_error(path: str) -> ParseError:

@@ -33,7 +33,8 @@ class DiscreteMeasure:
     """Probability measure on graph nodes: distinct ids, nonnegative masses
     summing to one within ``MASS_TOL``.
 
-    Hashable, so it can key per-root caches.
+    Hashable, so it can key per-root caches; the hash is computed once, at
+    construction, and equality compares the fields.
     """
 
     nodes: tuple[int, ...]
@@ -58,6 +59,10 @@ class DiscreteMeasure:
             raise MassNotNormalized(f"masses sum to {total!r}, expected 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "_hash", hash((nodes, masses)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def normalized(cls, entries: Iterable[tuple[int, float]]) -> "DiscreteMeasure":

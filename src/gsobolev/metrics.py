@@ -135,15 +135,19 @@ def _reduce_pairs(
     """Distances of ``n_pairs`` pairs from the entries of ``|Gamma_i - Gamma_j|``.
 
     Entry ``k`` says that pair ``rows[k]`` differs by ``diff[k]`` on edge
-    ``edges[k]``; within a pair, edges come in increasing order.  Each pair
-    is reduced on its own, sequentially in that order (``bincount`` adds
-    its weights one by one), so a pair's bits never depend on the batch it
-    sits in.  Zero differences may be present or absent: adding ``+0.0`` to
-    a nonnegative sum, or a zero to a max, changes no bit.
+    ``edges[k]``; entries come grouped by pair, in increasing pair order, and
+    within a pair edges come in increasing order.  Each pair is reduced on
+    its own, sequentially in that order (``bincount`` adds its weights one
+    by one), so a pair's bits never depend on the batch it sits in.  Zero
+    differences may be present or absent: adding ``+0.0`` to a nonnegative
+    sum, or a zero to a max, changes no bit.  A pair without entries is at
+    distance 0.
     """
     if math.isinf(p):
         out = np.zeros(n_pairs)
-        np.maximum.at(out, rows, weights[edges] * diff)
+        if rows.size:
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            out[rows[starts]] = np.maximum.reduceat(weights[edges] * diff, starts)
         return out
     terms = weights[edges] * (diff if p == 1.0 else diff**p)
     total = np.bincount(rows, weights=terms, minlength=n_pairs)

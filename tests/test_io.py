@@ -1,0 +1,256 @@
+"""The CLI's text readers and writer against naive line-by-line references.
+
+`load_graph` and the pair-file parser read their files with one
+``np.loadtxt`` call and fall back to a per-line scan; the distance CSV is
+formatted in blocks of lines.  Each is checked here against the simplest
+per-line reading of the same grammar, on generated files with whole-line
+comments, blank lines, CRLF endings, comma separators and malformed lines.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gsobolev import ParseError, load_graph
+from gsobolev import cli
+from gsobolev.cli import _parse_pairs, _write_distance_csv
+
+EXAMPLES = settings(max_examples=60, deadline=None)
+
+JUNK = ["", "   ", "\t", "# a comment", "  # an indented comment", "#"]
+
+
+def write_file(directory: str, lines: list[str], ending: str, final: bool) -> str:
+    path = os.path.join(directory, "f.txt")
+    text = ending.join(lines) + (ending if final else "")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    return path
+
+
+def significant(path: str) -> list[tuple[int, str]]:
+    with open(path, encoding="utf-8") as fh:
+        return [(k, raw) for k, raw in enumerate(fh, 1) if raw.strip()[:1] not in ("", "#")]
+
+
+def reference_graph(path: str):
+    """``(n, u, v, w)`` of a graph file read one line at a time, or the text
+    of the ParseError the grammar calls for."""
+    (_, header), *body = significant(path)
+    n, m = (int(t) for t in header.split())
+    u, v, w = [], [], []
+    for k, raw in body:
+        tok = raw.split()
+        if len(tok) != 3:
+            return f"{path}:{k}: edge line must be 'u v w'"
+        try:
+            u.append(int(tok[0]))
+            v.append(int(tok[1]))
+            w.append(float(tok[2]))
+        except ValueError:
+            return f"{path}:{k}: cannot parse edge line"
+    if len(body) != m:
+        return f"{path}: header promises {m} edges, found {len(body)}"
+    for (k, _), a, b in zip(body, u, v):
+        if not (0 <= a < n and 0 <= b < n):
+            return f"{path}:{k}: node id outside [0, {n})"
+    return n, u, v, w
+
+
+def reference_pairs(path: str, n: int):
+    """Sorted distinct ``(min, max)`` pairs of a pair file read one line at
+    a time, or the text of the ParseError the grammar calls for."""
+    pairs = set()
+    with open(path, encoding="utf-8") as fh:
+        for k, raw in enumerate(fh, 1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            tok = text.replace(",", " ").split()
+            try:
+                i, j = (int(t) for t in tok)
+            except ValueError:
+                return f"{path}:{k}: pair line must be 'i j'"
+            if not (0 <= i < n and 0 <= j < n):
+                return f"{path}:{k}: index outside [0, {n})"
+            pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+@st.composite
+def decorated(draw, lines: list[str]) -> list[str]:
+    """``lines`` with blank and whole-line comment lines slipped in before,
+    between and after them."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(JUNK), max_size=2))
+        out.append(line)
+    return out + draw(st.lists(st.sampled_from(JUNK), max_size=2))
+
+
+def weight_text(draw) -> str:
+    w = draw(st.floats(min_value=1e-300, max_value=1e300, allow_nan=False))
+    fmt = draw(st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:.0f}"]))
+    text = fmt.format(w)
+    return text if float(text) > 0.0 else repr(w)
+
+
+@st.composite
+def graph_lines(draw) -> list[str]:
+    """Lines of a valid connected graph file: a random spanning tree plus
+    chords, edges in random order and orientation, mixed spacing."""
+    n = draw(st.integers(1, 9))
+    pairs = {(draw(st.integers(0, x - 1)), x) for x in range(1, n)}
+    if n > 1:
+        chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs |= {(a, b) for a, b in draw(st.lists(chords, max_size=6)) if a < b}
+    edges = draw(st.permutations(sorted(pairs)))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [f"{n}{draw(gap)}{len(edges)}"]
+    for a, b in edges:
+        if draw(st.booleans()):
+            a, b = b, a
+        lead, tail = draw(st.sampled_from(["", " "])), draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(f"{lead}{a}{draw(gap)}{b}{draw(gap)}{weight_text(draw)}{tail}")
+    return lines
+
+
+BAD_EDGE_LINES = ["0 1", "0 1 1.0 2", "0 x 1.0", "0 1 1.0 # trailing", "0 1.5 1.0", "0 99 1.0"]
+
+
+class TestGraphFiles:
+    @EXAMPLES
+    @given(data=st.data(), lines=graph_lines(), crlf=st.booleans(), final=st.booleans())
+    def test_matches_line_by_line_reading(self, data, lines, crlf, final):
+        text = data.draw(decorated(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_file(tmp, text, "\r\n" if crlf else "\n", final)
+            n, u, v, w = reference_graph(path)
+            g = load_graph(path)
+        assert g.node_count == n
+        assert g.edge_u.tolist() == u and g.edge_v.tolist() == v
+        assert g.edge_w.tolist() == w
+
+    @EXAMPLES
+    @given(
+        data=st.data(),
+        lines=graph_lines().filter(lambda ls: len(ls) > 1),
+        bad=st.sampled_from(BAD_EDGE_LINES),
+        crlf=st.booleans(),
+    )
+    def test_error_names_the_same_line(self, data, lines, bad, crlf):
+        at = data.draw(st.integers(1, len(lines) - 1))
+        lines[at] = bad
+        text = data.draw(decorated(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_file(tmp, text, "\r\n" if crlf else "\n", True)
+            expected = reference_graph(path)
+            with pytest.raises(ParseError) as err:
+                load_graph(path)
+        assert str(err.value) == expected
+
+    def test_body_of_comments_only(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 0\n# no edges\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_graph(str(path))
+        assert (g.node_count, g.edge_count) == (1, 0)
+
+
+@st.composite
+def pair_lines(draw, n: int) -> list[str]:
+    """Pair lines over ``n`` measures: duplicates, reversed pairs and
+    ``i == j`` included, with blank or comma separators."""
+    idx = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(idx, idx), max_size=25))
+    pairs += [(j, i) for i, j in pairs[: draw(st.integers(0, len(pairs)))]]
+    seps = st.sampled_from([" ", "\t", ",", ", ", " ,", " , "])
+    return [
+        f"{draw(st.sampled_from(['', ' ']))}{i}{draw(seps)}{j}{draw(st.sampled_from(['', ' ']))}"
+        for i, j in draw(st.permutations(pairs))
+    ]
+
+
+BAD_PAIR_LINES = ["1", "1 2 3", "1 x", "1.0 2", "-1 0", "0 1 # trailing", "{n} 0", "0,{n}"]
+
+
+class TestPairFiles:
+    @EXAMPLES
+    @given(
+        data=st.data(), n=st.integers(1, 12), crlf=st.booleans(), final=st.booleans(),
+        junk=st.booleans(),
+    )
+    def test_matches_line_by_line_reading(self, data, n, crlf, final, junk):
+        lines = data.draw(pair_lines(n))
+        if junk:
+            lines = data.draw(decorated(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_file(tmp, lines, "\r\n" if crlf else "\n", final)
+            expected = reference_pairs(path, n)
+            first, second = _parse_pairs(path, n)
+        assert list(zip(first.tolist(), second.tolist())) == expected
+        assert first.dtype == second.dtype == np.intp
+
+    @EXAMPLES
+    @given(data=st.data(), n=st.integers(1, 12), bad=st.sampled_from(BAD_PAIR_LINES))
+    def test_error_names_the_same_line(self, data, n, bad):
+        lines = data.draw(pair_lines(n))
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, bad.format(n=n))
+        lines = data.draw(decorated(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_file(tmp, lines, "\n", True)
+            expected = reference_pairs(path, n)
+            with pytest.raises(ParseError) as err:
+                _parse_pairs(path, n)
+        assert str(err.value) == expected
+
+    def test_empty_file(self, tmp_path):
+        for text in ("", "\n  \n", "# nothing\n"):
+            path = tmp_path / "pairs.txt"
+            path.write_text(text)
+            first, second = _parse_pairs(str(path), 3)
+            assert first.size == second.size == 0
+
+
+def per_line_csv(first, second, values) -> bytes:
+    lines = ["i,j,distance\n"]
+    lines += [f"{i},{j},{d:.17g}\n" for i, j, d in zip(first, second, values)]
+    return "".join(lines).encode("utf-8")
+
+
+class TestDistanceCsv:
+    SPECIAL = [0.0, 1e-300, np.nextafter(1e-300, 0.0), np.nextafter(1e-300, 1.0),
+               5e-324, 2.2250738585072014e-308, 1.0, 0.1, 1 / 3, 3.0, 1e16,
+               1.7976931348623157e308]
+
+    @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 20])
+    def test_block_bytes_equal_per_line_bytes(self, tmp_path, monkeypatch, count):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+        rng = np.random.default_rng(count)
+        first = np.sort(rng.integers(0, 10**6, count))
+        second = first + rng.integers(0, 10**6, count)
+        values = np.concatenate([self.SPECIAL, rng.lognormal(0.0, 30.0, count)])[:count]
+        path = str(tmp_path / "d.csv")
+        _write_distance_csv(path, first, second, values)
+        with open(path, "rb") as fh:
+            assert fh.read() == per_line_csv(first.tolist(), second.tolist(), values.tolist())
+
+    def test_default_block_spans_several_blocks(self, tmp_path):
+        rng = np.random.default_rng(1)
+        count = 2 * cli._CSV_BLOCK + 3
+        first, second = np.triu_indices(200, 1)
+        first, second = first[:count], second[:count]
+        values = np.abs(rng.standard_normal(count)) * 10.0 ** rng.integers(-300, 300, count)
+        values[:: 97] = 0.0
+        path = str(tmp_path / "d.csv")
+        _write_distance_csv(path, first, second, values)
+        with open(path, "rb") as fh:
+            assert fh.read() == per_line_csv(first.tolist(), second.tolist(), values.tolist())

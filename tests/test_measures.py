@@ -55,6 +55,14 @@ class TestDiscreteMeasure:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_hash_cached_and_field_based(self):
+        a = DiscreteMeasure((np.int64(0), 1), (np.float64(0.25), 0.75))
+        b = DiscreteMeasure.normalized([(0, 1.0), (1, 3.0)])
+        assert a == b and hash(a) == hash(b) == hash(((0, 1), (0.25, 0.75)))
+        assert a != DiscreteMeasure((1, 0), (0.75, 0.25))  # same mass, other order
+        assert repr(a) == "DiscreteMeasure(nodes=(0, 1), masses=(0.25, 0.75))"
+        assert len({a: 1, b: 2}) == 1
+
     def test_duplicate_node(self):
         with pytest.raises(ValueError):
             DiscreteMeasure((1, 1), (0.5, 0.5))

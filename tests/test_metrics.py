@@ -17,7 +17,9 @@ from gsobolev import (
     beta_weights,
     equivalence_constants,
     gamma_mass,
+    gamma_masses,
     measure_distance,
+    pair_distances,
     prepare_root,
     sample_roots,
     shortest_path_tree,
@@ -26,6 +28,7 @@ from gsobolev import (
     sobolev_ipm_infinity,
     sobolev_transport_distance,
 )
+from gsobolev.metrics import _reduce_pairs
 from conftest import random_weighted_graph
 
 
@@ -287,6 +290,36 @@ class TestMetricBehavior:
             d12 = measure_distance(rs, prep, ms[1], ms[2], p)
             d02 = measure_distance(rs, prep, ms[0], ms[2], p)
             assert d02 <= d01 + d12 + 1e-9 * max(d02, d01 + d12, 1.0)
+
+
+class TestReducePairs:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_max_matches_scatter_max(self, seed):
+        # pairs 0 and n-1 and a run in the middle have no entries
+        rng = np.random.default_rng(seed)
+        n_pairs, n_edges = 40, 30
+        counts = rng.integers(0, 6, n_pairs)
+        counts[[0, 17, 18, n_pairs - 1]] = 0
+        rows = np.repeat(np.arange(n_pairs), counts)
+        edges = np.concatenate([np.sort(rng.choice(n_edges, c, replace=False)) for c in counts])
+        diff = rng.random(rows.size)
+        diff[::7] = 0.0
+        weights = 1.0 / (1.0 + rng.random(n_edges) * 10.0)
+        want = np.zeros(n_pairs)
+        np.maximum.at(want, rows, weights[edges] * diff)
+        got = _reduce_pairs(rows, edges, diff, n_pairs, weights, math.inf)
+        assert got.tobytes() == want.tobytes()
+        empty = np.zeros(0, dtype=np.intp)
+        assert _reduce_pairs(empty, empty, np.zeros(0), 3, weights, math.inf).tolist() == [0.0] * 3
+
+    def test_identical_measures_at_distance_zero(self, figure_graph):
+        rs, prep = prepare_root(figure_graph, 0)
+        ms = [DiscreteMeasure((3, 9), (0.5, 0.5)), DiscreteMeasure.dirac(2)]
+        vecs = gamma_masses(rs, ms + [DiscreteMeasure((3, 9), (0.5, 0.5))])
+        got = pair_distances(prep, vecs, np.array([0, 0, 1, 0]), np.array([2, 1, 1, 0]), math.inf)
+        one = measure_distance(rs, prep, ms[0], ms[1], math.inf)
+        assert got.tolist() == [0.0, one, 0.0, 0.0]
+        assert one > 0.0
 
 
 class TestSlicedDistance:
