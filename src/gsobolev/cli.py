@@ -23,15 +23,22 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GSobolevError, ParseError
-from .graph import Graph, lambda_gamma, load_graph, save_graph, shortest_path_tree
+from .graph import (
+    Graph,
+    _write_lines,
+    lambda_gamma,
+    load_graph,
+    save_graph,
+    shortest_path_tree,
+)
 from .kernels import (
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
-    check_negative_definite,
     distance_matrix,
     gram_matrix,
     min_eigenvalue,
+    quadratic_form_violations,
     write_matrix_csv,
 )
 from .measures import DiscreteMeasure, gamma_masses, load_measures, save_measures
@@ -184,13 +191,7 @@ def _write_distance_csv(
     formatted one block of lines per ``%`` operation."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,distance\n")
-        for start in range(0, first.size, _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, first.size)
-            cells: list = [None] * (3 * (stop - start))
-            cells[0::3] = first[start:stop].tolist()
-            cells[1::3] = second[start:stop].tolist()
-            cells[2::3] = values[start:stop].tolist()
-            fh.write("%d,%d,%.17g\n" * (stop - start) % tuple(cells))
+        _write_lines(fh, "%d,%d,%.17g\n", (first, second, values), _CSV_BLOCK)
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -279,10 +280,10 @@ def cmd_gram(args: argparse.Namespace) -> int:
     gram_ms = (time.perf_counter() - t0) * 1e3
 
     write_matrix_csv(K, args.out)
-    nd = check_negative_definite(D, p, trials=200, seed=cfg.seed)
+    nd_violations, _ = quadratic_form_violations(D, trials=200, seed=cfg.seed)
     sidecar = {
         "min_eigenvalue": min_eigenvalue(K),
-        "nd_violations": nd.violations,
+        "nd_violations": nd_violations,
         "preprocessing_ms": prep_ms,
         "gram_ms": gram_ms,
     }

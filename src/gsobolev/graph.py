@@ -9,16 +9,14 @@ total length of the region of the graph whose root paths traverse that edge
 (the downstream length), which is the only graph-dependent quantity the
 closed-form distances need.
 
-All arrays are frozen after construction, so the objects are safe to share
-across threads; the per-object caches guard insertion with a lock.
+All arrays are frozen after construction.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix
@@ -228,12 +226,30 @@ def _edge_line_error(path: str) -> ParseError:
     return ParseError(f"{path}: cannot parse edge lines")
 
 
+# Lines per formatted block of a graph file.
+_LINE_BLOCK = 4096
+
+
+def _write_lines(
+    fh: TextIO, line: str, columns: tuple[np.ndarray, ...], block: int
+) -> None:
+    """Write ``line % row`` for every row of the equal-length ``columns``,
+    formatted one block of ``block`` lines per ``%`` operation."""
+    width, count = len(columns), len(columns[0])
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        cells: list = [None] * (width * (stop - start))
+        for k, col in enumerate(columns):
+            cells[k::width] = col[start:stop].tolist()
+        fh.write(line * (stop - start) % tuple(cells))
+
+
 def save_graph(g: Graph, path: str) -> None:
-    """Write a graph in the format :func:`load_graph` reads."""
+    """Write a graph in the format :func:`load_graph` reads, each length at
+    17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.node_count} {g.edge_count}\n")
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
-            fh.write(f"{int(u)} {int(v)} {w:.17g}\n")
+        _write_lines(fh, "%d %d %.17g\n", (g.edge_u, g.edge_v, g.edge_w), _LINE_BLOCK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +279,6 @@ class RootedStructure:
     topo_order: np.ndarray
     warnings: tuple[str, ...]
     _gamma_cache: dict = field(default_factory=dict, repr=False)
-    _gamma_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def tree_edges(self) -> frozenset[int]:
@@ -369,7 +384,7 @@ class EdgePrep:
     edge hanging off that subtree).  Edges outside the shortest-path tree are
     inert in the closed forms (no root path crosses them), so their entry is
     kept at zero.  ``beta_cache`` maps each requested order ``p`` to the
-    frozen per-edge weight vector; insertion is lock-guarded.
+    frozen per-edge weight vector.
     """
 
     root: int
@@ -377,7 +392,6 @@ class EdgePrep:
     total_length: float
     edge_lengths: np.ndarray
     beta_cache: dict = field(default_factory=dict, repr=False)
-    _beta_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:

@@ -9,6 +9,7 @@ with random centered quadratic forms and spectrally.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -120,23 +121,20 @@ class DefinitenessReport:
         return self.violations == 0 and self.spectral_passed
 
 
-def check_negative_definite(
-    d: np.ndarray, p: float, trials: int = 200, seed: int = 0
-) -> DefinitenessReport:
-    """Test that ``d`` behaves as a negative definite matrix.
+def quadratic_form_violations(
+    d: np.ndarray, trials: int = 200, seed: int = 0
+) -> tuple[int, float]:
+    """Randomized negative-definiteness test of ``d``: the number of
+    violations and the largest quadratic form seen (0.0 for an empty matrix).
 
-    Randomized part: for centered coefficient vectors ``c`` (zero sum), the
-    quadratic form ``c' d c`` must stay below ``1e-8 * ||c||^2 * max(d)``.
-    Spectral part: the doubly centered matrix ``-J d J`` must be positive
-    semidefinite within an eigenvalue tolerance of ``-1e-8``.  Orders outside
-    ``[1, 2]`` are still checked but flagged, since the guarantee only covers
-    that range.
+    For ``trials`` centered coefficient vectors ``c`` (zero sum) drawn from
+    ``default_rng(seed)``, the quadratic form ``c' d c`` must stay below
+    ``1e-8 * ||c||^2 * max(d)``; each form above that is a violation.
     """
-    _check_order(p, allow_inf=True)
     D = _square(d)
     n = len(D)
     if n == 0:
-        return DefinitenessReport(0, 0, 0.0, 0.0, True, not 1.0 <= p <= 2.0)
+        return 0, 0.0
     rng = np.random.default_rng(seed)
     scale = float(D.max())
     violations = 0
@@ -148,8 +146,29 @@ def check_negative_definite(
         worst = max(worst, q)
         if q > ND_QUAD_RTOL * float(c @ c) * scale:
             violations += 1
-    J = np.eye(n) - np.full((n, n), 1.0 / n)
-    M = -J @ D @ J
+    return violations, worst
+
+
+def check_negative_definite(
+    d: np.ndarray, p: float, trials: int = 200, seed: int = 0
+) -> DefinitenessReport:
+    """Test that ``d`` behaves as a negative definite matrix.
+
+    Randomized part: :func:`quadratic_form_violations`.  Spectral part: the
+    doubly centered matrix ``-J d J`` must be positive semidefinite within an
+    eigenvalue tolerance of ``-1e-8``.  Orders outside ``[1, 2]`` are still
+    checked but flagged, since the guarantee only covers that range.
+    """
+    _check_order(p, allow_inf=True)
+    D = _square(d)
+    if len(D) == 0:
+        return DefinitenessReport(0, 0, 0.0, 0.0, True, not 1.0 <= p <= 2.0)
+    violations, worst = quadratic_form_violations(D, trials, seed)
+    # -J D J with J = I - 11'/n, by subtracting row and column means and
+    # adding back the grand mean
+    rows = D.mean(axis=1, keepdims=True)
+    cols = D.mean(axis=0, keepdims=True)
+    M = rows + cols - D - rows.mean()
     M = (M + M.T) / 2.0
     try:
         spectral_min = float(np.linalg.eigvalsh(M).min())
@@ -196,25 +215,35 @@ def divisibility_check(gram: np.ndarray, n: int) -> bool:
 
 def write_matrix_csv(m: np.ndarray, path: str) -> None:
     """Serialize: first line the dimension, then the full square matrix with
-    17 significant digits."""
-    m = _square(m)
+    17 significant digits.
+
+    Each distinct value, keyed by its bits, is formatted once and its string
+    reused wherever it occurs: a symmetric Gram matrix with a unit diagonal
+    formats about half its entries.
+    """
+    m = np.ascontiguousarray(_square(m))
+    n = len(m)
+    keys, where = np.unique(m.view(np.uint64).ravel(), return_inverse=True)
+    text = "%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())
+    strings = np.array(text.split("\n")[:-1], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(m)}\n")
-        for row in m.tolist():
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(f"{n}\n")
+        for row in strings[where.reshape(n, n)].tolist():
+            fh.write(",".join(row) + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
     """Read what :func:`write_matrix_csv` writes, as a symmetric array."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+        header, _, body = fh.read().lstrip().partition("\n")
+    if not header:
         raise ValueError(f"{path}: empty matrix file")
-    dim = int(lines[0])
-    if len(lines) != dim + 1:
-        raise ValueError(f"{path}: expected {dim} rows, found {len(lines) - 1}")
-    rows = [np.array([float(x) for x in ln.split(",")]) for ln in lines[1:]]
-    full = np.vstack(rows) if rows else np.zeros((0, 0))
+    dim = int(header)
+    full = np.zeros((0, 0))
+    if body.strip():  # np.loadtxt warns on input without data
+        full = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    if len(full) != dim:
+        raise ValueError(f"{path}: expected {dim} rows, found {len(full)}")
     if full.shape != (dim, dim):
         raise ValueError(f"{path}: expected a {dim}x{dim} matrix")
     return (full + full.T) / 2.0

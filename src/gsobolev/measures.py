@@ -135,8 +135,7 @@ def gamma_masses(
     """Cumulative edge vectors of ``measures`` under the root of ``rs``, in order.
 
     Vectors are cached on ``rs`` per measure, so repeated or equal measures
-    get the same object; concurrent reads are free and insertion takes the
-    cache lock.  The uncached measures are computed together.
+    get the same object.  The uncached measures are computed together.
     """
     cache = rs._gamma_cache
     todo = [mu for mu in measures if mu not in cache]
@@ -161,9 +160,8 @@ def _cache_new(rs: RootedStructure, todo: list[DiscreteMeasure]) -> None:
         pts = slice(ends[start] - sizes[start], ends[stop - 1])
         entries = _root_path_sums(rs, sizes[start:stop], nodes[pts], masses[pts], steps)
         vecs = [SparseEdgeVector(rs.root, ids, vals) for ids, vals in entries]
-        with rs._gamma_lock:
-            for mu, vec in zip(todo[start:stop], vecs):
-                rs._gamma_cache.setdefault(mu, vec)
+        for mu, vec in zip(todo[start:stop], vecs):
+            rs._gamma_cache.setdefault(mu, vec)
 
 
 def _passes(sizes: list[int], deepest: list[int]) -> Iterator[tuple[int, int, int]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 
 from .errors import InvalidExponent, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
@@ -71,8 +71,7 @@ def _cached_weights(prep: EdgePrep, key: float, make) -> np.ndarray:
         return cached
     weights = make()
     weights.flags.writeable = False
-    with prep._beta_lock:
-        return prep.beta_cache.setdefault(key, weights)
+    return prep.beta_cache.setdefault(key, weights)
 
 
 def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
@@ -125,39 +124,49 @@ def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
 
 
 def _reduce_pairs(
-    rows: np.ndarray,
+    indptr: np.ndarray,
     edges: np.ndarray,
     diff: np.ndarray,
-    n_pairs: int,
     weights: np.ndarray,
     p: float,
 ) -> np.ndarray:
-    """Distances of ``n_pairs`` pairs from the entries of ``|Gamma_i - Gamma_j|``.
+    """Distances of the pairs whose differences ``Gamma_i - Gamma_j`` are
+    the CSR rows ``(indptr, edges, diff)``, one row per pair.
 
-    Entry ``k`` says that pair ``rows[k]`` differs by ``diff[k]`` on edge
-    ``edges[k]``; entries come grouped by pair, in increasing pair order, and
-    within a pair edges come in increasing order.  Each pair is reduced on
-    its own, sequentially in that order (``bincount`` adds its weights one
-    by one), so a pair's bits never depend on the batch it sits in.  Zero
-    differences may be present or absent: adding ``+0.0`` to a nonnegative
-    sum, or a zero to a max, changes no bit.  A pair without entries is at
-    distance 0.
+    Within a row, edges come in increasing order.  Each row is reduced on
+    its own, sequentially in that order: a sparse product with a ones
+    vector, like ``bincount``, adds a row's terms one by one from 0.0, and
+    multiplying by 1.0 is exact, so a pair's bits never depend on the batch
+    it sits in.  Zero differences may be present or absent: adding ``+0.0``
+    to a nonnegative sum, or a zero to a max, changes no bit.  A row without
+    entries is at distance 0.  ``diff`` is overwritten with the terms.
     """
+    n_pairs = indptr.size - 1
+    terms = np.abs(diff, out=diff)
     if math.isinf(p):
+        terms *= weights[edges]
         out = np.zeros(n_pairs)
-        if rows.size:
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            out[rows[starts]] = np.maximum.reduceat(weights[edges] * diff, starts)
+        filled = np.flatnonzero(np.diff(indptr))
+        if filled.size:
+            out[filled] = np.maximum.reduceat(terms, indptr[filled])
         return out
-    terms = weights[edges] * (diff if p == 1.0 else diff**p)
-    total = np.bincount(rows, weights=terms, minlength=n_pairs)
+    if p != 1.0:
+        terms **= p
+    terms *= weights[edges]
+    if n_pairs == 1:
+        # a sparse matrix costs tens of microseconds to build, which a
+        # single pair would pay on every call
+        total = np.bincount(np.zeros(terms.size, dtype=np.intp), terms, minlength=1)
+    else:
+        column = np.zeros(terms.size, dtype=indptr.dtype)
+        total = csr_array((terms, column, indptr), shape=(n_pairs, 1)) @ np.ones(1)
     return total if p == 1.0 else total ** (1.0 / p)
 
 
-def _merged_abs_diff(
+def _merged_diff(
     u: SparseEdgeVector, v: SparseEdgeVector
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union of touched edges, in increasing order, and |u - v| on it."""
+    """Union of touched edges, in increasing order, and u - v on it."""
     if u.root != v.root:
         raise RootMismatch(f"vectors built for roots {u.root} and {v.root}")
     ids = np.concatenate([u.edge_ids, v.edge_ids])
@@ -166,7 +175,7 @@ def _merged_abs_diff(
     b = np.zeros(uniq.size, dtype=np.float64)
     a[inv[: u.edge_ids.size]] = u.values
     b[inv[u.edge_ids.size :]] = v.values
-    return uniq, np.abs(a - b)
+    return uniq, a - b
 
 
 def _check_prep(prep: EdgePrep, u: SparseEdgeVector) -> None:
@@ -181,9 +190,8 @@ def _pair_distance(
 ) -> float:
     weights = _edge_weights(prep, p, variant)
     _check_prep(prep, u)
-    ids, diff = _merged_abs_diff(u, v)
-    rows = np.zeros(ids.size, dtype=np.intp)
-    return float(_reduce_pairs(rows, ids, diff, 1, weights, p)[0])
+    ids, diff = _merged_diff(u, v)
+    return float(_reduce_pairs(np.array([0, ids.size]), ids, diff, weights, p)[0])
 
 
 # Stored entries of Gamma[I] plus Gamma[J] per block of a batch: bounds the
@@ -230,10 +238,7 @@ def pair_distances(
     bounds = np.unique(np.concatenate([[0], cuts, [first.size]]))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         d = gamma[first[start:stop]] - gamma[second[start:stop]]
-        rows = np.repeat(np.arange(stop - start), np.diff(d.indptr))
-        out[start:stop] = _reduce_pairs(
-            rows, d.indices, np.abs(d.data), stop - start, weights, p
-        )
+        out[start:stop] = _reduce_pairs(d.indptr, d.indices, d.data, weights, p)
     return out
 
 

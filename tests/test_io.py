@@ -1,9 +1,10 @@
 """The CLI's text readers and writer against naive line-by-line references.
 
 `load_graph` and the pair-file parser read their files with one
-``np.loadtxt`` call and fall back to a per-line scan; the distance CSV is
-formatted in blocks of lines.  Each is checked here against the simplest
-per-line reading of the same grammar, on generated files with whole-line
+``np.loadtxt`` call and fall back to a per-line scan; the distance CSV and
+graph files are formatted in blocks of lines, and the Gram CSV formats each
+distinct value once.  Each is checked here against the simplest per-line
+reading or writing of the same grammar, on generated files with whole-line
 comments, blank lines, CRLF endings, comma separators and malformed lines.
 """
 
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsobolev import ParseError, load_graph
-from gsobolev import cli
+from gsobolev import ParseError, load_graph, random_tree, save_graph, write_matrix_csv
+from gsobolev import cli, graph
 from gsobolev.cli import _parse_pairs, _write_distance_csv
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -254,3 +255,54 @@ class TestDistanceCsv:
         _write_distance_csv(path, first, second, values)
         with open(path, "rb") as fh:
             assert fh.read() == per_line_csv(first.tolist(), second.tolist(), values.tolist())
+
+
+class TestGraphFile:
+    @pytest.mark.parametrize("block", [5, 4096])
+    def test_block_bytes_equal_per_edge_bytes(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(graph, "_LINE_BLOCK", block)
+        g = random_tree(2 * block + 2, seed=block)  # crosses two block boundaries
+        path = str(tmp_path / "g.graph")
+        save_graph(g, path)
+        want = f"{g.node_count} {g.edge_count}\n" + "".join(
+            f"{int(u)} {int(v)} {w:.17g}\n" for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+        )
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+
+
+def per_value_matrix_csv(m) -> bytes:
+    lines = [f"{len(m)}\n"] + [",".join(f"{x:.17g}" for x in row) + "\n" for row in m.tolist()]
+    return "".join(lines).encode("utf-8")
+
+
+def matrix_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(3)
+    d = rng.random((9, 9))
+    d = d + d.T
+    np.fill_diagonal(d, 0.0)
+    specials = np.array(
+        [[0.0, -0.0, np.inf, 5e-324],
+         [0.0, -np.inf, np.nan, 1.7976931348623157e308],
+         [np.inf, np.nan, 1.0, -5e-324],
+         [-0.0, 1 / 3, -1.7976931348623157e308, 0.1]]
+    )
+    return {
+        "symmetric": np.exp(-1.5 * d**1.5),
+        "non-symmetric": rng.lognormal(0.0, 30.0, (7, 7)),
+        "signed-zero-mirror": np.array([[1.0, 0.0], [-0.0, 1.0]]),
+        "specials": specials,
+        "transposed-view": specials.T,
+        "empty": np.zeros((0, 0)),
+        "one": np.array([[2.5]]),
+    }
+
+
+class TestMatrixCsv:
+    @pytest.mark.parametrize("name", list(matrix_cases()))
+    def test_bytes_equal_per_value_bytes(self, tmp_path, name):
+        m = matrix_cases()[name]
+        path = str(tmp_path / "k.csv")
+        write_matrix_csv(m, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == per_value_matrix_csv(m)

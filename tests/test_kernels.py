@@ -29,6 +29,7 @@ from gsobolev import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from gsobolev.kernels import quadratic_form_violations
 from conftest import random_weighted_graph
 
 
@@ -207,6 +208,32 @@ class TestDefiniteness:
     def test_empty_matrix(self):
         rep = check_negative_definite(np.zeros((0, 0)), 1.0)
         assert rep.passed
+        assert quadratic_form_violations(np.zeros((0, 0))) == (0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quadratic_forms_match_inline_loop(self, seed):
+        def inline(D, trials, seed):
+            rng = np.random.default_rng(seed)
+            scale = float(D.max())
+            violations, worst = 0, -math.inf
+            for _ in range(trials):
+                c = rng.standard_normal(len(D))
+                c -= c.mean()
+                q = float(c @ D @ c)
+                worst = max(worst, q)
+                if q > 1e-8 * float(c @ c) * scale:
+                    violations += 1
+            return violations, worst
+
+        rng = np.random.default_rng(seed)
+        pts = rng.random((25, 3))
+        euclid = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        noise = rng.random((25, 25))
+        for D in (euclid, euclid**3, noise + noise.T):
+            got = quadratic_form_violations(D, trials=200, seed=seed)
+            assert got == inline(D, 200, seed)
+        assert quadratic_form_violations(euclid, 200, seed)[0] == 0
+        assert quadratic_form_violations(euclid**3, 200, seed)[0] > 0
 
     def test_non_square_rejected(self):
         rect = np.ones((2, 3))

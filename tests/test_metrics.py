@@ -292,6 +292,18 @@ class TestMetricBehavior:
             assert d02 <= d01 + d12 + 1e-9 * max(d02, d01 + d12, 1.0)
 
 
+def csr_rows(rng, counts, n_edges):
+    """CSR rows with ``counts`` entries each: sorted distinct edges and signed
+    differences spanning many magnitudes, some exactly zero."""
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    edges = np.concatenate(
+        [np.sort(rng.choice(n_edges, c, replace=False)) for c in counts] + [[]]
+    ).astype(np.intp)
+    diff = rng.standard_normal(edges.size) * 10.0 ** rng.uniform(-8, 3, edges.size)
+    diff[::7] = 0.0
+    return indptr, edges, diff
+
+
 class TestReducePairs:
     @pytest.mark.parametrize("seed", range(5))
     def test_max_matches_scatter_max(self, seed):
@@ -300,17 +312,45 @@ class TestReducePairs:
         n_pairs, n_edges = 40, 30
         counts = rng.integers(0, 6, n_pairs)
         counts[[0, 17, 18, n_pairs - 1]] = 0
+        indptr, edges, diff = csr_rows(rng, counts, n_edges)
         rows = np.repeat(np.arange(n_pairs), counts)
-        edges = np.concatenate([np.sort(rng.choice(n_edges, c, replace=False)) for c in counts])
-        diff = rng.random(rows.size)
-        diff[::7] = 0.0
         weights = 1.0 / (1.0 + rng.random(n_edges) * 10.0)
         want = np.zeros(n_pairs)
-        np.maximum.at(want, rows, weights[edges] * diff)
-        got = _reduce_pairs(rows, edges, diff, n_pairs, weights, math.inf)
+        np.maximum.at(want, rows, weights[edges] * np.abs(diff))
+        got = _reduce_pairs(indptr, edges, diff, weights, math.inf)
         assert got.tobytes() == want.tobytes()
         empty = np.zeros(0, dtype=np.intp)
-        assert _reduce_pairs(empty, empty, np.zeros(0), 3, weights, math.inf).tolist() == [0.0] * 3
+        got = _reduce_pairs(np.zeros(4, dtype=np.intp), empty, np.zeros(0), weights, math.inf)
+        assert got.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize(
+        "counts",
+        [[0, 4, 0, 0, 9, 1, 0], [6], [0], [0, 0, 0], "many"],
+        ids=["gaps", "one-row", "one-empty-row", "all-empty", "many"],
+    )
+    def test_rows_equal_sequential_python_sum(self, p, counts):
+        rng = np.random.default_rng(7)
+        n_edges = 60
+        if counts == "many":
+            counts = rng.integers(0, 40, 500)
+            counts[[0, 250, 251, -1]] = 0
+        indptr, edges, diff = csr_rows(rng, np.asarray(counts), n_edges)
+        weights = rng.random(n_edges) * 10.0 ** rng.uniform(-3, 3, n_edges)
+        # elementwise as numpy computes it; each row then reduced in order
+        terms = np.abs(diff) if p in (1.0, math.inf) else np.abs(diff) ** p
+        terms = (weights[edges] * terms).tolist()
+        want = []
+        for start, stop in zip(indptr[:-1], indptr[1:]):
+            acc = 0.0
+            for term in terms[start:stop]:
+                acc = max(acc, term) if math.isinf(p) else acc + term
+            want.append(acc)
+        want = np.array(want)
+        if math.isfinite(p) and p != 1.0:
+            want = want ** (1.0 / p)
+        got = _reduce_pairs(indptr, edges, diff, weights, p)
+        assert got.tobytes() == want.tobytes()
 
     def test_identical_measures_at_distance_zero(self, figure_graph):
         rs, prep = prepare_root(figure_graph, 0)
