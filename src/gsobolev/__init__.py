@@ -25,7 +25,6 @@ from .graph import (
     EdgePrep,
     Graph,
     RootedStructure,
-    find_shortcuts,
     lambda_gamma,
     load_graph,
     root_path_edges,
@@ -65,7 +64,6 @@ from .metrics import (
     sample_roots,
     sliced_distance,
     sobolev_ipm_distance,
-    sobolev_ipm_infinity,
     sobolev_transport_distance,
 )
 from .oracles import (
@@ -81,7 +79,6 @@ from .synth import (
     PointCloud,
     build_random_graph,
     farthest_point_clustering,
-    load_point_cloud,
     random_measures,
     random_tree,
     save_point_cloud,

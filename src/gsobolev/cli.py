@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -71,28 +70,15 @@ class CliError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set shared by the computing subcommands."""
-
-    graph_path: str
-    measures_path: str
-    roots: tuple[int, ...] | tuple[str, int, int]
-    p: float
-    variant: str
-    seed: int
-
-    def resolve_roots(self, g: Graph) -> list[int]:
-        if self.roots and self.roots[0] == "sliced":
-            _, k, seed = self.roots
-            if k > g.node_count:
-                raise CliError(f"sliced root count {k} exceeds the {g.node_count} nodes")
-            return sample_roots(g, int(k), int(seed))
-        roots = [int(r) for r in self.roots]
-        for r in roots:
-            if not 0 <= r < g.node_count:
-                raise CliError(f"root {r} outside [0, {g.node_count})")
-        return roots
+def _parse_seed(text: str) -> int:
+    """``--seed``: a nonnegative integer, as numpy's generators need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _parse_p(text: str) -> float:
@@ -118,6 +104,8 @@ def _parse_root(text: str) -> tuple:
             raise CliError("sliced root spec must hold integers")
         if k < 1:
             raise CliError("sliced root count must be at least 1")
+        if seed < 0:
+            raise CliError("sliced root seed must be nonnegative")
         return ("sliced", k, seed)
     try:
         return (int(text),)
@@ -131,12 +119,24 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[Graph, list[DiscreteMeasure]]:
-    g = load_graph(cfg.graph_path)
-    measures = load_measures(cfg.measures_path, g)
+def _load_inputs(args: argparse.Namespace) -> tuple[Graph, list[DiscreteMeasure], list[int]]:
+    """The graph, the measures and the resolved roots of ``--graph``,
+    ``--measures`` and ``--root``; flags are checked before any file is read."""
+    graph_path = _require_file(args.graph, "graph")
+    measures_path = _require_file(args.measures, "measures")
+    spec = _parse_root(args.root)
+    g = load_graph(graph_path)
+    measures = load_measures(measures_path, g)
     if not measures:
-        raise CliError(f"no measures in {cfg.measures_path}")
-    return g, measures
+        raise CliError(f"no measures in {measures_path}")
+    if spec[0] == "sliced":
+        _, k, seed = spec
+        if k > g.node_count:
+            raise CliError(f"sliced root count {k} exceeds the {g.node_count} nodes")
+        return g, measures, sample_roots(g, k, seed)
+    if not 0 <= spec[0] < g.node_count:
+        raise CliError(f"root {spec[0]} outside [0, {g.node_count})")
+    return g, measures, [spec[0]]
 
 
 def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +199,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     variant = VARIANT_FLAGS[args.variant]
     if math.isinf(p) and variant == VARIANT_SOBOLEV_TRANSPORT:
         raise CliError("the transport variant needs a finite order p")
-    cfg = RunConfig(
-        graph_path=_require_file(args.graph, "graph"),
-        measures_path=_require_file(args.measures, "measures"),
-        roots=_parse_root(args.root),
-        p=p,
-        variant=variant,
-        seed=args.seed,
-    )
-    g, measures = _load_inputs(cfg)
-    roots = cfg.resolve_roots(g)
+    g, measures, roots = _load_inputs(args)
     n = len(measures)
     if args.pairs == "all":
         first, second = np.triu_indices(n, 1)
@@ -250,16 +241,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         )
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise CliError(f"bandwidth --t must be positive and finite, got {args.t}")
-    cfg = RunConfig(
-        graph_path=_require_file(args.graph, "graph"),
-        measures_path=_require_file(args.measures, "measures"),
-        roots=_parse_root(args.root),
-        p=p,
-        variant=VARIANT_SOBOLEV_IPM,
-        seed=args.seed,
-    )
-    g, measures = _load_inputs(cfg)
-    roots = cfg.resolve_roots(g)
+    g, measures, roots = _load_inputs(args)
 
     t0 = time.perf_counter()
     prepared = {r: prepare_root(g, r) for r in roots}
@@ -280,7 +262,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     gram_ms = (time.perf_counter() - t0) * 1e3
 
     write_matrix_csv(K, args.out)
-    nd_violations, _ = quadratic_form_violations(D, trials=200, seed=cfg.seed)
+    nd_violations, _ = quadratic_form_violations(D, trials=200, seed=args.seed)
     sidecar = {
         "min_eigenvalue": min_eigenvalue(K),
         "nd_violations": nd_violations,
@@ -472,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--measures", required=True, help="measure file")
         p_.add_argument("--root", default="0", help="root node id, or sliced:K:SEED")
         p_.add_argument("--p", default="1", help="order, a decimal >= 1 or 'inf'")
-        p_.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("distance", help="pairwise distances to CSV")
     common(d)
@@ -486,12 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kernel", choices=sorted(KERNEL_FLAGS), default="exp")
     g.add_argument("--t", type=float, default=1.0, help="bandwidth, > 0")
     g.add_argument("--allow-outside-range", action="store_true")
+    g.add_argument("--seed", type=_parse_seed, default=0, help="seed of the definiteness trials")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gram)
 
     v = sub.add_parser("verify", help="run a seeded property suite")
     v.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_parse_seed, default=0)
     v.add_argument("--out", help="optional JSON report path")
     v.set_defaults(func=cmd_verify)
 
@@ -502,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--count", type=int, default=20, help="measures per instance")
     b.add_argument("--support-size", type=int, default=5)
     b.add_argument("--max-pairs", type=int, default=500)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_parse_seed, default=0)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
 
@@ -513,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", default="log")
     s.add_argument("--count", type=int, default=10, help="number of measures")
     s.add_argument("--support-size", type=int, default=5)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_parse_seed, default=0)
     s.add_argument("--out-prefix", required=True)
     s.set_defaults(func=cmd_synth)
     return top

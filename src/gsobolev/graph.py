@@ -48,16 +48,12 @@ class Graph:
     Edge ids are construction order and never change, so they are stable cache
     keys.  Self-loops and repeated unordered pairs are rejected (both violate
     the simple-graph invariant and raise :class:`DuplicateEdge`).
-
-    ``node_coords`` is optional embedding information (one row per node) kept
-    for synthetic instances; no distance computation reads it.
     """
 
     node_count: int
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_w: np.ndarray
-    node_coords: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.node_count
@@ -88,11 +84,6 @@ class Graph:
         object.__setattr__(self, "edge_u", _freeze(u))
         object.__setattr__(self, "edge_v", _freeze(v))
         object.__setattr__(self, "edge_w", _freeze(w))
-        if self.node_coords is not None:
-            coords = np.asarray(self.node_coords, dtype=np.float64)
-            if coords.shape[0] != n:
-                raise ValueError("node_coords must have one row per node")
-            object.__setattr__(self, "node_coords", _freeze(coords))
         # Symmetric CSR adjacency; reused by every shortest-path call.
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
@@ -114,18 +105,13 @@ class Graph:
         return float(self.edge_w.sum())
 
     @classmethod
-    def from_edges(
-        cls,
-        node_count: int,
-        edges: Iterable[tuple[int, int, float]],
-        node_coords: np.ndarray | None = None,
-    ) -> "Graph":
+    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int, float]]) -> "Graph":
         """Build a graph from ``(u, v, length)`` triples, validating everything."""
         triples = list(edges)
         u = np.array([e[0] for e in triples], dtype=np.int64)
         v = np.array([e[1] for e in triples], dtype=np.int64)
         w = np.array([e[2] for e in triples], dtype=np.float64)
-        return cls(node_count, u, v, w, node_coords)
+        return cls(node_count, u, v, w)
 
     def edge_id(self, a: int, b: int) -> int:
         """Id of the edge joining ``a`` and ``b`` (order-insensitive)."""
@@ -273,17 +259,11 @@ class RootedStructure:
     dist: np.ndarray
     parent: np.ndarray
     parent_edge: np.ndarray
-    tree_edge_mask: np.ndarray
     depth: np.ndarray
     lift: tuple[np.ndarray, ...]
     topo_order: np.ndarray
     warnings: tuple[str, ...]
     _gamma_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def tree_edges(self) -> frozenset[int]:
-        """Ids of the edges that belong to the shortest-path tree."""
-        return frozenset(int(e) for e in np.flatnonzero(self.tree_edge_mask))
 
 
 def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
@@ -329,9 +309,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         for v, k in zip(kids[tied], counts[tied])
     ]
 
-    tree_edge_mask = np.zeros(g.edge_count, dtype=bool)
-    tree_edge_mask[parent_edge[parent_edge >= 0]] = True
-
     # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
     # ``depth`` counts the edges from each node to its ``anc``.  Depth breaks
     # the (pathological) case of a parent at equal float distance, keeping
@@ -353,7 +330,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         dist=_freeze(dist),
         parent=_freeze(parent),
         parent_edge=_freeze(parent_edge),
-        tree_edge_mask=_freeze(tree_edge_mask),
         depth=_freeze(depth),
         lift=tuple(lift),
         topo_order=_freeze(topo_order.astype(np.int64)),
@@ -389,7 +365,6 @@ class EdgePrep:
 
     root: int
     lambda_gamma: np.ndarray
-    total_length: float
     edge_lengths: np.ndarray
     beta_cache: dict = field(default_factory=dict, repr=False)
 
@@ -436,27 +411,6 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     return EdgePrep(
         root=rs.root,
         lambda_gamma=_freeze(lam),
-        total_length=float(w.sum()),
         edge_lengths=g.edge_w,
     )
 
-
-def find_shortcuts(g: Graph) -> list[tuple[int, float, float]]:
-    """Optional validation pass: edges longer than the shortest path between
-    their endpoints.
-
-    Returns ``(edge_id, edge_length, endpoint_distance)`` triples.  Such edges
-    are legal (they never join any shortest-path tree) but usually indicate
-    malformed input, so callers may want to warn.  Costs one Dijkstra sweep
-    per edge endpoint; intended for small graphs.
-    """
-    out: list[tuple[int, float, float]] = []
-    sources = np.unique(g.edge_u)
-    dist = _sp_dijkstra(g._csr, directed=True, indices=sources)
-    row = {int(s): i for i, s in enumerate(sources)}
-    for e in range(g.edge_count):
-        u, v, w = int(g.edge_u[e]), int(g.edge_v[e]), float(g.edge_w[e])
-        d = float(dist[row[u], v])
-        if d < w * (1.0 - 1e-12):
-            out.append((e, w, d))
-    return out

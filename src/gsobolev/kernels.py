@@ -62,13 +62,11 @@ def distance_matrix(
 
 @dataclass(frozen=True)
 class GramSpec:
-    """Kernel recipe: order ``p``, bandwidth ``t``, functional form, and an
-    optional index subset of the measures to include."""
+    """Kernel recipe: order ``p``, bandwidth ``t`` and functional form."""
 
     p: float
     t: float
     form: str = KERNEL_EXP
-    measures: tuple[int, ...] | None = None
     allow_outside_range: bool = False
 
     def __post_init__(self) -> None:
@@ -82,10 +80,6 @@ class GramSpec:
                 f"positive definiteness is only guaranteed for 1 <= p <= 2, got "
                 f"{self.p}; pass allow_outside_range to proceed"
             )
-        if self.measures is not None:
-            object.__setattr__(
-                self, "measures", tuple(int(i) for i in self.measures)
-            )
 
 
 def gram_matrix(d: np.ndarray, spec: GramSpec) -> np.ndarray:
@@ -95,11 +89,6 @@ def gram_matrix(d: np.ndarray, spec: GramSpec) -> np.ndarray:
     a distance matrix is zero, so the kernel diagonal is exactly one.
     """
     d = _square(d)
-    if spec.measures is not None:
-        idx = list(spec.measures)
-        if any(not 0 <= i < len(d) for i in idx):
-            raise IndexError(f"measure index outside [0, {len(d)})")
-        d = d[np.ix_(idx, idx)]
     if spec.form == KERNEL_EXP_POW and spec.p != 1.0:
         d = d**spec.p
     return np.exp(-spec.t * d)

@@ -111,10 +111,6 @@ class SparseEdgeVector:
         object.__setattr__(self, "edge_ids", ids)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(int(e), float(x)) for e, x in zip(self.edge_ids, self.values)]
-
 
 # Cells of the (support points x steps) root-path table built per pass of
 # gamma_masses; bounds its scratch memory.

@@ -245,16 +245,10 @@ def pair_distances(
 def sobolev_ipm_distance(
     prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float
 ) -> float:
-    """Regularized Sobolev IPM of finite order ``p`` from cumulative vectors."""
-    return _pair_distance(prep, u, v, _check_order(p), VARIANT_SOBOLEV_IPM)
-
-
-def sobolev_ipm_infinity(
-    prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector
-) -> float:
-    """Order-infinity variant: max over touched edges of
+    """Regularized Sobolev IPM of order ``p`` from cumulative vectors.  At
+    ``p = inf`` it is the max over touched edges of
     ``|difference| / (1 + downstream length)``."""
-    return _pair_distance(prep, u, v, math.inf, VARIANT_SOBOLEV_IPM)
+    return _pair_distance(prep, u, v, p, VARIANT_SOBOLEV_IPM)
 
 
 def sobolev_transport_distance(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DegenerateGeometryWarning, EmptyCloud, ParseError, SupportTooLarge
+from .errors import DegenerateGeometryWarning, EmptyCloud, SupportTooLarge
 from .graph import Graph
 from .measures import DiscreteMeasure
 
@@ -48,34 +48,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
-
-
-def load_point_cloud(path: str) -> PointCloud:
-    """Parse a point-cloud file: header ``n d`` then ``n`` rows of ``d`` decimals."""
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            rows.append(text.split())
-    if not rows:
-        raise ParseError(f"{path}: no data lines")
-    if len(rows[0]) != 2:
-        raise ParseError(f"{path}: header must be 'n d'")
-    try:
-        n, d = int(rows[0][0]), int(rows[0][1])
-    except ValueError as exc:
-        raise ParseError(f"{path}: header must hold two integers") from exc
-    if len(rows) - 1 != n:
-        raise ParseError(f"{path}: header promises {n} points, found {len(rows) - 1}")
-    try:
-        pts = np.array([[float(x) for x in r] for r in rows[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: cannot parse point row") from exc
-    if n and pts.shape != (n, d):
-        raise ParseError(f"{path}: rows do not match header {n} x {d}")
-    return PointCloud(pts)
 
 
 def save_point_cloud(pc: PointCloud, path: str) -> None:
@@ -196,7 +168,7 @@ def build_random_graph(centroids: PointCloud, family: str, seed: int = 0) -> Gra
     eu = np.concatenate([u, np.array([e[0] for e in extra], dtype=np.int64)])
     ev = np.concatenate([v, np.array([e[1] for e in extra], dtype=np.int64)])
     ew = np.concatenate([w, np.array([e[2] for e in extra], dtype=np.float64)])
-    return Graph(m, eu, ev, ew, node_coords=pts)
+    return Graph(m, eu, ev, ew)
 
 
 def random_tree(n: int, seed: int = 0, weight_range: tuple[float, float] = (0.2, 2.0)) -> Graph:

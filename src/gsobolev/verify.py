@@ -1,16 +1,18 @@
 """Seeded property suites: metric axioms, sandwich bounds, tree equality,
 kernel definiteness, and oracle agreement.
 
-Each suite draws its own instance pool from a master seed, counts violations
-at pinned tolerances, and returns a machine-readable report.  The CLI's
-``verify`` command is a thin wrapper; the acceptance tests call the same
-functions with the documented pool sizes.
+Each suite draws its own instance pool from a master seed, hands it to
+checkers that count violations at pinned tolerances, and returns a
+machine-readable report.  The CLI's ``verify`` command is a thin wrapper;
+the acceptance tests call the same suites, or the same checkers on
+instances they draw themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .kernels import (
 )
 from .measures import DiscreteMeasure, gamma_mass, gamma_masses
 from .metrics import (
-    VARIANT_SOBOLEV_IPM,
-    VARIANT_SOBOLEV_TRANSPORT,
     beta_weights,
     measure_distance,
     prepare_root,
@@ -80,6 +80,140 @@ class SuiteReport:
         }
 
 
+@dataclass
+class _Tally:
+    """Instances, violations and the largest measured value of one check."""
+
+    instances: int = 0
+    violations: int = 0
+    worst: float = 0.0
+
+    def add(self, value: float, bad: bool) -> None:
+        self.instances += 1
+        self.violations += int(bad)
+        self.worst = max(self.worst, value)
+
+    def check(self, name: str) -> SuiteCheck:
+        return SuiteCheck(name, self.instances, self.violations, self.worst, self.violations == 0)
+
+
+def _canonical(mu: DiscreteMeasure) -> tuple:
+    return tuple(sorted(zip(mu.nodes, mu.masses)))
+
+
+# -- checkers: count violations on prepared instances ------------------------
+
+
+def check_axioms(cases: list, ps: tuple, rel_slack: float = REL_SLACK) -> list[SuiteCheck]:
+    """Metric axioms for every order in ``ps``: identity, symmetry,
+    positivity, distinct measures at nonzero distance, and the triangle
+    inequality within ``rel_slack``.
+
+    Each case is ``(distance, pool, triples)``: a callable
+    ``distance(mu, nu, p)``, a measure list, and index triples into it.
+    One check per order, named ``axioms_p={p}``; its worst value is the
+    largest triangle gap.
+    """
+    tallies = {p: _Tally() for p in ps}
+    for distance, pool, triples in cases:
+        for i, j, k in triples:
+            mu, nu, sg = pool[i], pool[j], pool[k]
+            for p in ps:
+                d12 = distance(mu, nu, p)
+                d21 = distance(nu, mu, p)
+                d13 = distance(mu, sg, p)
+                d23 = distance(nu, sg, p)
+                dself = distance(mu, mu, p)
+                bad = (
+                    dself != 0.0
+                    or d12 != d21
+                    or d12 < 0.0
+                    or (_canonical(mu) != _canonical(nu) and d12 == 0.0)
+                )
+                gap = d13 - (d12 + d23) - rel_slack * max(d12 + d23, d13)
+                tallies[p].add(gap, bad or gap > 0.0)
+    return [tallies[p].check(f"axioms_p={p}") for p in ps]
+
+
+def check_bounds(
+    cases: list, ps: tuple, rel_slack: float = REL_SLACK
+) -> tuple[SuiteCheck, SuiteCheck]:
+    """Transport sandwich ``(1 + L)^((1-p)/p) ST_p <= S_p <= ST_p`` for
+    every order in ``ps``, and cross-order comparison
+    ``S_p <= (L (1 + L))^(1/p - 1/q) S_q`` for every ``p < q`` in ``ps``,
+    within ``rel_slack``; ``L`` is the graph's total length.
+
+    Each case is ``(rs, prep, pool, tuples)``: a prepared root, a measure
+    list, and index tuples whose first two entries name a pair.
+    """
+    sandwich, order = _Tally(), _Tally()
+    for rs, prep, pool, tuples in cases:
+        L = rs.graph.total_length
+        for i, j, *_ in tuples:
+            u, v = gamma_mass(rs, pool[i]), gamma_mass(rs, pool[j])
+            svals = {p: sobolev_ipm_distance(prep, u, v, p) for p in ps}
+            for p in ps:
+                st = sobolev_transport_distance(prep, u, v, p)
+                s = svals[p]
+                lo = (1.0 + L) ** ((1.0 - p) / p) * st
+                gap = max(lo - s, s - st)
+                sandwich.add(gap, gap > rel_slack * max(st, s, 1.0))
+            for a, p in enumerate(ps):
+                for q in ps[a + 1 :]:
+                    fac = (L * (1.0 + L)) ** (1.0 / p - 1.0 / q)
+                    gap = svals[p] - fac * svals[q]
+                    order.add(gap, gap > rel_slack * max(svals[p], fac * svals[q], 1.0))
+    return sandwich.check("transport_sandwich"), order.check("order_comparison")
+
+
+def check_w1_lower_bound(cases: list, ps: tuple, rel_slack: float = REL_SLACK) -> SuiteCheck:
+    """``S_p >= (L (1 + L))^((1-p)/p) W_1`` against the exact LP
+    1-Wasserstein distance for every order in ``ps``, within ``rel_slack``.
+    Each case is ``(g, rs, prep, mu, nu)``."""
+    tally = _Tally()
+    for g, rs, prep, mu, nu in cases:
+        L = g.total_length
+        w1 = wasserstein1_lp(g, mu, nu)
+        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
+        for p in ps:
+            s = sobolev_ipm_distance(prep, u, v, p)
+            bound = (L * (1.0 + L)) ** ((1.0 - p) / p) * w1
+            gap = bound - s
+            tally.add(gap, gap > rel_slack * max(s, bound, 1.0))
+    return tally.check("wasserstein_lower_bound")
+
+
+def check_beta(triples: list, tol: float) -> SuiteCheck:
+    """Closed-form edge weight against 1e4-step quadrature: relative error
+    below ``tol`` for each ``(downstream length, edge length, p)``."""
+    tally = _Tally()
+    for lam, w, p in triples:
+        prep = EdgePrep(root=0, lambda_gamma=np.array([lam]), edge_lengths=np.array([w]))
+        closed = float(beta_weights(prep, p)[0])
+        ref = beta_quadrature(lam, w, p, steps=10_000)
+        rel = abs(closed - ref) / abs(ref)
+        tally.add(rel, rel >= tol)
+    return tally.check("beta_vs_quadrature")
+
+
+def check_discretization(cases: list, ps: tuple, resolution: int, tol: float) -> SuiteCheck:
+    """``S_p ** p`` against a ``resolution``-point discretization of the
+    defining integral, absolute error below ``tol``, for every order in
+    ``ps``.  Each case is ``(g, rs, prep, mu, nu)``."""
+    tally = _Tally()
+    for g, rs, prep, mu, nu in cases:
+        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
+        for p in ps:
+            closed_pow = sobolev_ipm_distance(prep, u, v, p) ** p
+            ref = distance_by_discretization(g, rs.root, mu, nu, p, resolution)
+            err = abs(closed_pow - ref)
+            tally.add(err, err >= tol)
+    return tally.check("integral_discretization")
+
+
+# -- draws: instances from a seeded generator --------------------------------
+
+
 def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
@@ -95,8 +229,41 @@ def _pool_measures(rng: np.random.Generator, g: Graph, count: int) -> list[Discr
     return random_measures(g, count, size, seed=_child_seed(rng))
 
 
-def _canonical(mu: DiscreteMeasure) -> tuple:
-    return tuple(sorted(zip(mu.nodes, mu.masses)))
+def _index_tuples(rng: np.random.Generator, n: int, count: int, arity: int) -> list[tuple]:
+    return [tuple(int(i) for i in rng.integers(0, n, size=arity)) for _ in range(count)]
+
+
+def _pool_cases(rng: np.random.Generator, tuples: int, pool_size: int, arity: int) -> list:
+    """``(rs, prep, pool, index tuples)`` on prepared pool graphs, one
+    graph per 25 tuples, ``pool_size`` measures each; ``tuples`` in all."""
+    graphs = max(1, tuples // 25)
+    per_graph = math.ceil(tuples / graphs)
+    cases = []
+    for _ in range(graphs):
+        g = _pool_graph(rng)
+        rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
+        pool = _pool_measures(rng, g, pool_size)
+        count = min(per_graph, tuples)
+        tuples -= count
+        cases.append((rs, prep, pool, _index_tuples(rng, len(pool), count, arity)))
+    return cases
+
+
+def _two_measures(rng: np.random.Generator, g: Graph) -> tuple:
+    """``(g, rs, prep, mu, nu)``: a prepared random root and two measures."""
+    rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
+    mu, nu = _pool_measures(rng, g, 2)
+    return g, rs, prep, mu, nu
+
+
+def _merged(name: str, checks: list[SuiteCheck]) -> SuiteCheck:
+    bad = sum(c.violations for c in checks)
+    return SuiteCheck(
+        name, sum(c.instances for c in checks), bad, max(c.worst for c in checks), bad == 0
+    )
+
+
+# -- suites ------------------------------------------------------------------
 
 
 def metric_suite(
@@ -106,71 +273,24 @@ def metric_suite(
     sliced_triples: int = 60,
     rel_slack: float = REL_SLACK,
 ) -> SuiteReport:
-    """Metric axioms (identity, positivity, symmetry, triangle) for every
-    order in ``ps``, plus the same axioms for the root-averaged variant."""
+    """Metric axioms for every order in ``ps``, plus the same axioms for
+    the root-averaged variant at orders 1 and 2."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("metric", seed)
-    graphs = max(1, triples // 25)
-    per_graph = math.ceil(triples / graphs)
-
-    counts = {p: [0, 0, 0.0] for p in ps}  # instances, violations, worst gap
-    done = 0
-    for _ in range(graphs):
-        g = _pool_graph(rng)
-        rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
-        pool = _pool_measures(rng, g, 10)
-        for _ in range(per_graph):
-            if done >= triples:
-                break
-            mu, nu, sg = (pool[int(i)] for i in rng.integers(0, len(pool), size=3))
-            done += 1
-            for p in ps:
-                d12 = measure_distance(rs, prep, mu, nu, p)
-                d21 = measure_distance(rs, prep, nu, mu, p)
-                d13 = measure_distance(rs, prep, mu, sg, p)
-                d23 = measure_distance(rs, prep, nu, sg, p)
-                dself = measure_distance(rs, prep, mu, mu, p)
-                c = counts[p]
-                c[0] += 1
-                bad = (
-                    dself != 0.0
-                    or d12 != d21
-                    or d12 < 0.0
-                    or (_canonical(mu) != _canonical(nu) and d12 == 0.0)
-                )
-                gap = d13 - (d12 + d23) - rel_slack * max(d12 + d23, d13)
-                c[2] = max(c[2], gap)
-                if bad or gap > 0.0:
-                    c[1] += 1
-    for p in ps:
-        inst, bad, worst = counts[p]
-        report.checks.append(
-            SuiteCheck(f"axioms_p={p}", inst, bad, worst, bad == 0)
-        )
-
-    # Root-averaged distances satisfy the same axioms.
-    bad = 0
-    worst = 0.0
+    cases = [
+        (partial(measure_distance, rs, prep), pool, idx)
+        for rs, prep, pool, idx in _pool_cases(rng, triples, 10, 3)
+    ]
     g = _pool_graph(rng)
     roots = sample_roots(g, min(3, g.node_count), _child_seed(rng))
-    prepared: dict = {}
     pool = _pool_measures(rng, g, 10)
-    for _ in range(sliced_triples):
-        mu, nu, sg = (pool[int(i)] for i in rng.integers(0, len(pool), size=3))
-        for p in (1.0, 2.0):
-            d12 = sliced_distance(g, roots, mu, nu, p, prepared=prepared)
-            d21 = sliced_distance(g, roots, nu, mu, p, prepared=prepared)
-            d13 = sliced_distance(g, roots, mu, sg, p, prepared=prepared)
-            d23 = sliced_distance(g, roots, nu, sg, p, prepared=prepared)
-            dself = sliced_distance(g, roots, mu, mu, p, prepared=prepared)
-            gap = d13 - (d12 + d23) - rel_slack * max(d12 + d23, d13)
-            worst = max(worst, gap)
-            if dself != 0.0 or d12 != d21 or gap > 0.0:
-                bad += 1
-    report.checks.append(
-        SuiteCheck("axioms_sliced", sliced_triples * 2, bad, worst, bad == 0)
+    sliced = (
+        partial(sliced_distance, g, roots, prepared={}),
+        pool,
+        _index_tuples(rng, len(pool), sliced_triples, 3),
     )
-    return report
+    checks = check_axioms(cases, ps, rel_slack)
+    checks.append(_merged("axioms_sliced", check_axioms([sliced], (1.0, 2.0), rel_slack)))
+    return SuiteReport("metric", seed, checks)
 
 
 def bounds_suite(
@@ -181,80 +301,21 @@ def bounds_suite(
     rel_slack: float = REL_SLACK,
 ) -> SuiteReport:
     """Two-sided transport sandwich, cross-order comparison, and the
-    lower bound against exact 1-Wasserstein."""
+    lower bound against exact 1-Wasserstein, on trees (where the order-1
+    distance coincides with 1-Wasserstein) and general graphs alike."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("bounds", seed)
-    graphs = max(1, pairs // 25)
-    per_graph = math.ceil(pairs / graphs)
-
-    sandwich_v, sandwich_n, sandwich_w = 0, 0, 0.0
-    order_v, order_n, order_w = 0, 0, 0.0
-    done = 0
-    for _ in range(graphs):
-        g = _pool_graph(rng)
-        L = g.total_length
-        rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
-        pool = _pool_measures(rng, g, 8)
-        for _ in range(per_graph):
-            if done >= pairs:
-                break
-            mu, nu = (pool[int(i)] for i in rng.integers(0, len(pool), size=2))
-            done += 1
-            u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-            svals = {p: sobolev_ipm_distance(prep, u, v, p) for p in ps}
-            for p in ps:
-                st = sobolev_transport_distance(prep, u, v, p)
-                s = svals[p]
-                lo = (1.0 + L) ** ((1.0 - p) / p) * st
-                tol = rel_slack * max(st, s, 1.0)
-                sandwich_n += 1
-                gap = max(lo - s, s - st)
-                sandwich_w = max(sandwich_w, gap)
-                if gap > tol:
-                    sandwich_v += 1
-            for i, p in enumerate(ps):
-                for q in ps[i + 1 :]:
-                    fac = (L * (1.0 + L)) ** (1.0 / p - 1.0 / q)
-                    order_n += 1
-                    gap = svals[p] - fac * svals[q]
-                    tol = rel_slack * max(svals[p], fac * svals[q], 1.0)
-                    order_w = max(order_w, gap)
-                    if gap > tol:
-                        order_v += 1
-    report.checks.append(
-        SuiteCheck("transport_sandwich", sandwich_n, sandwich_v, sandwich_w, sandwich_v == 0)
-    )
-    report.checks.append(
-        SuiteCheck("order_comparison", order_n, order_v, order_w, order_v == 0)
-    )
-
-    # Lower bound against the exact LP distance, on trees (where the
-    # order-1 distance coincides with 1-Wasserstein) and with the same
-    # factor on general graphs.
-    w1_v, w1_n, w1_w = 0, 0, 0.0
-    for k in range(trees):
-        if k % 2 == 0:
-            g = random_tree(int(rng.integers(5, 60)), seed=_child_seed(rng))
-        else:
-            g = _pool_graph(rng, max_nodes=25)
-        L = g.total_length
-        rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
-        mu, nu = _pool_measures(rng, g, 2)
-        w1 = wasserstein1_lp(g, mu, nu)
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        for p in ps:
-            s = sobolev_ipm_distance(prep, u, v, p)
-            bound = (L * (1.0 + L)) ** ((1.0 - p) / p) * w1
-            w1_n += 1
-            gap = bound - s
-            tol = rel_slack * max(s, bound, 1.0)
-            w1_w = max(w1_w, gap)
-            if gap > tol:
-                w1_v += 1
-    report.checks.append(
-        SuiteCheck("wasserstein_lower_bound", w1_n, w1_v, w1_w, w1_v == 0)
-    )
-    return report
+    cases = _pool_cases(rng, pairs, 8, 2)
+    w1_cases = [
+        _two_measures(
+            rng,
+            random_tree(int(rng.integers(5, 60)), seed=_child_seed(rng))
+            if k % 2 == 0
+            else _pool_graph(rng, max_nodes=25),
+        )
+        for k in range(trees)
+    ]
+    checks = [*check_bounds(cases, ps, rel_slack), check_w1_lower_bound(w1_cases, ps, rel_slack)]
+    return SuiteReport("bounds", seed, checks)
 
 
 def tree_suite(
@@ -266,9 +327,7 @@ def tree_suite(
 ) -> SuiteReport:
     """On trees the order-1 distance equals 1-Wasserstein exactly."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("tree", seed)
-    worst = 0.0
-    bad = 0
+    tally = _Tally()
     for _ in range(trees):
         n = int(rng.integers(5, max_nodes + 1))
         g = random_tree(n, seed=_child_seed(rng))
@@ -276,14 +335,9 @@ def tree_suite(
         mu, nu = random_measures(g, 2, size, seed=_child_seed(rng))
         rs, prep = prepare_root(g, int(rng.integers(n)))
         u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        s1 = sobolev_ipm_distance(prep, u, v, 1.0)
-        w1 = wasserstein1_lp(g, mu, nu)
-        err = abs(s1 - w1)
-        worst = max(worst, err)
-        if err >= tol:
-            bad += 1
-    report.checks.append(SuiteCheck("w1_equality", trees, bad, worst, bad == 0))
-    return report
+        err = abs(sobolev_ipm_distance(prep, u, v, 1.0) - wasserstein1_lp(g, mu, nu))
+        tally.add(err, err >= tol)
+    return SuiteReport("tree", seed, [tally.check("w1_equality")])
 
 
 def definiteness_suite(
@@ -298,10 +352,7 @@ def definiteness_suite(
     """Negative definiteness of distance matrices, positive semidefiniteness
     of the exponential kernels, and entrywise-root divisibility."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("definiteness", seed)
-    nd_bad, nd_n, nd_worst = 0, 0, 0.0
-    psd_bad, psd_n, psd_worst = 0, 0, 0.0
-    div_bad, div_n = 0, 0
+    nd, psd, div = _Tally(), _Tally(), _Tally()
     for _ in range(sets):
         g = _pool_graph(rng)
         rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
@@ -310,32 +361,19 @@ def definiteness_suite(
         for p in ps:
             D = distance_matrix(prep, vecs, p)
             rep = check_negative_definite(D, p, trials=trials, seed=_child_seed(rng))
-            nd_n += 1
-            nd_worst = max(nd_worst, -rep.spectral_min, rep.worst)
-            if not rep.passed:
-                nd_bad += 1
+            nd.add(max(-rep.spectral_min, rep.worst), not rep.passed)
             for t in bandwidths:
                 for form in (KERNEL_EXP, KERNEL_EXP_POW):
                     K = gram_matrix(D, GramSpec(p=p, t=t, form=form))
                     lo = min_eigenvalue(K)
-                    psd_n += 1
-                    psd_worst = max(psd_worst, -lo)
-                    if lo < -1e-8 * K.max():
-                        psd_bad += 1
+                    psd.add(-lo, lo < -1e-8 * K.max())
                     for nroot in roots:
-                        div_n += 1
-                        if not divisibility_check(K, nroot):
-                            div_bad += 1
-    report.checks.append(
-        SuiteCheck("negative_definite", nd_n, nd_bad, nd_worst, nd_bad == 0)
+                        div.add(0.0, not divisibility_check(K, nroot))
+    return SuiteReport(
+        "definiteness",
+        seed,
+        [nd.check("negative_definite"), psd.check("gram_psd"), div.check("entrywise_roots_psd")],
     )
-    report.checks.append(
-        SuiteCheck("gram_psd", psd_n, psd_bad, psd_worst, psd_bad == 0)
-    )
-    report.checks.append(
-        SuiteCheck("entrywise_roots_psd", div_n, div_bad, 0.0, div_bad == 0)
-    )
-    return report
 
 
 def oracle_suite(
@@ -351,70 +389,29 @@ def oracle_suite(
 ) -> SuiteReport:
     """Agreement between the closed forms and the slow references."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("oracle", seed)
-
-    worst = 0.0
-    bad = 0
-    for _ in range(beta_triples):
-        lam = float(rng.uniform(0.0, 20.0))
-        w = float(rng.uniform(0.05, 5.0))
-        p = float(rng.uniform(1.0, 4.0))
-        prep = EdgePrep(
-            root=0,
-            lambda_gamma=np.array([lam]),
-            total_length=w,
-            edge_lengths=np.array([w]),
-        )
-        closed = float(beta_weights(prep, p)[0])
-        ref = beta_quadrature(lam, w, p, steps=10_000)
-        rel = abs(closed - ref) / abs(ref)
-        worst = max(worst, rel)
-        if rel >= tol_beta:
-            bad += 1
-    report.checks.append(
-        SuiteCheck("beta_vs_quadrature", beta_triples, bad, worst, bad == 0)
-    )
-
-    worst = 0.0
-    bad = 0
-    inst = 0
-    for _ in range(disc_graphs):
-        g = _pool_graph(rng, max_nodes=30)
-        root = int(rng.integers(g.node_count))
-        mu, nu = _pool_measures(rng, g, 2)
-        rs, prep = prepare_root(g, root)
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        for p in disc_ps:
-            inst += 1
-            closed_pow = sobolev_ipm_distance(prep, u, v, p) ** p
-            ref = distance_by_discretization(g, root, mu, nu, p, resolution)
-            err = abs(closed_pow - ref)
-            worst = max(worst, err)
-            if err >= tol_disc:
-                bad += 1
-    report.checks.append(
-        SuiteCheck("integral_discretization", inst, bad, worst, bad == 0)
-    )
-
-    worst = 0.0
-    bad = 0
-    for _ in range(tree_triples):
-        g = random_tree(int(rng.integers(5, 40)), seed=_child_seed(rng))
-        root = int(rng.integers(g.node_count))
-        mu, nu = _pool_measures(rng, g, 2)
-        rs, prep = prepare_root(g, root)
+    triples = [
+        (rng.uniform(0.0, 20.0), rng.uniform(0.05, 5.0), rng.uniform(1.0, 4.0))
+        for _ in range(beta_triples)
+    ]
+    disc = [_two_measures(rng, _pool_graph(rng, max_nodes=30)) for _ in range(disc_graphs)]
+    tree_cases = [
+        _two_measures(rng, random_tree(int(rng.integers(5, 40)), seed=_child_seed(rng)))
+        for _ in range(tree_triples)
+    ]
+    agree = _Tally()
+    for g, rs, prep, mu, nu in tree_cases:
         u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
         s1 = sobolev_ipm_distance(prep, u, v, 1.0)
         w1 = wasserstein1_lp(g, mu, nu)
-        disc = distance_by_discretization(g, root, mu, nu, 1.0, resolution=2000)
-        err = max(abs(s1 - w1), abs(s1 - disc), abs(w1 - disc))
-        worst = max(worst, err)
-        if err >= tol_triple:
-            bad += 1
-    report.checks.append(
-        SuiteCheck("order1_triple_agreement", tree_triples, bad, worst, bad == 0)
-    )
-    return report
+        d = distance_by_discretization(g, rs.root, mu, nu, 1.0, resolution=2000)
+        err = max(abs(s1 - w1), abs(s1 - d), abs(w1 - d))
+        agree.add(err, err >= tol_triple)
+    checks = [
+        check_beta(triples, tol_beta),
+        check_discretization(disc, disc_ps, resolution, tol_disc),
+        agree.check("order1_triple_agreement"),
+    ]
+    return SuiteReport("oracle", seed, checks)
 
 
 SUITES = {

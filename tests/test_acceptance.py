@@ -9,20 +9,17 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from gsobolev import (
-    DiscreteMeasure,
-    EdgePrep,
     FAMILY_LOG,
     FAMILY_SQRT,
     PointCloud,
-    beta_quadrature,
     beta_weights,
     build_random_graph,
-    distance_by_discretization,
     gamma_mass,
     measure_distance,
     prepare_root,
@@ -30,27 +27,21 @@ from gsobolev import (
     sample_roots,
     sliced_distance,
     sobolev_ipm_distance,
-    sobolev_transport_distance,
     wasserstein1_lp,
 )
-from gsobolev.verify import definiteness_suite, tree_suite
+from gsobolev.verify import (
+    check_axioms,
+    check_beta,
+    check_bounds,
+    check_discretization,
+    check_w1_lower_bound,
+    definiteness_suite,
+    tree_suite,
+)
 
 REL_SLACK = 1e-9
 FINITE_ORDERS = (1.0, 1.5, 2.0, 3.0)
 ALL_ORDERS = (1.0, 1.5, 2.0, 3.0, math.inf)
-
-
-def one_edge(lam: float, w: float) -> EdgePrep:
-    return EdgePrep(
-        root=0,
-        lambda_gamma=np.array([lam]),
-        total_length=w,
-        edge_lengths=np.array([w]),
-    )
-
-
-def canonical(mu: DiscreteMeasure) -> tuple:
-    return tuple(sorted(zip(mu.nodes, mu.masses)))
 
 
 def sample_index_pairs(rng, n: int, count: int) -> list[tuple[int, int]]:
@@ -102,30 +93,27 @@ def scale_instances():
 def test_criterion_1_edge_weight_oracle(acceptance):
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(200):
-        lam = float(rng.uniform(0.0, 20.0))
-        w = float(rng.uniform(0.05, 5.0))
-        p = float(rng.uniform(1.0, 4.0))
-        closed = float(beta_weights(one_edge(lam, w), p)[0])
-        ref = beta_quadrature(lam, w, p, steps=10_000)
-        worst = max(worst, abs(closed - ref) / abs(ref))
+    triples = [
+        (rng.uniform(0.0, 20.0), rng.uniform(0.05, 5.0), rng.uniform(1.0, 4.0))
+        for _ in range(200)
+    ]
+    chk = check_beta(triples, tol=1e-8)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-8 and elapsed < 1.0
+    ok = chk.passed and elapsed < 1.0
     acceptance(
         1,
         f"closed-form edge weights match 1e4-step quadrature over 200 "
-        f"triples (worst rel {worst:.2e} < 1e-8, {elapsed:.2f} s < 1 s)",
+        f"triples (worst rel {chk.worst:.2e} < 1e-8, {elapsed:.2f} s < 1 s)",
         ok,
     )
-    assert worst < 1e-8
+    assert chk.passed, chk
     assert elapsed < 1.0
 
 
 def test_criterion_2_integral_discretization(acceptance):
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
-    worst = 0.0
+    cases = []
     for _ in range(20):
         n = int(rng.integers(8, 31))
         g = build_random_graph(
@@ -134,21 +122,17 @@ def test_criterion_2_integral_discretization(acceptance):
         root = int(rng.integers(g.node_count))
         size = int(rng.integers(1, min(6, g.node_count) + 1))
         mu, nu = random_measures(g, 2, size, seed=int(rng.integers(2**31)))
-        rs, prep = prepare_root(g, root)
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        for p in (1.0, 1.5, 2.0):
-            closed_pow = sobolev_ipm_distance(prep, u, v, p) ** p
-            ref = distance_by_discretization(g, root, mu, nu, p, resolution=100_000)
-            worst = max(worst, abs(closed_pow - ref))
+        cases.append((g, *prepare_root(g, root), mu, nu))
+    chk = check_discretization(cases, (1.0, 1.5, 2.0), resolution=100_000, tol=1e-4)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-4 and elapsed < 120.0
+    ok = chk.passed and elapsed < 120.0
     acceptance(
         2,
         f"p-th powers match direct 1e5-point discretization on 20 graphs "
-        f"(worst abs {worst:.2e} < 1e-4, {elapsed:.1f} s < 120 s)",
+        f"(worst abs {chk.worst:.2e} < 1e-4, {elapsed:.1f} s < 120 s)",
         ok,
     )
-    assert worst < 1e-4
+    assert chk.passed, chk
     assert elapsed < 120.0
 
 
@@ -169,27 +153,13 @@ def test_criterion_3_tree_equality(acceptance):
 
 
 def test_criterion_4_metric_axioms(acceptance, shared_pool):
-    violations = 0
-    checked = 0
-    for g, rs, prep, pool, triples in shared_pool:
-        for i, j, k in triples:
-            mu, nu, sg = pool[i], pool[j], pool[k]
-            for p in ALL_ORDERS:
-                checked += 1
-                d12 = measure_distance(rs, prep, mu, nu, p)
-                d21 = measure_distance(rs, prep, nu, mu, p)
-                d13 = measure_distance(rs, prep, mu, sg, p)
-                d23 = measure_distance(rs, prep, nu, sg, p)
-                dself = measure_distance(rs, prep, mu, mu, p)
-                bad = (
-                    dself != 0.0
-                    or d12 != d21
-                    or d12 < 0.0
-                    or (canonical(mu) != canonical(nu) and d12 == 0.0)
-                    or d13 > d12 + d23 + REL_SLACK * max(d13, d12 + d23)
-                )
-                if bad:
-                    violations += 1
+    cases = [
+        (partial(measure_distance, rs, prep), pool, triples)
+        for _, rs, prep, pool, triples in shared_pool
+    ]
+    checks = check_axioms(cases, ALL_ORDERS, REL_SLACK)
+    violations = sum(c.violations for c in checks)
+    checked = sum(c.instances for c in checks)
     ok = violations == 0 and checked == 500 * len(ALL_ORDERS)
     acceptance(
         4,
@@ -201,31 +171,21 @@ def test_criterion_4_metric_axioms(acceptance, shared_pool):
 
 
 def test_criterion_5_sandwich_and_comparison_bounds(acceptance, shared_pool):
-    sandwich_bad = order_bad = lower_bad = 0
-    for g, rs, prep, pool, triples in shared_pool:
-        L = g.total_length
-        for i, j, _ in triples:
-            mu, nu = pool[i], pool[j]
-            u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-            svals = {p: sobolev_ipm_distance(prep, u, v, p) for p in FINITE_ORDERS}
-            for p in FINITE_ORDERS:
-                st = sobolev_transport_distance(prep, u, v, p)
-                lo = (1.0 + L) ** ((1.0 - p) / p) * st
-                tol = REL_SLACK * max(st, svals[p], 1.0)
-                if svals[p] < lo - tol or svals[p] > st + tol:
-                    sandwich_bad += 1
-            for a, p in enumerate(FINITE_ORDERS):
-                for q in FINITE_ORDERS[a + 1 :]:
-                    fac = (L * (1.0 + L)) ** (1.0 / p - 1.0 / q)
-                    tol = REL_SLACK * max(svals[p], fac * svals[q], 1.0)
-                    if svals[p] > fac * svals[q] + tol:
-                        order_bad += 1
-            w1 = wasserstein1_lp(g, mu, nu)
-            for p in FINITE_ORDERS:
-                bound = (L * (1.0 + L)) ** ((1.0 - p) / p) * w1
-                tol = REL_SLACK * max(svals[p], bound, 1.0)
-                if svals[p] < bound - tol:
-                    lower_bad += 1
+    sandwich, order = check_bounds(
+        [(rs, prep, pool, triples) for _, rs, prep, pool, triples in shared_pool],
+        FINITE_ORDERS,
+        REL_SLACK,
+    )
+    lower = check_w1_lower_bound(
+        [
+            (g, rs, prep, pool[i], pool[j])
+            for g, rs, prep, pool, triples in shared_pool
+            for i, j, _ in triples
+        ],
+        FINITE_ORDERS,
+        REL_SLACK,
+    )
+    sandwich_bad, order_bad, lower_bad = (c.violations for c in (sandwich, order, lower))
     ok = sandwich_bad == 0 and order_bad == 0 and lower_bad == 0
     acceptance(
         5,
@@ -347,24 +307,10 @@ def test_criterion_9_root_averaging(acceptance):
     within_budget = t_sliced <= 1.25 * K * t_single
 
     rng = np.random.default_rng(919)
-    prepared: dict = {}
-    violations = 0
-    for _ in range(60):
-        mu, nu, sg = (ms[int(x)] for x in rng.integers(0, 10, size=3))
-        for p in (1.0, 2.0):
-            d12 = sliced_distance(g, roots, mu, nu, p, prepared=prepared)
-            d21 = sliced_distance(g, roots, nu, mu, p, prepared=prepared)
-            d13 = sliced_distance(g, roots, mu, sg, p, prepared=prepared)
-            d23 = sliced_distance(g, roots, nu, sg, p, prepared=prepared)
-            dself = sliced_distance(g, roots, mu, mu, p, prepared=prepared)
-            if (
-                dself != 0.0
-                or d12 != d21
-                or d12 < 0.0
-                or (canonical(mu) != canonical(nu) and d12 == 0.0)
-                or d13 > d12 + d23 + REL_SLACK * max(d13, d12 + d23)
-            ):
-                violations += 1
+    triples = [tuple(int(x) for x in rng.integers(0, 10, size=3)) for _ in range(60)]
+    sliced = partial(sliced_distance, g, roots, prepared={})
+    checks = check_axioms([(sliced, ms, triples)], (1.0, 2.0), REL_SLACK)
+    violations = sum(c.violations for c in checks)
     metric_ok = violations == 0
 
     ok = within_budget and metric_ok

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gsobolev
@@ -58,6 +57,27 @@ class TestParsers:
         for bad in ("sliced:4", "sliced:a:b", "sliced:0:1", "x"):
             with pytest.raises(CliError):
                 _parse_root(bad)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--graph", "G", "--measures", "M", "--seed", "-1", "--out", "O"],
+            ["bench", "--seed", "-1", "--out", "O"],
+            ["synth", "--seed", "-3", "--out-prefix", "O"],
+            ["distance", "--graph", "G", "--measures", "M", "--root", "sliced:2:-1", "--out", "O"],
+            ["verify", "--seed", "-1"],
+            ["distance", "--graph", "G", "--measures", "M", "--seed", "1", "--out", "O"],
+        ],
+    )
+    def test_bad_seed_exits_two(self, files, capsys, argv):
+        # a negative seed is refused before numpy sees it; distance takes none
+        names = {"G": files["graph"], "M": files["measures"], "O": str(files["dir"] / "o")}
+        try:
+            code = main([names.get(a, a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDistanceCommand:

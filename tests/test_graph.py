@@ -14,7 +14,6 @@ from gsobolev import (
     Graph,
     NonPositiveWeight,
     ParseError,
-    find_shortcuts,
     lambda_gamma,
     load_graph,
     root_path_edges,
@@ -179,7 +178,7 @@ class TestShortestPathTree:
         np.testing.assert_allclose(rs.dist, [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(rs.parent, [-1, 0, 1])
         assert rs.warnings == ()
-        assert rs.tree_edges == {0, 1}
+        np.testing.assert_array_equal(rs.parent_edge, [-1, 0, 1])
 
     def test_root_out_of_range(self, path_graph):
         with pytest.raises(ValueError):
@@ -191,7 +190,7 @@ class TestShortestPathTree:
         assert len(rs.warnings) == 1
         assert "node 2" in rs.warnings[0]
         assert rs.parent[2] == 1
-        assert rs.tree_edges == {0, 1, 3}
+        assert sorted(rs.parent_edge[rs.parent_edge >= 0]) == [0, 1, 3]
 
     def test_unit_grid_tie_warnings(self):
         # 3 x 3 unit grid, node r * 3 + c: every node off the first row and
@@ -287,7 +286,7 @@ class TestLambdaGamma:
         prep = lambda_gamma(path_graph, rs)
         # beyond the leaf edge there is nothing; beyond the root edge, one unit
         np.testing.assert_allclose(prep.lambda_gamma, [1.0, 0.0])
-        assert prep.total_length == 2.0
+        assert path_graph.total_length == 2.0
 
     def test_figure_pinned_value(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
@@ -345,7 +344,7 @@ class TestLambdaGamma:
         g = random_weighted_graph(seed)
         rs = shortest_path_tree(g, 0)
         prep = lambda_gamma(g, rs)
-        L = prep.total_length
+        L = g.total_length
         for v in range(1, g.node_count):
             e = rs.parent_edge[v]
             lam = prep.lambda_gamma[e]
@@ -371,15 +370,3 @@ class TestLambdaGamma:
         with pytest.raises(ValueError):
             lambda_gamma(path_graph, rs)
 
-
-class TestShortcuts:
-    def test_long_edge_flagged(self):
-        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
-        hits = find_shortcuts(g)
-        assert len(hits) == 1
-        e, w, d = hits[0]
-        assert e == g.edge_id(0, 2)
-        assert (w, d) == (5.0, 2.0)
-
-    def test_unit_triangle_clean(self, triangle):
-        assert find_shortcuts(triangle) == []

@@ -12,7 +12,6 @@ from gsobolev import (
     GramSpec,
     InvalidBandwidth,
     InvalidExponent,
-    KERNEL_EXP,
     KERNEL_EXP_POW,
     NonPositiveEntry,
     RootMismatch,
@@ -150,19 +149,6 @@ class TestGramMatrix:
         k_narrow = gram_matrix(D, GramSpec(p=1.0, t=10.0))[0, 2]
         k_wide = gram_matrix(D, GramSpec(p=1.0, t=0.1))[0, 2]
         assert k_narrow < k_wide < 1.0
-
-    def test_subset_selection(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 1.0)
-        K = gram_matrix(D, GramSpec(p=1.0, t=1.0, measures=(0, 2)))
-        assert K.shape == (2, 2)
-        assert K[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-15)
-
-    def test_subset_out_of_range(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 1.0)
-        with pytest.raises(IndexError):
-            gram_matrix(D, GramSpec(p=1.0, t=1.0, measures=(0, 5)))
 
     def test_spec_validation(self):
         with pytest.raises(InvalidBandwidth):

@@ -105,8 +105,9 @@ class TestDiscreteMeasure:
 
 class TestSparseEdgeVector:
     def test_pairs(self):
-        vec = SparseEdgeVector(0, np.array([2, 5]), np.array([0.25, 1.0]))
-        assert vec.pairs == [(2, 0.25), (5, 1.0)]
+        vec = SparseEdgeVector(0, [2, 5], [0.25, 1.0])
+        assert vec.edge_ids.dtype == np.int64 and vec.edge_ids.tolist() == [2, 5]
+        assert vec.values.dtype == np.float64 and vec.values.tolist() == [0.25, 1.0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -122,7 +123,8 @@ class TestGammaMass:
     def test_path_dirac(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)
         vec = gamma_mass(rs, DiscreteMeasure.dirac(2))
-        assert vec.pairs == [(0, 1.0), (1, 1.0)]
+        assert vec.edge_ids.tolist() == [0, 1]
+        assert vec.values.tolist() == [1.0, 1.0]
 
     def test_path_mixture(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)
@@ -139,10 +141,8 @@ class TestGammaMass:
     def test_figure_dirac_crosses_two_edges(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
         vec = gamma_mass(rs, DiscreteMeasure.dirac(4))
-        assert vec.pairs == [
-            (figure_graph.edge_id(0, 1), 1.0),
-            (figure_graph.edge_id(1, 4), 1.0),
-        ]
+        assert vec.edge_ids.tolist() == [figure_graph.edge_id(0, 1), figure_graph.edge_id(1, 4)]
+        assert vec.values.tolist() == [1.0, 1.0]
 
     def test_cache_returns_same_object(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)
@@ -191,7 +191,7 @@ class TestGammaMass:
         mu = DiscreteMeasure(tuple(int(x) for x in nodes), tuple(masses / masses.sum()))
         vec = gamma_mass(rs, mu)
         root_edges = {int(rs.parent_edge[v]) for v in range(g.node_count) if rs.parent[v] == 0}
-        out = sum(val for e, val in vec.pairs if e in root_edges)
+        out = sum(val for e, val in zip(vec.edge_ids, vec.values) if e in root_edges)
         away = sum(m for n, m in zip(mu.nodes, mu.masses) if n != 0)
         assert out == pytest.approx(away, abs=1e-12)
 

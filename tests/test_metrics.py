@@ -21,11 +21,10 @@ from gsobolev import (
     measure_distance,
     pair_distances,
     prepare_root,
+    random_measures,
     sample_roots,
-    shortest_path_tree,
     sliced_distance,
     sobolev_ipm_distance,
-    sobolev_ipm_infinity,
     sobolev_transport_distance,
 )
 from gsobolev.metrics import _reduce_pairs
@@ -33,12 +32,7 @@ from conftest import random_weighted_graph
 
 
 def one_edge_prep(lam: float, w: float) -> EdgePrep:
-    return EdgePrep(
-        root=0,
-        lambda_gamma=np.array([lam]),
-        total_length=w,
-        edge_lengths=np.array([w]),
-    )
+    return EdgePrep(root=0, lambda_gamma=np.array([lam]), edge_lengths=np.array([w]))
 
 
 class TestBetaWeights:
@@ -115,7 +109,7 @@ class TestPinnedPathValues:
 
     def test_order_infinity(self, setup):
         prep, u, v = setup
-        assert sobolev_ipm_infinity(prep, u, v) == 1.0
+        assert sobolev_ipm_distance(prep, u, v, math.inf) == 1.0
 
     def test_transport_baseline(self, setup):
         prep, u, v = setup
@@ -125,7 +119,7 @@ class TestPinnedPathValues:
     def test_identical_measures_zero(self, setup):
         prep, u, _ = setup
         assert sobolev_ipm_distance(prep, u, u, 2.0) == 0.0
-        assert sobolev_ipm_infinity(prep, u, u) == 0.0
+        assert sobolev_ipm_distance(prep, u, u, math.inf) == 0.0
 
     def test_both_at_root(self, path_graph):
         rs, prep = prepare_root(path_graph, 0)
@@ -160,7 +154,7 @@ class TestInfinityScaling:
         rs, prep = prepare_root(g, 0)
         u = gamma_mass(rs, DiscreteMeasure.dirac(1))
         v = gamma_mass(rs, DiscreteMeasure.dirac(2))
-        assert sobolev_ipm_infinity(prep, u, v) == 1.0
+        assert sobolev_ipm_distance(prep, u, v, math.inf) == 1.0
 
     def test_inner_difference_shrinks(self):
         mu = DiscreteMeasure((1, 2), (0.9, 0.1))
@@ -169,8 +163,8 @@ class TestInfinityScaling:
         for scale in (1.0, 2.0):
             g = self.scaled_path(scale)
             rs, prep = prepare_root(g, 0)
-            vals[scale] = sobolev_ipm_infinity(
-                prep, gamma_mass(rs, mu), gamma_mass(rs, nu)
+            vals[scale] = sobolev_ipm_distance(
+                prep, gamma_mass(rs, mu), gamma_mass(rs, nu), math.inf
             )
         assert vals[1.0] == pytest.approx(0.5, rel=1e-15)
         assert vals[2.0] == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -203,6 +197,21 @@ class TestOrderAndVariantValidation:
             measure_distance(rs, prep, mu, nu, 0.9)
         with pytest.raises(InvalidExponent):
             measure_distance(rs, prep, mu, nu, math.inf, VARIANT_SOBOLEV_TRANSPORT)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_infinity_same_bits_on_every_path(self, seed):
+        g = random_weighted_graph(seed)
+        rs, prep = prepare_root(g, 0)
+        ms = random_measures(g, 6, 3, seed=seed)
+        vecs = gamma_masses(rs, ms)
+        i, j = np.triu_indices(len(ms), 1)
+        batch = pair_distances(prep, vecs, i, j, math.inf)
+        for k, (a, b) in enumerate(zip(i, j)):
+            one = sobolev_ipm_distance(prep, vecs[a], vecs[b], math.inf)
+            by_measure = measure_distance(rs, prep, ms[a], ms[b], math.inf)
+            assert one > 0.0
+            assert np.float64(one).tobytes() == np.float64(by_measure).tobytes()
+            assert np.float64(one).tobytes() == batch[k].tobytes()
 
 
 class TestEquivalenceConstants:

@@ -24,16 +24,11 @@ from conftest import random_weighted_graph
 # One shared mid-size instance; measures vary per example.
 GRAPH = random_weighted_graph(0, n_lo=12, n_hi=20)
 RS, PREP = prepare_root(GRAPH, 0)
-TOTAL = PREP.total_length
+TOTAL = GRAPH.total_length
 
 
 def one_edge(lam: float, w: float) -> EdgePrep:
-    return EdgePrep(
-        root=0,
-        lambda_gamma=np.array([lam]),
-        total_length=w,
-        edge_lengths=np.array([w]),
-    )
+    return EdgePrep(root=0, lambda_gamma=np.array([lam]), edge_lengths=np.array([w]))
 
 
 @st.composite
