@@ -41,7 +41,6 @@ from .kernels import (
     divisibility_check,
     gram_matrix,
     min_eigenvalue,
-    read_matrix_csv,
     write_matrix_csv,
 )
 from .measures import (

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GSobolevError, ParseError
+from .errors import GSobolevError, ParseError, utf8_input
 from .graph import (
     Graph,
     _write_lines,
@@ -119,6 +119,16 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _require_out_path(path: str) -> None:
+    """Refuse, before any work, an output file path that names a directory
+    or lies in a directory that does not exist."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise CliError(f"output directory not found: {folder}")
+    if os.path.isdir(path):
+        raise CliError(f"output path is a directory: {path}")
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[Graph, list[DiscreteMeasure], list[int]]:
     """The graph, the measures and the resolved roots of ``--graph``,
     ``--measures`` and ``--root``; flags are checked before any file is read."""
@@ -139,6 +149,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, list[DiscreteMeasure]
     return g, measures, [spec[0]]
 
 
+@utf8_input
 def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct pairs ``i <= j`` of a pair file, sorted, as two index arrays.
 
@@ -199,6 +210,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     variant = VARIANT_FLAGS[args.variant]
     if math.isinf(p) and variant == VARIANT_SOBOLEV_TRANSPORT:
         raise CliError("the transport variant needs a finite order p")
+    _require_out_path(args.out)
     g, measures, roots = _load_inputs(args)
     n = len(measures)
     if args.pairs == "all":
@@ -241,6 +253,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         )
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise CliError(f"bandwidth --t must be positive and finite, got {args.t}")
+    _require_out_path(args.out)
     g, measures, roots = _load_inputs(args)
 
     t0 = time.perf_counter()
@@ -281,6 +294,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.out:
+        _require_out_path(args.out)
     reports = run_suites([args.suite], seed=args.seed)
     payload = [r.as_dict() for r in reports]
     if args.out:
@@ -325,6 +340,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliError(f"every --sizes entry needs at least 2 nodes, got {args.sizes!r}")
     if args.count < 2 or args.max_pairs < 1:
         raise CliError("bench needs --count >= 2 and --max-pairs >= 1 to time any pair")
+    if not 1 <= args.support_size <= min(sizes):
+        raise CliError(
+            f"--support-size must be in [1, {min(sizes)}] (the smallest size), "
+            f"got {args.support_size}"
+        )
     families = args.families.split(",")
     for fam in families:
         if fam not in FAMILIES:
@@ -332,6 +352,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     p = _parse_p(args.p)
     if math.isinf(p):
         raise CliError("bench needs a finite order p")
+    _require_out_path(args.out)
     rng = np.random.default_rng(args.seed)
     rows = []
     for m in sizes:
@@ -422,10 +443,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"--m must be at least 2, got {args.m}")
     if args.points < args.m:
         raise CliError(f"--points must be >= --m ({args.points} < {args.m})")
+    if not 1 <= args.support_size <= args.m:
+        raise CliError(f"--support-size must be in [1, --m = {args.m}], got {args.support_size}")
     if args.dim < 1:
         raise CliError(f"--dim must be at least 1, got {args.dim}")
     if args.family not in FAMILIES:
         raise CliError(f"unknown family {args.family!r}; pick from {FAMILIES}")
+    _require_out_path(args.out_prefix + ".graph")
     rng = np.random.default_rng(args.seed)
     pts = PointCloud(rng.random((args.points, args.dim)))
     centroids, _ = farthest_point_clustering(pts, args.m, seed=args.seed)

@@ -20,16 +20,12 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 from scipy.sparse.linalg import spsolve_triangular
 
-from .errors import (
-    Disconnected,
-    DuplicateEdge,
-    NonPositiveWeight,
-    ParseError,
-)
+from .errors import Disconnected, DuplicateEdge, NonPositiveWeight, ParseError
+from .errors import utf8_input
 
 # Two root-path lengths within this relative tolerance count as tied.
 TIE_RTOL = 1e-12
@@ -76,24 +72,26 @@ class Graph:
         if loops.any():
             i = int(np.flatnonzero(loops)[0])
             raise DuplicateEdge(f"edge {i} is a self-loop at node {u[i]}")
+        # One sort of the pair keys: equal neighbours are repeats, then the CSR.
         key = np.minimum(u, v) * n + np.maximum(u, v)
-        uniq, counts = np.unique(key, return_counts=True)
-        if (counts > 1).any():
-            k = int(uniq[counts > 1][0])
+        order = np.argsort(key)
+        key = key[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            k = int(key[dup[0]])
             raise DuplicateEdge(f"node pair ({k // n}, {k % n}) appears more than once")
         object.__setattr__(self, "edge_u", _freeze(u))
         object.__setattr__(self, "edge_v", _freeze(v))
         object.__setattr__(self, "edge_w", _freeze(w))
-        # Symmetric CSR adjacency; reused by every shortest-path call.
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.concatenate([w, w])
-        csr = csr_matrix((data, (rows, cols)), shape=(n, n))
+        # Symmetric CSR adjacency; max -> min arcs first, so every row is sorted.
+        idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        lo, hi = (part.astype(idx) for part in np.divmod(key, n))
+        arcs = (np.concatenate([hi, lo]), np.concatenate([lo, hi]))
+        csr = csr_matrix((np.tile(w[order], 2), arcs), shape=(n, n))
         object.__setattr__(self, "_csr", csr)
-        if n > 1:
+        if breadth_first_order(csr, 0, return_predecessors=False).size < n:
             n_comp, _ = connected_components(csr, directed=False)
-            if n_comp != 1:
-                raise Disconnected(f"graph has {n_comp} components, expected 1")
+            raise Disconnected(f"graph has {n_comp} components, expected 1")
 
     @property
     def edge_count(self) -> int:
@@ -124,6 +122,7 @@ class Graph:
         return int(ids[0])
 
 
+@utf8_input
 def load_graph(path: str) -> Graph:
     """Parse a graph file.
 
@@ -279,34 +278,29 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     n = g.node_count
     if not 0 <= root < n:
         raise ValueError(f"root {root} outside [0, {n})")
-    dist = np.asarray(
-        _sp_dijkstra(g._csr, directed=True, indices=root), dtype=np.float64
-    ).reshape(-1)
+    dist = _sp_dijkstra(g._csr, directed=True, indices=root)
     # Connectivity is a Graph invariant, so every distance is finite.
     tol = TIE_RTOL * np.maximum(1.0, dist)
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     du, dv = dist[eu], dist[ev]
-    fwd = (du < dv) & (np.abs(du + w - dv) <= tol[ev])  # u parents v
-    bwd = (dv < du) & (np.abs(dv + w - du) <= tol[eu])  # v parents u
+    fwd = np.flatnonzero((du < dv) & (np.abs(du + w - dv) <= tol[ev]))  # u parents v
+    bwd = np.flatnonzero((dv < du) & (np.abs(dv + w - du) <= tol[eu]))  # v parents u
+    # Each child keeps its smallest candidate and the one edge joining them.
     child = np.concatenate([ev[fwd], eu[bwd]])
     cand = np.concatenate([eu[fwd], ev[bwd]])
-    cedge = np.concatenate([np.flatnonzero(fwd), np.flatnonzero(bwd)])
-    order = np.lexsort((cand, child))
-    child, cand, cedge = child[order], cand[order], cedge[order]
-    kids, first, counts = np.unique(child, return_index=True, return_counts=True)
-
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    parent[kids] = cand[first]
-    parent_edge[kids] = cedge[first]
-    if n > 1 and kids.size != n - 1:
+    counts = np.bincount(child, minlength=n)
+    if n > 1 and np.count_nonzero(counts) != n - 1:
         raise AssertionError("some node has no shortest-path predecessor")
-
-    tied = counts > 1
+    parent = np.full(n, n, dtype=np.int64)
+    np.minimum.at(parent, child, cand)
+    won = cand == parent[child]
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge[child[won]] = np.concatenate([fwd, bwd])[won]
+    parent[counts == 0] = -1
     tie_notes = [
-        f"node {int(v)}: {int(k)} equal-length root paths within tolerance; "
+        f"node {v}: {int(counts[v])} equal-length root paths within tolerance; "
         f"kept parent {int(parent[v])} (smallest id)"
-        for v, k in zip(kids[tied], counts[tied])
+        for v in np.flatnonzero(counts > 1).tolist()
     ]
 
     # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
@@ -322,7 +316,7 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         lift.append(_freeze(anc))
         depth += depth[anc]
         anc = anc[anc]
-    topo_order = np.lexsort((np.arange(n), depth, dist))
+    topo_order = np.lexsort((depth, dist))  # stable: ties keep id order
 
     return RootedStructure(
         graph=g,
@@ -383,12 +377,15 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
         raise ValueError("rooted structure was built for a different graph")
     n, m = g.node_count, g.edge_count
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
-    du, dv = rs.dist[eu], rs.dist[ev]
-    share_u = np.clip((dv - du + w) / (2.0 * w), 0.0, 1.0) * w
-    share_v = np.clip((du - dv + w) / (2.0 * w), 0.0, 1.0) * w
+    gap = rs.dist[ev] - rs.dist[eu]  # w - gap is (du - dv) + w to the bit
+    w2 = 2.0 * w
+    shares = (np.add(gap, w), np.subtract(w, gap, out=gap))
+    for share in shares:  # clip((dv - du + w) / 2w, 0, 1) * w, in place
+        np.clip(np.divide(share, w2, out=share), 0.0, 1.0, out=share)
+        share *= w
     portion = np.zeros(n, dtype=np.float64)
-    np.add.at(portion, eu, share_u)
-    np.add.at(portion, ev, share_v)
+    np.add.at(portion, eu, shares[0])
+    np.add.at(portion, ev, shares[1])
 
     # Subtree sums sub[x] = portion[x] + sum of sub over the children of x.
     # Numbered in reverse topological order this is a unit lower-triangular

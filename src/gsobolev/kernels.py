@@ -9,7 +9,6 @@ with random centered quadratic forms and spectrally.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -220,19 +219,3 @@ def write_matrix_csv(m: np.ndarray, path: str) -> None:
         for row in strings[where.reshape(n, n)].tolist():
             fh.write(",".join(row) + "\n")
 
-
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Read what :func:`write_matrix_csv` writes, as a symmetric array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header, _, body = fh.read().lstrip().partition("\n")
-    if not header:
-        raise ValueError(f"{path}: empty matrix file")
-    dim = int(header)
-    full = np.zeros((0, 0))
-    if body.strip():  # np.loadtxt warns on input without data
-        full = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    if len(full) != dim:
-        raise ValueError(f"{path}: expected {dim} rows, found {len(full)}")
-    if full.shape != (dim, dim):
-        raise ValueError(f"{path}: expected a {dim}x{dim} matrix")
-    return (full + full.T) / 2.0

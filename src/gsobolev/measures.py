@@ -21,6 +21,7 @@ from .errors import (
     NegativeMass,
     NodeOutOfRange,
     ParseError,
+    utf8_input,
 )
 from .graph import Graph, RootedStructure
 
@@ -57,9 +58,22 @@ class DiscreteMeasure:
         total = math.fsum(masses)
         if abs(total - 1.0) > MASS_TOL:
             raise MassNotNormalized(f"masses sum to {total!r}, expected 1")
+        self._settle(nodes, masses)
+
+    def _settle(self, nodes: tuple[int, ...], masses: tuple[float, ...]) -> None:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_hash", hash((nodes, masses)))
+
+    @classmethod
+    def _trusted(
+        cls, nodes: tuple[int, ...], masses: tuple[float, ...]
+    ) -> "DiscreteMeasure":
+        """A measure from an ``int`` and a ``float`` tuple that pass every
+        check of ``__post_init__``, built without running them again."""
+        mu = object.__new__(cls)
+        mu._settle(nodes, masses)
+        return mu
 
     def __hash__(self) -> int:
         return self._hash
@@ -221,6 +235,7 @@ def save_measures(measures: Sequence[DiscreteMeasure], path: str) -> None:
             fh.write("\t".join(cells) + "\n")
 
 
+@utf8_input
 def load_measures(path: str, g: Graph, normalize: bool = False) -> list[DiscreteMeasure]:
     """Parse a measure file against graph ``g``.
 
@@ -230,30 +245,28 @@ def load_measures(path: str, g: Graph, normalize: bool = False) -> list[Discrete
     rescaled to total one; otherwise a total off by more than ``MASS_TOL``
     raises :class:`MassNotNormalized`.
     """
+    n = g.node_count
     out: list[DiscreteMeasure] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
+            tok = raw.split()
+            if not tok or tok[0].startswith("#"):
                 continue
-            tok = text.split()
             if len(tok) < 3 or len(tok) % 2 == 0:
                 raise ParseError(
                     f"{path}:{lineno}: expected 'id node mass [node mass ...]'"
                 )
             label = tok[0]
             try:
-                nodes = [int(x) for x in tok[1::2]]
-                masses = [float(x) for x in tok[2::2]]
+                nodes = tuple(map(int, tok[1::2]))
+                masses = tuple(map(float, tok[2::2]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: cannot parse measure {label!r}") from exc
             if len(set(nodes)) != len(nodes):
                 raise ParseError(f"{path}:{lineno}: measure {label!r} repeats a node")
             for node in nodes:
-                if not 0 <= node < g.node_count:
-                    raise NodeOutOfRange(
-                        f"{path}:{lineno}: node {node} outside [0, {g.node_count})"
-                    )
+                if not 0 <= node < n:
+                    raise NodeOutOfRange(f"{path}:{lineno}: node {node} outside [0, {n})")
             for node, m in zip(nodes, masses):
                 if not math.isfinite(m) or m < 0.0:
                     raise NegativeMass(
@@ -267,5 +280,5 @@ def load_measures(path: str, g: Graph, normalize: bool = False) -> list[Discrete
                     raise MassNotNormalized(
                         f"{path}:{lineno}: measure {label!r} sums to {total!r}"
                     )
-                out.append(DiscreteMeasure(tuple(nodes), tuple(masses)))
+                out.append(DiscreteMeasure._trusted(nodes, masses))
     return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,20 @@ def random_weighted_graph(seed: int, n_lo: int = 8, n_hi: int = 40) -> Graph:
         have.add((min(u, v), max(u, v)))
         edges.append((u, v, float(rng.uniform(0.2, 2.0))))
     return Graph.from_edges(n, edges)
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Read what ``kernels.write_matrix_csv`` writes, as a symmetric array."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header, _, body = fh.read().lstrip().partition("\n")
+    if not header:
+        raise ValueError(f"{path}: empty matrix file")
+    dim = int(header)
+    full = np.zeros((0, 0))
+    if body.strip():  # np.loadtxt warns on input without data
+        full = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    if len(full) != dim:
+        raise ValueError(f"{path}: expected {dim} rows, found {len(full)}")
+    if full.shape != (dim, dim):
+        raise ValueError(f"{path}: expected a {dim}x{dim} matrix")
+    return (full + full.T) / 2.0

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import gsobolev
-from gsobolev import load_graph, load_measures, read_matrix_csv
+from gsobolev import load_graph, load_measures
 from gsobolev.cli import _parse_p, _parse_root, CliError, main
 from gsobolev.verify import SuiteReport, SuiteCheck
+from conftest import read_matrix_csv
 
 
 @pytest.fixture()
@@ -78,6 +79,44 @@ class TestParsers:
             code = exc.code
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--support-size", "0", "--out-prefix", "O"],
+            ["synth", "--m", "5", "--points", "10", "--support-size", "6", "--out-prefix", "O"],
+            ["synth", "--support-size", "-2", "--out-prefix", "O"],
+            ["bench", "--support-size", "0", "--out", "O"],
+            ["bench", "--sizes", "10", "--support-size", "11", "--out", "O"],
+        ],
+    )
+    def test_support_size_out_of_range_exits_two(self, tmp_path, capsys, argv):
+        # a flag error, refused before any instance is built or file written
+        out = str(tmp_path / "o")
+        assert main([out if a == "O" else a for a in argv]) == 2
+        assert "--support-size must be in [1, " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv,written",
+        [
+            (["distance", "--graph", "G", "--measures", "M", "--out", "X/d.csv"], "X/d.csv"),
+            (["gram", "--graph", "G", "--measures", "M", "--out", "X/k.csv"], "X/k.csv"),
+            (["bench", "--sizes", "10", "--out", "X/b.csv"], "X/b.csv"),
+            (["verify", "--suite", "tree", "--out", "X/v.json"], "X/v.json"),
+            (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.graph"),
+        ],
+    )
+    def test_output_in_missing_directory_exits_two(self, files, capsys, argv, written):
+        missing = str(files["dir"] / "missing")
+        names = {"G": files["graph"], "M": files["measures"]}
+        argv = [names.get(a, a.replace("X", missing)) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: output directory not found: {missing}\n"
+        # the directory exists, but the output file path names a directory
+        os.makedirs(written.replace("X", missing))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: output path is a directory: ")
 
 
 class TestDistanceCommand:
@@ -210,6 +249,23 @@ class TestDistanceCommand:
             "--out", str(files["dir"] / "d.csv"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("kind", ["graph", "measures", "pairs"])
+    def test_non_utf8_byte_is_a_data_error(self, files, capsys, kind):
+        paths = dict(files)
+        paths["pairs"] = str(files["dir"] / "pairs.txt")
+        text = {"graph": b"3 2\n0 1 1.0\n1 2 1.0\n", "measures": b"m0 0 1.0\nm1 1 1.0\n",
+                "pairs": b"0 1\n"}[kind]
+        with open(paths[kind], "wb") as fh:
+            fh.write(text + b"# caf\xe9\n")
+        open(paths["pairs"], "ab").close()
+        code = main([
+            "distance", "--graph", paths["graph"], "--measures", paths["measures"],
+            "--pairs", paths["pairs"], "--out", str(files["dir"] / "d.csv"),
+        ])
+        assert code == 3
+        line = text.count(b"\n") + 1
+        assert capsys.readouterr().err == f"data error: {paths[kind]}:{line}: not UTF-8 text\n"
 
     def test_unnormalized_measure_data(self, files):
         bad = files["dir"] / "bad.txt"

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from gsobolev import (
@@ -20,6 +21,7 @@ from gsobolev import (
     save_graph,
     shortest_path_tree,
 )
+from gsobolev.graph import TIE_RTOL
 from conftest import random_weighted_graph
 
 
@@ -111,13 +113,28 @@ class TestLoadGraph:
         with pytest.raises(DuplicateEdge):
             load_graph(write(tmp_path, "2 2\n0 1 1.0\n1 0 2.0\n"))
 
+    def test_duplicate_names_smallest_repeated_pair(self, tmp_path):
+        # (3, 4), (1, 2) and (0, 4) repeat, in either orientation
+        text = "5 7\n3 4 1.0\n2 1 1.0\n4 3 1.0\n0 1 1.0\n1 2 2.0\n4 0 1.0\n0 4 3.0\n"
+        with pytest.raises(DuplicateEdge) as err:
+            load_graph(write(tmp_path, text))
+        assert str(err.value) == "node pair (0, 4) appears more than once"
+
     def test_self_loop(self, tmp_path):
-        with pytest.raises(DuplicateEdge):
-            load_graph(write(tmp_path, "2 1\n1 1 1.0\n"))
+        with pytest.raises(DuplicateEdge) as err:
+            load_graph(write(tmp_path, "3 3\n0 1 1.0\n2 2 1.0\n1 0 1.0\n"))
+        # reported before the repeated pair (0, 1)
+        assert str(err.value) == "edge 1 is a self-loop at node 2"
 
     def test_disconnected(self, tmp_path):
-        with pytest.raises(Disconnected):
-            load_graph(write(tmp_path, "4 2\n0 1 1.0\n2 3 1.0\n"))
+        for text, parts in [
+            ("4 2\n0 1 1.0\n2 3 1.0\n", 2),
+            ("3 1\n1 2 1.0\n", 2),  # node 0 alone
+            ("6 3\n0 1 1.0\n2 3 1.0\n4 2 1.0\n", 3),  # node 5 alone
+        ]:
+            with pytest.raises(Disconnected) as err:
+                load_graph(write(tmp_path, text))
+            assert str(err.value) == f"graph has {parts} components, expected 1"
 
     def test_garbage_edge_line(self, tmp_path):
         with pytest.raises(ParseError):
@@ -167,6 +184,18 @@ class TestGraphInvariants:
         with pytest.raises(KeyError):
             path_graph.edge_id(0, 2)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adjacency_equals_coo_build(self, seed):
+        # the one-sort build gives scipy's canonical CSR of both arc directions
+        g = random_weighted_graph(seed, n_lo=20, n_hi=80)
+        u, v, w = g.edge_u, g.edge_v, g.edge_w
+        arcs = (np.concatenate([u, v]), np.concatenate([v, u]))
+        ref = csr_matrix((np.concatenate([w, w]), arcs), shape=(g.node_count,) * 2)
+        assert g._csr.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(g._csr, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_single_node_graph(self):
         g = Graph.from_edges(1, [])
         assert g.total_length == 0.0
@@ -203,6 +232,46 @@ class TestShortestPathTree:
             f"kept parent {v - 3} (smallest id)"
             for v in (4, 5, 7, 8)
         )
+
+    def test_three_way_tie_warnings(self):
+        # node 4 is two steps from root 0 through 3, 2 and 1; node 6 through
+        # 2 and 3.  Edges come in mixed order and orientation.
+        edges = [(0, 3), (2, 0), (0, 1), (4, 3), (4, 2), (1, 4), (3, 6), (6, 2), (5, 6)]
+        g = Graph.from_edges(7, [(a, b, 1.0) for a, b in edges])
+        rs = shortest_path_tree(g, 0)
+        assert rs.warnings == (
+            "node 4: 3 equal-length root paths within tolerance; kept parent 1 (smallest id)",
+            "node 6: 2 equal-length root paths within tolerance; kept parent 2 (smallest id)",
+        )
+        assert rs.parent.tolist() == [-1, 0, 0, 0, 1, 6, 2]
+        assert rs.parent_edge.tolist() == [-1, 2, 1, 0, 5, 8, 7]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_parents_match_per_child_scan(self, seed):
+        # lengths 1 and 2 make many ties; the scan collects every candidate
+        # in a plain loop over the edges and keeps each child's smallest
+        rng = np.random.default_rng(seed)
+        g = random_weighted_graph(seed, n_lo=30, n_hi=60)
+        g = Graph(g.node_count, g.edge_u, g.edge_v, rng.integers(1, 3, g.edge_count) * 1.0)
+        root = int(rng.integers(g.node_count))
+        rs = shortest_path_tree(g, root)
+        d = rs.dist
+        cands = {}
+        edges = zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())
+        for e, (a, b, w) in enumerate(edges):
+            for x, y in ((a, b), (b, a)):
+                if d[x] < d[y] and abs(d[x] + w - d[y]) <= TIE_RTOL * max(1.0, d[y]):
+                    cands.setdefault(y, []).append((x, e))
+        assert sorted(cands) == [x for x in range(g.node_count) if x != root]
+        for y, found in cands.items():
+            assert (rs.parent[y], rs.parent_edge[y]) == min(found)
+        assert rs.parent[root] == rs.parent_edge[root] == -1
+        assert rs.warnings == tuple(
+            f"node {y}: {len(cands[y])} equal-length root paths within tolerance; "
+            f"kept parent {min(cands[y])[0]} (smallest id)"
+            for y in sorted(cands) if len(cands[y]) > 1
+        )
+        assert rs.warnings
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_ties_on_generic_weights(self, seed):

@@ -1,15 +1,17 @@
 """The CLI's text readers and writer against naive line-by-line references.
 
 `load_graph` and the pair-file parser read their files with one
-``np.loadtxt`` call and fall back to a per-line scan; the distance CSV and
-graph files are formatted in blocks of lines, and the Gram CSV formats each
-distinct value once.  Each is checked here against the simplest per-line
+``np.loadtxt`` call and fall back to a per-line scan; `load_measures` checks
+each line once and builds its measures without checking them again; the
+distance CSV and graph files are formatted in blocks of lines, and the Gram
+CSV formats each distinct value once.  Each is checked here against the simplest per-line
 reading or writing of the same grammar, on generated files with whole-line
 comments, blank lines, CRLF endings, comma separators and malformed lines.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import warnings
@@ -18,7 +20,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsobolev import ParseError, load_graph, random_tree, save_graph, write_matrix_csv
+from gsobolev import (
+    DiscreteMeasure,
+    Graph,
+    MassNotNormalized,
+    NegativeMass,
+    NodeOutOfRange,
+    ParseError,
+    load_graph,
+    load_measures,
+    random_tree,
+    save_graph,
+    write_matrix_csv,
+)
 from gsobolev import cli, graph
 from gsobolev.cli import _parse_pairs, _write_distance_csv
 
@@ -219,6 +233,114 @@ class TestPairFiles:
             path.write_text(text)
             first, second = _parse_pairs(str(path), 3)
             assert first.size == second.size == 0
+
+
+def reference_measures(path: str, n: int, normalize: bool):
+    """``(nodes, masses)`` of each measure of a measure file read one line at
+    a time, or ``(error class, text)`` of the error the grammar calls for."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for k, raw in enumerate(fh, 1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            tok = text.split()
+            if len(tok) < 3 or len(tok) % 2 == 0:
+                return ParseError, f"{path}:{k}: expected 'id node mass [node mass ...]'"
+            try:
+                nodes = [int(t) for t in tok[1::2]]
+                masses = [float(t) for t in tok[2::2]]
+            except ValueError:
+                return ParseError, f"{path}:{k}: cannot parse measure {tok[0]!r}"
+            if len(set(nodes)) != len(nodes):
+                return ParseError, f"{path}:{k}: measure {tok[0]!r} repeats a node"
+            for x in nodes:
+                if not 0 <= x < n:
+                    return NodeOutOfRange, f"{path}:{k}: node {x} outside [0, {n})"
+            for x, m in zip(nodes, masses):
+                if not math.isfinite(m) or m < 0.0:
+                    return NegativeMass, f"{path}:{k}: node {x} carries invalid mass {m!r}"
+            total = math.fsum(masses)
+            if normalize:
+                if not math.isfinite(total) or total <= 0.0:
+                    return MassNotNormalized, f"cannot normalize total mass {total!r}"
+                masses = [m / total for m in masses]
+            elif abs(total - 1.0) > 1e-9:
+                return MassNotNormalized, f"{path}:{k}: measure {tok[0]!r} sums to {total!r}"
+            out.append((tuple(nodes), tuple(masses)))
+    return out
+
+
+@st.composite
+def measure_lines(draw, n: int) -> list[str]:
+    """Lines of valid measures on ``n`` nodes, masses summing to one, with
+    mixed spacing and number formats."""
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = []
+    for k in range(draw(st.integers(0, 6))):
+        nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        weights = draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 100.0)),
+            min_size=len(nodes), max_size=len(nodes),
+        ))
+        weights[0] = max(weights[0], 1.0)
+        total = math.fsum(weights)
+        fmt = draw(st.sampled_from(["{!r}", "{:.17g}"]))
+        cells = [f"m{k}"]
+        for x, w in zip(nodes, weights):
+            cells += [str(x), fmt.format(w / total)]
+        lead, tail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        lines.append(lead + "".join(c + draw(gap) for c in cells[:-1]) + cells[-1] + tail)
+    return lines
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+BAD_MEASURE_LINES = [
+    "m", "m 0", "m 0 1.0 1", "m x 1.0", "m 0.5 1.0", "m 0 one", "m 0 1.0 # trailing",
+    "m 0 0.5 0 0.5", "m {n} 1.0", "m -1 1.0", "m 0 -0.5 {n} 1.5", "m 0 nan", "m 0 inf",
+    "m 0 -inf", "m 0 0.5", "m 0 1.5", "m 0 0.0", "m 0 1e-300",
+]
+
+
+class TestMeasureFiles:
+    @EXAMPLES
+    @given(
+        data=st.data(), n=st.integers(1, 9), crlf=st.booleans(), final=st.booleans(),
+        normalize=st.booleans(),
+    )
+    def test_matches_line_by_line_reading(self, data, n, crlf, final, normalize):
+        lines = data.draw(decorated(data.draw(measure_lines(n))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_file(tmp, lines, "\r\n" if crlf else "\n", final)
+            expected = reference_measures(path, n, normalize)
+            got = load_measures(path, path_graph(n), normalize=normalize)
+        assert [(mu.nodes, mu.masses) for mu in got] == expected
+        for mu in got:
+            # as the checking constructor builds it: types, equality, hash
+            assert all(type(x) is int for x in mu.nodes)
+            assert all(type(m) is float for m in mu.masses)
+            again = DiscreteMeasure(mu.nodes, mu.masses)
+            assert mu == again and hash(mu) == hash(again)
+
+    @pytest.mark.parametrize("bad", BAD_MEASURE_LINES)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9), crlf=st.booleans(), normalize=st.booleans())
+    def test_error_names_the_same_line(self, bad, data, n, crlf, normalize):
+        lines = data.draw(measure_lines(n))
+        lines.insert(data.draw(st.integers(0, len(lines))), bad.format(n=n))
+        lines = data.draw(decorated(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_file(tmp, lines, "\r\n" if crlf else "\n", True)
+            expected = reference_measures(path, n, normalize)
+            if isinstance(expected, list):  # "m 0 0.5" normalizes
+                assert normalize
+                return
+            with pytest.raises(expected[0]) as err:
+                load_measures(path, path_graph(n), normalize=normalize)
+        assert str(err.value) == expected[1]
 
 
 def per_line_csv(first, second, values) -> bytes:

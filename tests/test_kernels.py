@@ -25,11 +25,10 @@ from gsobolev import (
     measure_distance,
     min_eigenvalue,
     prepare_root,
-    read_matrix_csv,
     write_matrix_csv,
 )
 from gsobolev.kernels import quadratic_form_violations
-from conftest import random_weighted_graph
+from conftest import random_weighted_graph, read_matrix_csv
 
 
 @pytest.fixture()
