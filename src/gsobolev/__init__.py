@@ -45,6 +45,7 @@ from .kernels import (
 )
 from .measures import (
     DiscreteMeasure,
+    GammaTable,
     SparseEdgeVector,
     gamma_mass,
     gamma_masses,

@@ -21,7 +21,7 @@ from .errors import (
     NonPositiveEntry,
 )
 from .graph import EdgePrep
-from .measures import SparseEdgeVector
+from .measures import GammaTable
 from .metrics import VARIANT_SOBOLEV_IPM, _check_order, pair_distances
 
 KERNEL_EXP = "exp_neg_t_d"
@@ -43,16 +43,16 @@ def _square(m: np.ndarray) -> np.ndarray:
 
 def distance_matrix(
     prep: EdgePrep,
-    vectors: list[SparseEdgeVector],
+    table: GammaTable,
     p: float,
     variant: str = VARIANT_SOBOLEV_IPM,
 ) -> np.ndarray:
-    """All-pairs distances between cumulative vectors under one root, as a
-    symmetric array with a zero diagonal.  Each entry is the per-pair
-    functions' value, bit for bit."""
-    n = len(vectors)
+    """All-pairs distances between the rows of a cumulative-vector table
+    under one root, as a symmetric array with a zero diagonal.  Each entry
+    is the per-pair functions' value, bit for bit."""
+    n = len(table)
     i, j = np.triu_indices(n, 1)
-    d = pair_distances(prep, vectors, i, j, p, variant)
+    d = pair_distances(prep, table, i, j, p, variant)
     out = np.zeros((n, n))
     out[i, j] = d
     out[j, i] = d

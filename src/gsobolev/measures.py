@@ -3,7 +3,8 @@
 A :class:`DiscreteMeasure` is a probability measure supported on graph nodes.
 For a fixed root, each measure collapses to a sparse vector indexed by edge
 id: the entry at edge ``e`` is the total mass whose recorded root path
-crosses ``e``.  Distances only ever read these vectors, so they are cached on
+crosses ``e``.  Distances only ever read these vectors: a list of measures
+becomes one :class:`GammaTable`, and a single measure's vector is cached on
 the rooted structure, keyed by the (hashable) measure.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,9 +100,6 @@ class DiscreteMeasure:
     def support_size(self) -> int:
         return len(self.nodes)
 
-    def max_node(self) -> int:
-        return max(self.nodes)
-
 
 @dataclass(frozen=True, eq=False)
 class SparseEdgeVector:
@@ -126,76 +125,94 @@ class SparseEdgeVector:
         object.__setattr__(self, "values", vals)
 
 
+@dataclass(frozen=True, eq=False)
+class GammaTable:
+    """Cumulative edge vectors of a list of measures under one root, as the
+    rows of a CSR layout: row ``k`` holds ``edge_ids[indptr[k]:indptr[k + 1]]``,
+    increasing, and the matching ``values``.  The arrays are read-only."""
+
+    root: int
+    indptr: np.ndarray
+    edge_ids: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.indptr, self.edge_ids, self.values):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def row(self, k: int) -> SparseEdgeVector:
+        """Row ``k`` (negative from the end) as a vector viewing the table's arrays."""
+        k = range(len(self))[k]
+        a, b = self.indptr[k], self.indptr[k + 1]
+        return SparseEdgeVector(self.root, self.edge_ids[a:b], self.values[a:b])
+
+
 # Cells of the (support points x steps) root-path table built per pass of
 # gamma_masses; bounds its scratch memory.
 _PASS_CELLS = 1 << 20
 
 
 def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> SparseEdgeVector:
-    """Cumulative edge vector of ``mu`` under the root of ``rs``: the
-    one-measure call of :func:`gamma_masses`.  The cache is read first, as
+    """Cumulative edge vector of ``mu`` under the root of ``rs``: row 0 of
+    :func:`gamma_masses` on ``[mu]``, cached on ``rs`` per measure, as
     per-pair callers look the same measures up again and again."""
-    vec = rs._gamma_cache.get(mu)
-    return vec if vec is not None else gamma_masses(rs, [mu])[0]
+    if mu not in rs._gamma_cache:
+        rs._gamma_cache[mu] = gamma_masses(rs, [mu]).row(0)
+    return rs._gamma_cache[mu]
 
 
-def gamma_masses(
-    rs: RootedStructure, measures: Sequence[DiscreteMeasure]
-) -> list[SparseEdgeVector]:
-    """Cumulative edge vectors of ``measures`` under the root of ``rs``, in order.
-
-    Vectors are cached on ``rs`` per measure, so repeated or equal measures
-    get the same object.  The uncached measures are computed together.
-    """
-    cache = rs._gamma_cache
-    todo = [mu for mu in measures if mu not in cache]
-    if todo:
-        _cache_new(rs, list(dict.fromkeys(todo)))
-    return [cache[mu] for mu in measures]
-
-
-def _cache_new(rs: RootedStructure, todo: list[DiscreteMeasure]) -> None:
-    """Compute and cache the vectors of the distinct measures ``todo``, in
-    passes whose root-path tables hold about ``_PASS_CELLS`` cells."""
-    n = rs.graph.node_count
-    for mu in todo:
-        if mu.max_node() >= n:
-            raise NodeOutOfRange(f"support node {mu.max_node()} outside [0, {n})")
-    sizes = [mu.support_size for mu in todo]
-    nodes = np.fromiter(chain.from_iterable(mu.nodes for mu in todo), np.int64)
-    masses = np.fromiter(chain.from_iterable(mu.masses for mu in todo), np.float64)
+def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> GammaTable:
+    """Cumulative edge vectors of ``measures`` under the root of ``rs``, row
+    ``k`` for ``measures[k]``, computed together in passes whose root-path
+    tables hold about ``_PASS_CELLS`` cells."""
+    n, m = rs.graph.node_count, rs.graph.edge_count
+    supports = list(map(attrgetter("nodes"), measures))
+    sizes = np.fromiter(map(len, supports), np.int64, len(supports))
+    nodes = np.fromiter(chain.from_iterable(supports), np.int64)
+    masses = np.fromiter(chain.from_iterable(map(attrgetter("masses"), measures)), np.float64)
+    outside = nodes[nodes >= n]
+    if outside.size:
+        raise NodeOutOfRange(f"support node {outside[0]} outside [0, {n})")
     ends = np.cumsum(sizes)
-    deepest = np.maximum.reduceat(rs.depth[nodes], ends - sizes).tolist()
+    deepest = np.maximum.reduceat(rs.depth[nodes], ends - sizes)
+    owner = np.repeat(np.arange(sizes.size) * m, sizes)
+    pieces = [(np.zeros(0, np.int64), np.zeros(0))]
     for start, stop, steps in _passes(sizes, deepest):
         pts = slice(ends[start] - sizes[start], ends[stop - 1])
-        entries = _root_path_sums(rs, sizes[start:stop], nodes[pts], masses[pts], steps)
-        vecs = [SparseEdgeVector(rs.root, ids, vals) for ids, vals in entries]
-        for mu, vec in zip(todo[start:stop], vecs):
-            rs._gamma_cache.setdefault(mu, vec)
+        pieces.append(_root_path_sums(rs, owner[pts], nodes[pts], masses[pts], steps))
+    key, values = (np.concatenate(parts) for parts in zip(*pieces))
+    indptr = np.searchsorted(key, np.arange(len(measures) + 1) * m)
+    return GammaTable(rs.root, indptr, key % m, values)
 
 
-def _passes(sizes: list[int], deepest: list[int]) -> Iterator[tuple[int, int, int]]:
+def _passes(sizes: np.ndarray, deepest: np.ndarray) -> Iterator[tuple[int, int, int]]:
     """Split measures with ``sizes`` support points and ``deepest`` longest
     root paths into runs ``[start, stop)`` whose table (points x ``steps``)
-    holds at most ``_PASS_CELLS`` cells, or holds one measure."""
-    start, points, steps = 0, 0, 0
-    for k, (size, deep) in enumerate(zip(sizes, deepest)):
-        if points and (points + size) * max(steps, deep) > _PASS_CELLS:
-            yield start, k, steps
-            start, points, steps = k, 0, 0
-        points, steps = points + size, max(steps, deep)
-    yield start, len(sizes), steps
+    holds at most ``_PASS_CELLS`` cells, or holds one measure.  Looking at
+    most ``_PASS_CELLS + 1`` measures ahead keeps a run's cost near its table's."""
+    start = 0
+    while start < sizes.size:
+        ahead = slice(start, start + _PASS_CELLS + 1)
+        steps = np.maximum.accumulate(deepest[ahead])
+        cells = np.cumsum(sizes[ahead]) * steps
+        count = 1 + int(np.searchsorted(cells[1:], _PASS_CELLS, side="right"))
+        yield start, start + count, int(steps[count - 1])
+        start += count
 
 
 def _root_path_sums(
     rs: RootedStructure,
-    sizes: list[int],
+    owner: np.ndarray,
     nodes: np.ndarray,
     masses: np.ndarray,
     steps: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Edge ids and values of the cumulative vectors of consecutive measures
-    with ``sizes`` support points each, given as flat ``nodes``/``masses``
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys ``k * edge_count + edge`` and the summed masses of the
+    cumulative vectors of measures ``k``, from support points
+    ``nodes``/``masses`` of measure ``owner // edge_count`` (non-decreasing)
     whose root paths are at most ``steps`` edges long.
 
     Row ``p`` of the table ``up`` lists the nodes ``0, 1, ...`` tree steps
@@ -204,7 +221,6 @@ def _root_path_sums(
     sums its points' masses with ``np.bincount``, which adds in table order,
     point by point: the order a point-by-point walk adds them.
     """
-    m = rs.graph.edge_count
     depth = rs.depth[nodes]
     up = np.empty((nodes.size, steps), dtype=np.int64)
     up[:, :1] = nodes[:, None]
@@ -215,13 +231,9 @@ def _root_path_sums(
         width = min(span, steps - span)
         up[:, span : span + width] = lift[up[:, :width]]
     path = up[np.arange(steps) < depth[:, None]]
-    owner = np.repeat(np.arange(len(sizes)) * m, sizes)
     key = np.repeat(owner, depth) + rs.parent_edge[path]
     uniq, entry = np.unique(key, return_inverse=True)
-    vals = np.bincount(entry, weights=np.repeat(masses, depth))
-    ids = uniq % m
-    cut = np.searchsorted(uniq, np.arange(len(sizes) + 1) * m).tolist()
-    return [(ids[a:b], vals[a:b]) for a, b in zip(cut, cut[1:])]
+    return uniq, np.bincount(entry, weights=np.repeat(masses, depth))
 
 
 def save_measures(measures: Sequence[DiscreteMeasure], path: str) -> None:

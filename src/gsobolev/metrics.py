@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix
 
 from .errors import InvalidExponent, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
-from .measures import DiscreteMeasure, SparseEdgeVector, gamma_mass
+from .measures import DiscreteMeasure, GammaTable, SparseEdgeVector, gamma_mass
 
 VARIANT_SOBOLEV_IPM = "regularized_sobolev_ipm"
 VARIANT_SOBOLEV_TRANSPORT = "sobolev_transport"
@@ -167,8 +166,6 @@ def _merged_diff(
     u: SparseEdgeVector, v: SparseEdgeVector
 ) -> tuple[np.ndarray, np.ndarray]:
     """Union of touched edges, in increasing order, and u - v on it."""
-    if u.root != v.root:
-        raise RootMismatch(f"vectors built for roots {u.root} and {v.root}")
     ids = np.concatenate([u.edge_ids, v.edge_ids])
     uniq, inv = np.unique(ids, return_inverse=True)
     a = np.zeros(uniq.size, dtype=np.float64)
@@ -178,18 +175,12 @@ def _merged_diff(
     return uniq, a - b
 
 
-def _check_prep(prep: EdgePrep, u: SparseEdgeVector) -> None:
-    if prep.root != u.root:
-        raise RootMismatch(
-            f"preprocessing is for root {prep.root}, vector for root {u.root}"
-        )
-
-
 def _pair_distance(
     prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float, variant: str
 ) -> float:
     weights = _edge_weights(prep, p, variant)
-    _check_prep(prep, u)
+    if not prep.root == u.root == v.root:
+        raise RootMismatch(f"roots differ: prep {prep.root}, vectors {u.root} and {v.root}")
     ids, diff = _merged_diff(u, v)
     return float(_reduce_pairs(np.array([0, ids.size]), ids, diff, weights, p)[0])
 
@@ -201,38 +192,33 @@ _BLOCK_ENTRIES = 1 << 18
 
 def pair_distances(
     prep: EdgePrep,
-    vectors: Sequence[SparseEdgeVector],
+    table: GammaTable,
     first: np.ndarray,
     second: np.ndarray,
     p: float,
     variant: str = VARIANT_SOBOLEV_IPM,
 ) -> np.ndarray:
-    """Distances between ``vectors[first[k]]`` and ``vectors[second[k]]``
+    """Distances between rows ``first[k]`` and ``second[k]`` of ``table``
     for every ``k``, under one prepared root.
 
-    The vectors are stacked as the rows of one sparse matrix ``Gamma``, and
-    ``Gamma[first] - Gamma[second]`` yields each pair's differences with
-    edges sorted and exact zeros dropped.  Pairs run in blocks of bounded
-    stored size.  Every entry equals the per-pair functions' value bit for
-    bit.
+    The rows form one sparse matrix ``Gamma``, and ``Gamma[first] -
+    Gamma[second]`` yields each pair's differences with edges sorted and
+    exact zeros dropped.  Pairs run in blocks of bounded stored size.  Every
+    entry equals the per-pair functions' value bit for bit.
     """
     weights = _edge_weights(prep, p, variant)
-    for vec in vectors:
-        _check_prep(prep, vec)
+    if prep.root != table.root:
+        raise RootMismatch(f"roots differ: prep {prep.root}, table {table.root}")
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
     out = np.empty(first.size)
     if first.size == 0:
         return out
-    nnz = np.array([vec.edge_ids.size for vec in vectors], dtype=np.intp)
     gamma = csr_matrix(
-        (
-            np.concatenate([vec.values for vec in vectors]),
-            np.concatenate([vec.edge_ids for vec in vectors]),
-            np.concatenate([[0], np.cumsum(nnz)]),
-        ),
-        shape=(len(vectors), prep.edge_lengths.size),
+        (table.values, table.edge_ids, table.indptr),
+        shape=(len(table), prep.edge_lengths.size),
     )
+    nnz = np.diff(table.indptr)
     cost = np.cumsum(nnz[first] + nnz[second])
     cuts = np.searchsorted(cost, np.arange(_BLOCK_ENTRIES, cost[-1], _BLOCK_ENTRIES))
     bounds = np.unique(np.concatenate([[0], cuts, [first.size]]))
@@ -293,7 +279,8 @@ def sliced_distance(
     variant: str = VARIANT_SOBOLEV_IPM,
     prepared: dict | None = None,
 ) -> float:
-    """Arithmetic mean of per-root distances over a root list.
+    """Arithmetic mean of per-root distances over a root list, summed in
+    root order from 0.0 as ``distance`` and ``gram`` sum them: the same bits.
 
     An average of metrics is again a metric.  ``prepared`` may carry a
     ``root -> (RootedStructure, EdgePrep)`` cache reused across calls, so the
@@ -303,12 +290,12 @@ def sliced_distance(
         raise ValueError("need at least one root")
     p = _check_order(p, allow_inf=variant == VARIANT_SOBOLEV_IPM)
     cache = prepared if prepared is not None else {}
-    vals = []
+    total = 0.0
     for root in roots:
         hit = cache.get(root)
         if hit is None:
             hit = prepare_root(g, int(root))
             cache[root] = hit
         rs, prep = hit
-        vals.append(measure_distance(rs, prep, mu, nu, p, variant))
-    return math.fsum(vals) / len(vals)
+        total += measure_distance(rs, prep, mu, nu, p, variant)
+    return total / len(roots)

@@ -357,9 +357,9 @@ def definiteness_suite(
         g = _pool_graph(rng)
         rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
         pool = _pool_measures(rng, g, set_size)
-        vecs = gamma_masses(rs, pool)
+        table = gamma_masses(rs, pool)
         for p in ps:
-            D = distance_matrix(prep, vecs, p)
+            D = distance_matrix(prep, table, p)
             rep = check_negative_definite(D, p, trials=trials, seed=_child_seed(rng))
             nd.add(max(-rep.spectral_min, rep.worst), not rep.passed)
             for t in bandwidths:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gsobolev
-from gsobolev import load_graph, load_measures
+from gsobolev import load_graph, load_measures, sample_roots, sliced_distance
 from gsobolev.cli import _parse_p, _parse_root, CliError, main
 from gsobolev.verify import SuiteReport, SuiteCheck
 from conftest import read_matrix_csv
@@ -152,6 +152,25 @@ class TestDistanceCommand:
         assert code == 0
         assert len(read_distance_csv(out)) == 3
 
+    @pytest.mark.parametrize("p", ["1", "1.5", "2", "inf"])
+    def test_sliced_root_matches_sliced_distance(self, tmp_path, p):
+        prefix = str(tmp_path / "inst")
+        assert main([
+            "synth", "--points", "600", "--m", "300", "--count", "30",
+            "--support-size", "6", "--seed", "3", "--out-prefix", prefix,
+        ]) == 0
+        out = str(tmp_path / "d.csv")
+        assert main([
+            "distance", "--graph", prefix + ".graph", "--measures", prefix + ".measures",
+            "--root", "sliced:4:3", "--p", p, "--out", out,
+        ]) == 0
+        g = load_graph(prefix + ".graph")
+        ms = load_measures(prefix + ".measures", g)
+        roots, prepared = sample_roots(g, 4, 3), {}
+        order = _parse_p(p)
+        for (i, j), d in read_distance_csv(out).items():
+            assert d == sliced_distance(g, roots, ms[i], ms[j], order, prepared=prepared)
+
     def test_transport_variant(self, files):
         out = str(files["dir"] / "d.csv")
         code = main([
@@ -275,6 +294,27 @@ class TestDistanceCommand:
             "--out", str(files["dir"] / "d.csv"),
         ])
         assert code == 3
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--graph", "G", "--measures", "M", "--root", "sliced:3:1",
+             "--p", "2", "--out", "O"],
+            ["gram", "--graph", "G", "--measures", "M", "--p", "1.5", "--kernel", "exp-pow",
+             "--out", "O"],
+        ],
+    )
+    def test_builds_no_vector(self, files, monkeypatch, argv):
+        # the batch path reads the Gamma table's arrays directly; a
+        # per-measure SparseEdgeVector built anywhere on it raises here
+        def refuse(self):
+            raise AssertionError("SparseEdgeVector built on the batch path")
+
+        monkeypatch.setattr(gsobolev.measures.SparseEdgeVector, "__post_init__", refuse)
+        names = {"G": files["graph"], "M": files["measures"], "O": str(files["dir"] / "o.csv")}
+        assert main([names.get(a, a) for a in argv]) == 0
 
 
 class TestGramCommand:

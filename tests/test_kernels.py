@@ -20,7 +20,7 @@ from gsobolev import (
     check_negative_definite,
     distance_matrix,
     divisibility_check,
-    gamma_mass,
+    gamma_masses,
     gram_matrix,
     measure_distance,
     min_eigenvalue,
@@ -33,30 +33,29 @@ from conftest import random_weighted_graph, read_matrix_csv
 
 @pytest.fixture()
 def path_triple(path_graph):
-    """Prep and cumulative vectors for the three diracs on the unit path."""
+    """Prep and the cumulative-vector table of the three diracs on the unit path."""
     rs, prep = prepare_root(path_graph, 0)
-    vecs = [gamma_mass(rs, DiscreteMeasure.dirac(k)) for k in range(3)]
-    return rs, prep, vecs
+    return rs, prep, gamma_masses(rs, [DiscreteMeasure.dirac(k) for k in range(3)])
 
 
 class TestDistanceMatrix:
     def test_pinned_order_one(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 1.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 1.0)
         np.testing.assert_array_equal(
             D, [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
         )
 
     def test_pinned_order_two(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0)
         assert D[0, 1] == pytest.approx(0.6367614216550531, rel=1e-15)
         assert D[0, 2] == pytest.approx(1.0481470739682048, rel=1e-15)
         assert D[1, 2] == pytest.approx(0.8325546111576977, rel=1e-15)
 
     def test_pinned_order_infinity(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, math.inf)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, math.inf)
         np.testing.assert_allclose(
             D, [[0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [1.0, 1.0, 0.0]]
         )
@@ -81,20 +80,20 @@ class TestDistanceMatrix:
         other = next(x for x in range(g.node_count) if x not in pool[1].nodes)
         pool.append(DiscreteMeasure(pool[1].nodes + (other,), pool[1].masses + (0.0,)))
         pool.append(DiscreteMeasure.dirac(root))
-        vecs = [gamma_mass(rs, mu) for mu in pool]
+        table = gamma_masses(rs, pool)
         variants = [VARIANT_SOBOLEV_IPM]
         if math.isfinite(p):
             variants.append(VARIANT_SOBOLEV_TRANSPORT)
         for variant in variants:
-            D = distance_matrix(prep, vecs, p, variant=variant)
+            D = distance_matrix(prep, table, p, variant=variant)
             for i in range(len(pool)):
                 for j in range(len(pool)):
                     want = measure_distance(rs, prep, pool[i], pool[j], p, variant)
                     assert D[i, j] == want, (variant, i, j)
 
     def test_transport_variant_matches(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0, variant=VARIANT_SOBOLEV_TRANSPORT)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0, variant=VARIANT_SOBOLEV_TRANSPORT)
         # raw unit lengths: same values as the order-1 matrix except the
         # two-edge pair, which collapses to 2 ** (1/2)
         assert D[0, 1] == 1.0
@@ -103,25 +102,28 @@ class TestDistanceMatrix:
     def test_root_mismatch(self, path_graph):
         _, prep0 = prepare_root(path_graph, 0)
         rs2, _ = prepare_root(path_graph, 2)
-        vec = gamma_mass(rs2, DiscreteMeasure.dirac(0))
-        with pytest.raises(RootMismatch):
-            distance_matrix(prep0, [vec], 1.0)
+        # a table from another root is refused, even one without a pair
+        for count in (1, 2):
+            table = gamma_masses(rs2, [DiscreteMeasure.dirac(0)] * count)
+            with pytest.raises(RootMismatch):
+                distance_matrix(prep0, table, 1.0)
 
     def test_empty_input(self, path_graph):
-        _, prep = prepare_root(path_graph, 0)
-        assert distance_matrix(prep, [], 2.0).shape == (0, 0)
+        rs, prep = prepare_root(path_graph, 0)
+        assert distance_matrix(prep, gamma_masses(rs, []), 2.0).shape == (0, 0)
 
     def test_all_at_root(self, path_graph):
         rs, prep = prepare_root(path_graph, 0)
-        vecs = [gamma_mass(rs, DiscreteMeasure.dirac(0))] * 3
-        assert distance_matrix(prep, vecs, 2.0).max() == 0.0
-        assert distance_matrix(prep, vecs, math.inf).max() == 0.0
+        table = gamma_masses(rs, [DiscreteMeasure.dirac(0)] * 3)
+        assert table.indptr.tolist() == [0, 0, 0, 0]
+        assert distance_matrix(prep, table, 2.0).max() == 0.0
+        assert distance_matrix(prep, table, math.inf).max() == 0.0
 
 
 class TestGramMatrix:
     def test_pinned_kernel(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0)
         K = gram_matrix(D, GramSpec(p=2.0, t=1.0))
         np.testing.assert_allclose(
             K,
@@ -136,15 +138,15 @@ class TestGramMatrix:
         np.testing.assert_array_equal(np.diag(K), np.ones(3))
 
     def test_power_form(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0)
         K = gram_matrix(D, GramSpec(p=2.0, t=0.5, form=KERNEL_EXP_POW))
         want = math.exp(-0.5 * D[0, 1] ** 2)
         assert K[0, 1] == pytest.approx(want, rel=1e-15)
 
     def test_bandwidth_scales_monotonically(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 1.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 1.0)
         k_narrow = gram_matrix(D, GramSpec(p=1.0, t=10.0))[0, 2]
         k_wide = gram_matrix(D, GramSpec(p=1.0, t=0.1))[0, 2]
         assert k_narrow < k_wide < 1.0
@@ -164,8 +166,8 @@ class TestGramMatrix:
 
 class TestDefiniteness:
     def test_clean_instance(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0)
         rep = check_negative_definite(D, 2.0, trials=200, seed=0)
         assert rep.passed
         assert rep.violations == 0
@@ -174,8 +176,8 @@ class TestDefiniteness:
         assert not rep.outside_guaranteed_range
 
     def test_flags_orders_outside_range(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 1.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 1.0)
         rep = check_negative_definite(D, 3.0, trials=10, seed=0)
         assert rep.outside_guaranteed_range
 
@@ -234,15 +236,15 @@ class TestDefiniteness:
 
 class TestDivisibility:
     def test_exponential_kernel_divisible(self, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0)
         K = gram_matrix(D, GramSpec(p=2.0, t=1.0))
         for n in (1, 2, 5, 10):
             assert divisibility_check(K, n)
 
     def test_rejects_bad_root_count(self, path_triple):
-        _, prep, vecs = path_triple
-        K = gram_matrix(distance_matrix(prep, vecs, 1.0), GramSpec(p=1.0, t=1.0))
+        _, prep, table = path_triple
+        K = gram_matrix(distance_matrix(prep, table, 1.0), GramSpec(p=1.0, t=1.0))
         with pytest.raises(ValueError):
             divisibility_check(K, 0)
 
@@ -253,8 +255,8 @@ class TestDivisibility:
 
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path, path_triple):
-        _, prep, vecs = path_triple
-        D = distance_matrix(prep, vecs, 2.0)
+        _, prep, table = path_triple
+        D = distance_matrix(prep, table, 2.0)
         path = str(tmp_path / "d.csv")
         write_matrix_csv(D, path)
         back = read_matrix_csv(path)

@@ -47,7 +47,6 @@ class TestDiscreteMeasure:
         assert mu.nodes == (3,)
         assert mu.masses == (1.0,)
         assert mu.support_size == 1
-        assert mu.max_node() == 3
 
     def test_hashable(self):
         a = DiscreteMeasure((0, 1), (0.5, 0.5))
@@ -196,6 +195,20 @@ class TestGammaMass:
         assert out == pytest.approx(away, abs=1e-12)
 
 
+def assert_table_rows(table, rs, pool):
+    """The CSR invariants of a table, and row ``k`` equal to
+    ``gamma_mass(rs, pool[k])`` bit for bit."""
+    indptr = table.indptr
+    assert table.root == rs.root and len(table) == len(pool)
+    assert indptr[0] == 0 and (np.diff(indptr) >= 0).all()
+    assert indptr[-1] == table.edge_ids.size == table.values.size
+    for k, mu in enumerate(pool):
+        row, ref = table.row(k), gamma_mass(rs, mu)
+        assert (np.diff(row.edge_ids) > 0).all()
+        assert row.edge_ids.tobytes() == ref.edge_ids.tobytes()
+        assert row.values.tobytes() == ref.values.tobytes()
+
+
 class TestGammaMasses:
     @pytest.mark.parametrize("seed", range(8))
     def test_batch_matches_one_at_a_time(self, seed):
@@ -213,29 +226,40 @@ class TestGammaMasses:
         expect = [gamma_mass(single, mu) for mu in pool]
         rs = shortest_path_tree(g, root)
         early = [gamma_mass(rs, pool[k]) for k in (1, 5)]  # cached before the batch
-        got = gamma_masses(rs, pool)
-        assert len(got) == len(pool)
-        for vec, ref, mu in zip(got, expect, pool):
+        table = gamma_masses(rs, pool)
+        assert_table_rows(table, rs, pool)
+        for k, (ref, mu) in enumerate(zip(expect, pool)):
+            row = table.row(k)
             ids, vals = walk_sums(rs, mu)
-            assert vec.edge_ids.tolist() == ref.edge_ids.tolist() == ids
-            assert vec.values.tolist() == ref.values.tolist() == vals
-        assert got[1] is early[0] and got[5] is early[1]
-        assert got[-3] is got[0] and got[-2] is got[3]
-        assert got[-4].edge_ids.size == 0
-        assert got[-1].edge_ids.size > 0 and not got[-1].values.any()
-        assert all(gamma_mass(rs, mu) is vec for mu, vec in zip(pool, got))
+            assert row.edge_ids.tolist() == ref.edge_ids.tolist() == ids
+            assert row.values.tolist() == ref.values.tolist() == vals
+        # the batch neither reads nor fills the per-measure cache
+        assert gamma_mass(rs, pool[1]) is early[0] and gamma_mass(rs, pool[5]) is early[1]
+        assert table.row(-3).values.tobytes() == table.row(0).values.tobytes()
+        assert table.row(-2).edge_ids.tobytes() == table.row(3).edge_ids.tobytes()
+        assert table.row(-4).edge_ids.size == 0
+        assert table.row(-1).edge_ids.size > 0 and not table.row(-1).values.any()
 
     def test_passes_do_not_change_bits(self, monkeypatch):
         g = random_weighted_graph(3, n_lo=60, n_hi=80)
         rng = np.random.default_rng(3)
         pool = [random_measure(rng, g.node_count, 5) for _ in range(20)]
+        # a Dirac at the root (an empty row) and a repeated measure, each
+        # landing on a pass boundary below
+        pool[7] = DiscreteMeasure.dirac(0)
+        pool[12] = pool[4]
         whole = gamma_masses(shortest_path_tree(g, 0), pool)
         # a table budget below any one measure's: one measure per pass
         monkeypatch.setattr(measures_module, "_PASS_CELLS", 3)
-        split = gamma_masses(shortest_path_tree(g, 0), pool)
-        for a, b in zip(whole, split):
-            assert a.edge_ids.tolist() == b.edge_ids.tolist()
-            assert a.values.tolist() == b.values.tolist()
+        rs = shortest_path_tree(g, 0)
+        split = gamma_masses(rs, pool)
+        for name in ("indptr", "edge_ids", "values"):
+            assert getattr(whole, name).tobytes() == getattr(split, name).tobytes()
+        assert_table_rows(split, rs, pool)
+        assert split.row(7).edge_ids.size == 0
+        # a budget of a few measures: passes of several measures each
+        monkeypatch.setattr(measures_module, "_PASS_CELLS", 60)
+        assert_table_rows(gamma_masses(rs, pool), rs, pool)
 
     def test_deep_path(self):
         # root paths thousands of edges long that overlap almost entirely
@@ -246,13 +270,26 @@ class TestGammaMasses:
         pool = [random_measure(rng, n, 6) for _ in range(8)]
         for root in (0, 1234):
             rs = shortest_path_tree(g, root)
-            for vec, mu in zip(gamma_masses(rs, pool), pool):
+            table = gamma_masses(rs, pool)
+            for k, mu in enumerate(pool):
                 ids, vals = walk_sums(rs, mu)
-                assert vec.edge_ids.tolist() == ids
-                assert vec.values.tolist() == vals
+                assert table.row(k).edge_ids.tolist() == ids
+                assert table.row(k).values.tolist() == vals
 
     def test_empty_batch(self, path_graph):
-        assert gamma_masses(shortest_path_tree(path_graph, 0), []) == []
+        table = gamma_masses(shortest_path_tree(path_graph, 0), [])
+        assert len(table) == 0 and table.indptr.tolist() == [0]
+        assert table.edge_ids.size == table.values.size == 0
+
+    def test_rows_are_read_only_views(self, path_graph):
+        table = gamma_masses(shortest_path_tree(path_graph, 0), [DiscreteMeasure.dirac(2)] * 2)
+        row = table.row(1)
+        assert np.shares_memory(row.values, table.values)
+        for arr in (table.indptr, table.edge_ids, table.values, row.edge_ids, row.values):
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        with pytest.raises(IndexError):
+            table.row(2)
 
     def test_support_outside_graph(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)

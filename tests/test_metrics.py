@@ -186,6 +186,14 @@ class TestOrderAndVariantValidation:
         with pytest.raises(RootMismatch):
             sobolev_ipm_distance(prep0, u, v, 2.0)
 
+    def test_table_from_another_root(self, path_graph):
+        _, prep0 = prepare_root(path_graph, 0)
+        rs2, _ = prepare_root(path_graph, 2)
+        table = gamma_masses(rs2, [DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1)])
+        for first, second in (([0], [1]), ([], [])):
+            with pytest.raises(RootMismatch):
+                pair_distances(prep0, table, np.array(first), np.array(second), 2.0)
+
     def test_measure_distance_variants(self, path_graph):
         rs, prep = prepare_root(path_graph, 0)
         mu, nu = DiscreteMeasure.dirac(1), DiscreteMeasure.dirac(2)
@@ -203,11 +211,11 @@ class TestOrderAndVariantValidation:
         g = random_weighted_graph(seed)
         rs, prep = prepare_root(g, 0)
         ms = random_measures(g, 6, 3, seed=seed)
-        vecs = gamma_masses(rs, ms)
+        table = gamma_masses(rs, ms)
         i, j = np.triu_indices(len(ms), 1)
-        batch = pair_distances(prep, vecs, i, j, math.inf)
+        batch = pair_distances(prep, table, i, j, math.inf)
         for k, (a, b) in enumerate(zip(i, j)):
-            one = sobolev_ipm_distance(prep, vecs[a], vecs[b], math.inf)
+            one = sobolev_ipm_distance(prep, table.row(a), table.row(b), math.inf)
             by_measure = measure_distance(rs, prep, ms[a], ms[b], math.inf)
             assert one > 0.0
             assert np.float64(one).tobytes() == np.float64(by_measure).tobytes()
@@ -364,8 +372,8 @@ class TestReducePairs:
     def test_identical_measures_at_distance_zero(self, figure_graph):
         rs, prep = prepare_root(figure_graph, 0)
         ms = [DiscreteMeasure((3, 9), (0.5, 0.5)), DiscreteMeasure.dirac(2)]
-        vecs = gamma_masses(rs, ms + [DiscreteMeasure((3, 9), (0.5, 0.5))])
-        got = pair_distances(prep, vecs, np.array([0, 0, 1, 0]), np.array([2, 1, 1, 0]), math.inf)
+        table = gamma_masses(rs, ms + [DiscreteMeasure((3, 9), (0.5, 0.5))])
+        got = pair_distances(prep, table, np.array([0, 0, 1, 0]), np.array([2, 1, 1, 0]), math.inf)
         one = measure_distance(rs, prep, ms[0], ms[1], math.inf)
         assert got.tolist() == [0.0, one, 0.0, 0.0]
         assert one > 0.0
@@ -395,7 +403,8 @@ class TestSlicedDistance:
             rs, prep = prepare_root(figure_graph, r)
             singles.append(measure_distance(rs, prep, mu, nu, 2.0))
         got = sliced_distance(figure_graph, roots, mu, nu, 2.0)
-        assert got == pytest.approx(sum(singles) / 3.0, rel=1e-15)
+        # summed in root order from 0.0, then divided once
+        assert got == sum(singles) / 3.0
 
     def test_empty_roots_rejected(self, path_graph):
         with pytest.raises(ValueError):
