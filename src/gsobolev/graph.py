@@ -19,10 +19,9 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import Disconnected, DuplicateEdge, NonPositiveWeight, ParseError
 from .errors import utf8_input
@@ -364,14 +363,15 @@ class EdgePrep:
 
 
 def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
-    """Compute every edge's downstream length in ``O(|E| + |V|)``.
+    """Compute every edge's downstream length in ``O(|E| + |V|)`` work,
+    with one vectorized step per tree level.
 
     Each edge's interior splits at the point equidistant from the root via
     either endpoint; the share reached through endpoint ``u`` of edge
     ``(u, v)`` has length ``w * clamp((dist[v] - dist[u] + w) / (2w), 0, 1)``.
     Summing the shares attached to each node and accumulating them up the
-    tree (children before parents) yields, at node ``x``, the downstream
-    length of the tree edge entering ``x``.
+    tree, level by level from the deepest, yields at node ``x`` the
+    downstream length of the tree edge entering ``x``.
     """
     if rs.graph is not g:
         raise ValueError("rooted structure was built for a different graph")
@@ -387,20 +387,15 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     np.add.at(portion, eu, shares[0])
     np.add.at(portion, ev, shares[1])
 
-    # Subtree sums sub[x] = portion[x] + sum of sub over the children of x.
-    # Numbered in reverse topological order this is a unit lower-triangular
-    # system.  The solve keeps each row's columns sorted, so it adds the
-    # children one by one in that order, exactly as a children-before-parents
-    # scan would.
+    # Subtree sums sub[x] = portion[x] + sum of sub over the children of x,
+    # one tree level at a time from the deepest.  np.add.at adds one by one,
+    # so taking each level in reverse topological order adds every parent's
+    # children in the order a children-before-parents scan would.
     rev = rs.topo_order[::-1]
-    pos = np.empty(n, dtype=np.int64)
-    pos[rev] = np.arange(n)
-    kids = rev[rev != rs.root]
-    tri = csr_array(
-        (np.full(kids.size, -1.0), (pos[rs.parent[kids]], pos[kids])), shape=(n, n)
-    )
-    sub = np.empty(n, dtype=np.float64)
-    sub[rev] = spsolve_triangular(tri, portion[rev], lower=True, unit_diagonal=True)
+    order = rev[np.argsort(-rs.depth[rev], kind="stable")]
+    sub = portion
+    for level in np.split(order, np.cumsum(np.bincount(rs.depth)[:0:-1]))[:-1]:
+        np.add.at(sub, rs.parent[level], sub[level])
 
     lam = np.zeros(m, dtype=np.float64)
     below = rs.parent_edge >= 0

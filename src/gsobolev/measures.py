@@ -17,6 +17,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_has_canonical_format
 
 from .errors import (
     MassNotNormalized,
@@ -105,9 +106,10 @@ class DiscreteMeasure:
 class SparseEdgeVector:
     """Cumulative mass per touched edge, under one root.
 
-    ``edge_ids`` is sorted and holds only edges lying on the root path of at
-    least one support point; ``values[k]`` is the mass flowing through
-    ``edge_ids[k]``.
+    ``edge_ids`` is strictly increasing and holds only edges lying on the
+    root path of at least one support point; ``values[k]`` is the mass
+    flowing through ``edge_ids[k]``.  The distance kernels rely on the order,
+    so construction checks it.
     """
 
     root: int
@@ -119,6 +121,8 @@ class SparseEdgeVector:
         vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if ids.size != vals.size:
             raise ValueError("edge_ids and values must pair up")
+        if not (ids[1:] > ids[:-1]).all():
+            raise ValueError("edge_ids must be strictly increasing")
         ids.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "edge_ids", ids)
@@ -129,7 +133,9 @@ class SparseEdgeVector:
 class GammaTable:
     """Cumulative edge vectors of a list of measures under one root, as the
     rows of a CSR layout: row ``k`` holds ``edge_ids[indptr[k]:indptr[k + 1]]``,
-    increasing, and the matching ``values``.  The arrays are read-only."""
+    increasing, and the matching ``values``.  The arrays are read-only.  The
+    distance kernels read the rows without bounds checks, so construction
+    checks the layout."""
 
     root: int
     indptr: np.ndarray
@@ -137,6 +143,15 @@ class GammaTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        ptr = self.indptr
+        if not (
+            ptr.size
+            and ptr[0] == 0
+            and ptr[-1] == self.edge_ids.size == self.values.size
+            and (ptr[1:] >= ptr[:-1]).all()
+            and csr_has_canonical_format(ptr.size - 1, ptr, self.edge_ids)
+        ):
+            raise ValueError("rows must be CSR rows of strictly increasing edge ids")
         for arr in (self.indptr, self.edge_ids, self.values):
             arr.flags.writeable = False
 

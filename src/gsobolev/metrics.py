@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
+from scipy.sparse._sparsetools import csr_matvec, csr_minus_csr, csr_row_index
 
 from .errors import InvalidExponent, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
@@ -133,11 +133,11 @@ def _reduce_pairs(
     the CSR rows ``(indptr, edges, diff)``, one row per pair.
 
     Within a row, edges come in increasing order.  Each row is reduced on
-    its own, sequentially in that order: a sparse product with a ones
-    vector, like ``bincount``, adds a row's terms one by one from 0.0, and
-    multiplying by 1.0 is exact, so a pair's bits never depend on the batch
-    it sits in.  Zero differences may be present or absent: adding ``+0.0``
-    to a nonnegative sum, or a zero to a max, changes no bit.  A row without
+    its own, sequentially in that order: scipy's ``csr_matvec`` against a
+    ones vector adds a row's terms one by one from 0.0, and multiplying by
+    1.0 is exact, so a pair's bits never depend on the batch it sits in.
+    Zero differences may be present or absent: adding ``+0.0`` to a
+    nonnegative sum, or a zero to a max, changes no bit.  A row without
     entries is at distance 0.  ``diff`` is overwritten with the terms.
     """
     n_pairs = indptr.size - 1
@@ -152,27 +152,10 @@ def _reduce_pairs(
     if p != 1.0:
         terms **= p
     terms *= weights[edges]
-    if n_pairs == 1:
-        # a sparse matrix costs tens of microseconds to build, which a
-        # single pair would pay on every call
-        total = np.bincount(np.zeros(terms.size, dtype=np.intp), terms, minlength=1)
-    else:
-        column = np.zeros(terms.size, dtype=indptr.dtype)
-        total = csr_array((terms, column, indptr), shape=(n_pairs, 1)) @ np.ones(1)
+    total = np.zeros(n_pairs)
+    column = np.zeros(terms.size, dtype=indptr.dtype)
+    csr_matvec(n_pairs, 1, indptr, column, terms, np.ones(1), total)
     return total if p == 1.0 else total ** (1.0 / p)
-
-
-def _merged_diff(
-    u: SparseEdgeVector, v: SparseEdgeVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Union of touched edges, in increasing order, and u - v on it."""
-    ids = np.concatenate([u.edge_ids, v.edge_ids])
-    uniq, inv = np.unique(ids, return_inverse=True)
-    a = np.zeros(uniq.size, dtype=np.float64)
-    b = np.zeros(uniq.size, dtype=np.float64)
-    a[inv[: u.edge_ids.size]] = u.values
-    b[inv[u.edge_ids.size :]] = v.values
-    return uniq, a - b
 
 
 def _pair_distance(
@@ -181,13 +164,31 @@ def _pair_distance(
     weights = _edge_weights(prep, p, variant)
     if not prep.root == u.root == v.root:
         raise RootMismatch(f"roots differ: prep {prep.root}, vectors {u.root} and {v.root}")
-    ids, diff = _merged_diff(u, v)
-    return float(_reduce_pairs(np.array([0, ids.size]), ids, diff, weights, p)[0])
+    size = u.edge_ids.size + v.edge_ids.size
+    indptr, edges, diff = np.empty(2, np.int64), np.empty(size, np.int64), np.empty(size)
+    csr_minus_csr(
+        1, weights.size,
+        np.array([0, u.edge_ids.size], np.int64), u.edge_ids, u.values,
+        np.array([0, v.edge_ids.size], np.int64), v.edge_ids, v.values,
+        indptr, edges, diff,
+    )
+    stored = indptr[1]
+    return float(_reduce_pairs(indptr, edges[:stored], diff[:stored], weights, p)[0])
 
 
-# Stored entries of Gamma[I] plus Gamma[J] per block of a batch: bounds the
-# temporaries of `pair_distances` whatever the number of pairs.
-_BLOCK_ENTRIES = 1 << 18
+# Stored entries of Gamma[first] plus Gamma[second] per block of a batch:
+# small enough that a block's gathered rows, merge and terms stay in cache.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _rows(rows, n: int) -> np.ndarray:
+    """``rows`` as indices in ``[0, n)``: negative rows wrap, and rows
+    outside ``[-n, n)`` raise ``IndexError`` before any kernel reads them."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and not (-n <= rows.min() and rows.max() < n):
+        bad = rows[(rows < -n) | (rows >= n)][0]
+        raise IndexError(f"row {bad} outside [-{n}, {n})")
+    return np.where(rows < 0, rows + n, rows)
 
 
 def pair_distances(
@@ -201,30 +202,47 @@ def pair_distances(
     """Distances between rows ``first[k]`` and ``second[k]`` of ``table``
     for every ``k``, under one prepared root.
 
-    The rows form one sparse matrix ``Gamma``, and ``Gamma[first] -
-    Gamma[second]`` yields each pair's differences with edges sorted and
-    exact zeros dropped.  Pairs run in blocks of bounded stored size.  Every
-    entry equals the per-pair functions' value bit for bit.
+    Pairs run in blocks of about ``_BLOCK_ENTRIES`` stored entries.  Per
+    block, scipy's CSR kernels work on the table's own arrays: one gathers
+    the ``first`` and the ``second`` rows, one merges them into each pair's
+    differences with edges sorted and exact zeros dropped, and
+    :func:`_reduce_pairs` sums each pair.  Their outputs go into buffers
+    allocated once, sized from the blocks' exact entry counts; the kernels
+    do not bounds-check, so rows are validated first.  Every entry equals
+    the per-pair functions' value bit for bit.
     """
     weights = _edge_weights(prep, p, variant)
     if prep.root != table.root:
         raise RootMismatch(f"roots differ: prep {prep.root}, table {table.root}")
-    first = np.asarray(first, dtype=np.intp)
-    second = np.asarray(second, dtype=np.intp)
+    first, second = _rows(first, len(table)), _rows(second, len(table))
+    if first.size != second.size:
+        raise ValueError(f"{first.size} first rows against {second.size} second rows")
     out = np.empty(first.size)
     if first.size == 0:
         return out
-    gamma = csr_matrix(
-        (table.values, table.edge_ids, table.indptr),
-        shape=(len(table), prep.edge_lengths.size),
-    )
     nnz = np.diff(table.indptr)
-    cost = np.cumsum(nnz[first] + nnz[second])
+    a_end, b_end = (np.concatenate([[0], np.cumsum(nnz[rows])]) for rows in (first, second))
+    cost = a_end[1:] + b_end[1:]
     cuts = np.searchsorted(cost, np.arange(_BLOCK_ENTRIES, cost[-1], _BLOCK_ENTRIES))
     bounds = np.unique(np.concatenate([[0], cuts, [first.size]]))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        d = gamma[first[start:stop]] - gamma[second[start:stop]]
-        out[start:stop] = _reduce_pairs(d.indptr, d.indices, d.data, weights, p)
+    a_size, b_size = (np.diff(end[bounds]).max() for end in (a_end, b_end))
+    a_edges, a_values = np.empty(a_size, np.int64), np.empty(a_size)
+    b_edges, b_values = np.empty(b_size, np.int64), np.empty(b_size)
+    indptr = np.empty(np.diff(bounds).max() + 1, np.int64)
+    edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
+    layout = table.indptr, table.edge_ids, table.values
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        k = stop - start
+        csr_row_index(k, first[start:stop], *layout, a_edges, a_values)
+        csr_row_index(k, second[start:stop], *layout, b_edges, b_values)
+        csr_minus_csr(
+            k, weights.size,
+            a_end[start : stop + 1] - a_end[start], a_edges, a_values,
+            b_end[start : stop + 1] - b_end[start], b_edges, b_values,
+            indptr, edges, diff,
+        )
+        stored = indptr[k]
+        out[start:stop] = _reduce_pairs(indptr[: k + 1], edges[:stored], diff[:stored], weights, p)
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from gsobolev import (
     DiscreteMeasure,
+    GammaTable,
     Graph,
     MassNotNormalized,
     NegativeMass,
@@ -111,6 +112,11 @@ class TestSparseEdgeVector:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SparseEdgeVector(0, np.array([1]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("ids", [[5, 2], [2, 2], [1, 4, 3]])
+    def test_edge_ids_must_increase(self, ids):
+        with pytest.raises(ValueError):
+            SparseEdgeVector(0, ids, [0.5] * len(ids))
 
     def test_frozen(self):
         vec = SparseEdgeVector(0, np.array([1]), np.array([1.0]))
@@ -290,6 +296,28 @@ class TestGammaMasses:
                 arr[:1] = 0
         with pytest.raises(IndexError):
             table.row(2)
+
+    @pytest.mark.parametrize(
+        "indptr, edge_ids",
+        [
+            ([], []),  # no row pointer at all
+            ([1, 2], [0, 1]),  # does not start at 0
+            ([0, 3], [0, 1]),  # ends past the entries
+            ([0, 1], [0, 1]),  # ends before them
+            ([0, 2, 1, 2], [0, 1]),  # falls
+            ([0, 9, 2], [0, 1]),  # passes the end, then falls back
+            ([0, 2], [1, 0]),  # edges fall within a row
+            ([0, 3], [0, 2, 2]),  # an edge repeats within a row
+        ],
+    )
+    def test_malformed_layout_rejected(self, indptr, edge_ids):
+        indptr, edge_ids = np.array(indptr, dtype=np.int64), np.array(edge_ids, dtype=np.int64)
+        with pytest.raises(ValueError):
+            GammaTable(0, indptr, edge_ids, np.ones(edge_ids.size))
+
+    def test_rows_may_restart_and_be_empty(self):
+        table = GammaTable(0, np.array([0, 2, 2, 3]), np.array([3, 5, 1]), np.ones(3))
+        assert [table.row(k).edge_ids.tolist() for k in range(3)] == [[3, 5], [], [1]]
 
     def test_support_outside_graph(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)

@@ -12,6 +12,7 @@ from gsobolev import (
     EdgePrep,
     InvalidExponent,
     RootMismatch,
+    VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
     beta_quadrature,
     beta_weights,
@@ -27,7 +28,8 @@ from gsobolev import (
     sobolev_ipm_distance,
     sobolev_transport_distance,
 )
-from gsobolev.metrics import _reduce_pairs
+from gsobolev import metrics
+from gsobolev.metrics import _edge_weights, _reduce_pairs
 from conftest import random_weighted_graph
 
 
@@ -377,6 +379,128 @@ class TestReducePairs:
         one = measure_distance(rs, prep, ms[0], ms[1], math.inf)
         assert got.tolist() == [0.0, one, 0.0, 0.0]
         assert one > 0.0
+
+
+def merge_pool(seed: int, support: int = 3):
+    """A prepared root and a table whose rows include a root Dirac (an
+    empty row), a repeated measure and a zero-mass support point (stored
+    zeros)."""
+    g = random_weighted_graph(seed, 30, 60)
+    rs, prep = prepare_root(g, 0)
+    ms = random_measures(g, 8, support, seed=seed)
+    deep = int(np.argmax(rs.depth))
+    ms += [
+        DiscreteMeasure.dirac(0),
+        ms[2],
+        DiscreteMeasure((1 if deep != 1 else 2, deep), (1.0, 0.0)),
+    ]
+    table = gamma_masses(rs, ms)
+    assert np.diff(table.indptr)[8] == 0 and (table.values == 0.0).any()
+    return rs, prep, table
+
+
+def oracle_distances(table, first, second, weights, p):
+    """Naive pair distances: a dict union of the two rows, edges sorted,
+    terms summed one by one in Python.  Powers are taken as numpy arrays,
+    as the library takes them."""
+    weights = weights.tolist()
+    sums = []
+    for a, b in zip(first, second):
+        u, v = (dict(zip(r.edge_ids.tolist(), r.values.tolist())) for r in map(table.row, (a, b)))
+        edges = sorted(u.keys() | v.keys())
+        diff = np.abs(np.array([u.get(e, 0.0) - v.get(e, 0.0) for e in edges]))
+        terms = diff if p in (1.0, math.inf) else diff**p
+        acc = 0.0
+        for e, term in zip(edges, terms.tolist()):
+            acc = max(acc, term * weights[e]) if math.isinf(p) else acc + term * weights[e]
+        sums.append(acc)
+    sums = np.array(sums)
+    return sums if p in (1.0, math.inf) else sums ** (1.0 / p)
+
+
+class TestMergeOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "p, variant",
+        [(p, VARIANT_SOBOLEV_IPM) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
+        + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0, 3.0)],
+    )
+    def test_batch_and_per_pair_equal_naive_merge(self, seed, p, variant):
+        _, prep, table = merge_pool(seed)
+        n = len(table)
+        first, second = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+        want = oracle_distances(table, first, second, _edge_weights(prep, p, variant), p)
+        assert want[(first == 8) & (second != 8)].min() > 0.0
+        assert want[first == second].tolist() == [0.0] * n
+        assert want[(first == 2) & (second == 9)].tolist() == [0.0]
+        got = pair_distances(prep, table, first, second, p, variant)
+        assert got.tobytes() == want.tobytes()
+        per_pair = sobolev_ipm_distance
+        if variant == VARIANT_SOBOLEV_TRANSPORT:
+            per_pair = sobolev_transport_distance
+        for k, (a, b) in enumerate(zip(first, second)):
+            one = per_pair(prep, table.row(a), table.row(b), p)
+            assert np.float64(one).tobytes() == want[k].tobytes()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("p", [1.5, math.inf])
+    def test_block_size_changes_no_bit(self, monkeypatch, p):
+        _, prep, table = merge_pool(4, support=6)
+        i, j = np.triu_indices(len(table))
+        default = pair_distances(prep, table, i, j, p)
+        assert np.diff(table.indptr).max() > 5  # a pair overflows the smaller blocks
+        for entries in (1, 2, 5, 64):
+            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+            assert pair_distances(prep, table, i, j, p).tobytes() == default.tobytes()
+
+
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """The scipy kernels raise if called: checks must come first."""
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("csr_row_index", "csr_minus_csr", "csr_matvec"):
+        monkeypatch.setattr(metrics, name, kernel)
+
+
+class TestRowSafety:
+    @pytest.mark.parametrize("bad", [4, 5, -5, 1 << 40, -(1 << 40)])
+    def test_out_of_range_rows_raise(self, path_graph, no_kernels, bad):
+        rs, prep = prepare_root(path_graph, 0)
+        table = gamma_masses(rs, [DiscreteMeasure.dirac(x) for x in (0, 1, 2, 1)])
+        with pytest.raises(IndexError):
+            pair_distances(prep, table, np.array([0, bad]), np.array([1, 2]), 2.0)
+        with pytest.raises(IndexError):
+            pair_distances(prep, table, np.array([0, 1]), np.array([bad, 2]), 2.0)
+
+    def test_unequal_lengths_raise(self, path_graph, no_kernels):
+        rs, prep = prepare_root(path_graph, 0)
+        table = gamma_masses(rs, [DiscreteMeasure.dirac(x) for x in (0, 1, 2)])
+        for first, second in (([0, 1], [2]), ([0], [1, 2]), ([], [1])):
+            with pytest.raises(ValueError):
+                pair_distances(prep, table, np.array(first), np.array(second), 2.0)
+
+    def test_empty_input(self, path_graph, no_kernels):
+        rs, prep = prepare_root(path_graph, 0)
+        table = gamma_masses(rs, [DiscreteMeasure.dirac(1)])
+        got = pair_distances(prep, table, np.array([], dtype=int), np.array([], dtype=int), 2.0)
+        assert got.dtype == np.float64 and got.shape == (0,)
+        rs2, _ = prepare_root(path_graph, 2)
+        other = gamma_masses(rs2, [DiscreteMeasure.dirac(1)])
+        with pytest.raises(RootMismatch):
+            pair_distances(prep, other, np.array([]), np.array([]), 2.0)
+
+    def test_negative_rows_wrap(self):
+        _, prep, table = merge_pool(5)
+        n = len(table)
+        first, second = np.array([-1, -n, 3, -3]), np.array([0, -2, -11, -9])
+        got = pair_distances(prep, table, first, second, 2.0)
+        want = pair_distances(prep, table, first % n, second % n, 2.0)
+        assert got.tobytes() == want.tobytes()
+        assert got.min() > 0.0
 
 
 class TestSlicedDistance:
