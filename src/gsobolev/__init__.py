@@ -46,7 +46,6 @@ from .kernels import (
 from .measures import (
     DiscreteMeasure,
     GammaTable,
-    SparseEdgeVector,
     gamma_mass,
     gamma_masses,
     load_measures,

@@ -34,7 +34,7 @@ from .kernels import (
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
-    distance_matrix,
+    _symmetric,
     gram_matrix,
     min_eigenvalue,
     quadratic_form_violations,
@@ -191,10 +191,6 @@ def _scan_pairs(path: str, n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
-# Lines per formatted block of the distance CSV.
-_CSV_BLOCK = 4096
-
-
 def _write_distance_csv(
     path: str, first: np.ndarray, second: np.ndarray, values: np.ndarray
 ) -> None:
@@ -202,7 +198,34 @@ def _write_distance_csv(
     formatted one block of lines per ``%`` operation."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,distance\n")
-        _write_lines(fh, "%d,%d,%.17g\n", (first, second, values), _CSV_BLOCK)
+        _write_lines(fh, "%d,%d,%.17g\n", (first, second, values))
+
+
+def _root_mean(
+    g: Graph, measures: list[DiscreteMeasure], roots: list[int],
+    first: np.ndarray, second: np.ndarray, p: float, variant: str,
+) -> tuple[np.ndarray, float, float]:
+    """Distances between ``measures[first[k]]`` and ``measures[second[k]]``
+    averaged over ``roots`` as ``sliced_distance`` averages them (a sum in
+    root order from 0.0, then one division), with the set-up time (trees
+    and λ) and the evaluation time (Γ and distances) in ms.  Γ is built
+    per root for the measures the pairs use, one table at a time."""
+    t0 = time.perf_counter()
+    prepared = [prepare_root(g, r) for r in roots]
+    prep_ms = (time.perf_counter() - t0) * 1e3
+
+    t0 = time.perf_counter()
+    # Row slot[k] of each table holds measure k, for the measures in use.
+    used = np.bincount(np.concatenate([first, second]), minlength=len(measures)) > 0
+    slot = np.cumsum(used) - 1
+    pool = [measures[k] for k in np.flatnonzero(used)]
+    acc = np.zeros(first.size)
+    for rs, prep in prepared:
+        table = gamma_masses(rs, pool)
+        acc += pair_distances(prep, table, slot[first], slot[second], p, variant)
+        del table
+    acc /= len(roots)
+    return acc, prep_ms, (time.perf_counter() - t0) * 1e3
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -218,22 +241,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
     else:
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
-    t0 = time.perf_counter()
-    prepared = {r: prepare_root(g, r) for r in roots}
-    prep_ms = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    # Cumulative vectors only for the measures some pair references.
-    used, slot = np.unique(np.concatenate([first, second]), return_inverse=True)
-    acc = np.zeros(first.size)
-    for r in roots:
-        rs, prep = prepared[r]
-        table = gamma_masses(rs, [measures[k] for k in used])
-        acc += pair_distances(prep, table, slot[: first.size], slot[first.size :], p, variant)
-    acc /= len(roots)
-    eval_ms = (time.perf_counter() - t0) * 1e3
-
-    _write_distance_csv(args.out, first, second, acc)
+    values, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, variant)
+    _write_distance_csv(args.out, first, second, values)
     print(
         f"distance: {first.size} pairs, {len(roots)} root(s), "
         f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms -> {args.out}",
@@ -255,24 +264,18 @@ def cmd_gram(args: argparse.Namespace) -> int:
         raise CliError(f"bandwidth --t must be positive and finite, got {args.t}")
     _require_out_path(args.out)
     g, measures, roots = _load_inputs(args)
-
-    t0 = time.perf_counter()
-    prepared = {r: prepare_root(g, r) for r in roots}
-    tables = {r: gamma_masses(rs, measures) for r, (rs, _) in prepared.items()}
-    prep_ms = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
     n = len(measures)
-    D = np.zeros((n, n))
-    for r in roots:
-        D += distance_matrix(prepared[r][1], tables[r], p)
-    D /= len(roots)
+    first, second = np.triu_indices(n, 1)
+    d, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, VARIANT_SOBOLEV_IPM)
+
+    t0 = time.perf_counter()
+    D = _symmetric(n, first, second, d)
     spec = GramSpec(
         p=p, t=args.t, form=KERNEL_FLAGS[args.kernel],
         allow_outside_range=args.allow_outside_range,
     )
     K = gram_matrix(D, spec)
-    gram_ms = (time.perf_counter() - t0) * 1e3
+    gram_ms = eval_ms + (time.perf_counter() - t0) * 1e3
 
     write_matrix_csv(K, args.out)
     nd_violations, _ = quadratic_form_violations(D, trials=200, seed=args.seed)

@@ -210,18 +210,16 @@ def _edge_line_error(path: str) -> ParseError:
     return ParseError(f"{path}: cannot parse edge lines")
 
 
-# Lines per formatted block of a graph file.
+# Lines per formatted block of a written file (graph file, distance CSV).
 _LINE_BLOCK = 4096
 
 
-def _write_lines(
-    fh: TextIO, line: str, columns: tuple[np.ndarray, ...], block: int
-) -> None:
+def _write_lines(fh: TextIO, line: str, columns: tuple[np.ndarray, ...]) -> None:
     """Write ``line % row`` for every row of the equal-length ``columns``,
-    formatted one block of ``block`` lines per ``%`` operation."""
+    formatted one block of ``_LINE_BLOCK`` lines per ``%`` operation."""
     width, count = len(columns), len(columns[0])
-    for start in range(0, count, block):
-        stop = min(start + block, count)
+    for start in range(0, count, _LINE_BLOCK):
+        stop = min(start + _LINE_BLOCK, count)
         cells: list = [None] * (width * (stop - start))
         for k, col in enumerate(columns):
             cells[k::width] = col[start:stop].tolist()
@@ -233,7 +231,7 @@ def save_graph(g: Graph, path: str) -> None:
     17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.node_count} {g.edge_count}\n")
-        _write_lines(fh, "%d %d %.17g\n", (g.edge_u, g.edge_v, g.edge_w), _LINE_BLOCK)
+        _write_lines(fh, "%d %d %.17g\n", (g.edge_u, g.edge_v, g.edge_w))
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,7 +52,12 @@ def distance_matrix(
     is the per-pair functions' value, bit for bit."""
     n = len(table)
     i, j = np.triu_indices(n, 1)
-    d = pair_distances(prep, table, i, j, p, variant)
+    return _symmetric(n, i, j, pair_distances(prep, table, i, j, p, variant))
+
+
+def _symmetric(n: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The symmetric ``n x n`` array with ``d[k]`` at ``(i[k], j[k])`` and
+    ``(j[k], i[k])``, zero elsewhere."""
     out = np.zeros((n, n))
     out[i, j] = d
     out[j, i] = d

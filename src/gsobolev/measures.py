@@ -3,9 +3,10 @@
 A :class:`DiscreteMeasure` is a probability measure supported on graph nodes.
 For a fixed root, each measure collapses to a sparse vector indexed by edge
 id: the entry at edge ``e`` is the total mass whose recorded root path
-crosses ``e``.  Distances only ever read these vectors: a list of measures
-becomes one :class:`GammaTable`, and a single measure's vector is cached on
-the rooted structure, keyed by the (hashable) measure.
+crosses ``e``.  Distances only ever read these vectors, as the rows of a
+:class:`GammaTable`: a list of measures becomes one table, and a single
+measure's vector is a one-row table cached on the rooted structure, keyed by
+the (hashable) measure.
 """
 
 from __future__ import annotations
@@ -103,39 +104,12 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseEdgeVector:
-    """Cumulative mass per touched edge, under one root.
-
-    ``edge_ids`` is strictly increasing and holds only edges lying on the
-    root path of at least one support point; ``values[k]`` is the mass
-    flowing through ``edge_ids[k]``.  The distance kernels rely on the order,
-    so construction checks it.
-    """
-
-    root: int
-    edge_ids: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        ids = np.asarray(self.edge_ids, dtype=np.int64).reshape(-1)
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if ids.size != vals.size:
-            raise ValueError("edge_ids and values must pair up")
-        if not (ids[1:] > ids[:-1]).all():
-            raise ValueError("edge_ids must be strictly increasing")
-        ids.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "edge_ids", ids)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
 class GammaTable:
     """Cumulative edge vectors of a list of measures under one root, as the
     rows of a CSR layout: row ``k`` holds ``edge_ids[indptr[k]:indptr[k + 1]]``,
-    increasing, and the matching ``values``.  The arrays are read-only.  The
-    distance kernels read the rows without bounds checks, so construction
-    checks the layout."""
+    increasing, and the matching ``values``; one measure's vector is a
+    one-row table.  The arrays are read-only.  The distance kernels read the
+    rows without bounds checks, so construction checks the layout."""
 
     root: int
     indptr: np.ndarray
@@ -158,11 +132,13 @@ class GammaTable:
     def __len__(self) -> int:
         return self.indptr.size - 1
 
-    def row(self, k: int) -> SparseEdgeVector:
-        """Row ``k`` (negative from the end) as a vector viewing the table's arrays."""
+    def row(self, k: int) -> "GammaTable":
+        """Row ``k`` (negative from the end) as a one-row table viewing this
+        table's arrays."""
         k = range(len(self))[k]
         a, b = self.indptr[k], self.indptr[k + 1]
-        return SparseEdgeVector(self.root, self.edge_ids[a:b], self.values[a:b])
+        ptr = self.indptr[k : k + 2] - a
+        return GammaTable(self.root, ptr, self.edge_ids[a:b], self.values[a:b])
 
 
 # Cells of the (support points x steps) root-path table built per pass of
@@ -170,12 +146,13 @@ class GammaTable:
 _PASS_CELLS = 1 << 20
 
 
-def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> SparseEdgeVector:
-    """Cumulative edge vector of ``mu`` under the root of ``rs``: row 0 of
-    :func:`gamma_masses` on ``[mu]``, cached on ``rs`` per measure, as
-    per-pair callers look the same measures up again and again."""
+def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> GammaTable:
+    """Cumulative edge vector of ``mu`` under the root of ``rs``: the
+    one-row table :func:`gamma_masses` gives for ``[mu]``, cached on ``rs``
+    per measure, as per-pair callers look the same measures up again and
+    again."""
     if mu not in rs._gamma_cache:
-        rs._gamma_cache[mu] = gamma_masses(rs, [mu]).row(0)
+        rs._gamma_cache[mu] = gamma_masses(rs, [mu])
     return rs._gamma_cache[mu]
 
 

@@ -11,7 +11,8 @@ edge.  The Sobolev transport baseline replaces ``beta_e(p)`` by the raw edge
 length.  The order ``p = inf`` takes a weighted maximum instead of a sum.
 
 Per-pair evaluation touches only the edges on the supports' root paths, so
-its cost is independent of the ambient graph size once a root is prepared.
+once a root is prepared its cost follows the supports' sizes times their
+root-path depths, not the ambient graph size.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.sparse._sparsetools import csr_matvec, csr_minus_csr, csr_row_index
 
 from .errors import InvalidExponent, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
-from .measures import DiscreteMeasure, GammaTable, SparseEdgeVector, gamma_mass
+from .measures import DiscreteMeasure, GammaTable, gamma_mass
 
 VARIANT_SOBOLEV_IPM = "regularized_sobolev_ipm"
 VARIANT_SOBOLEV_TRANSPORT = "sobolev_transport"
@@ -158,22 +159,34 @@ def _reduce_pairs(
     return total if p == 1.0 else total ** (1.0 / p)
 
 
+def _merge_reduce(
+    k: int, a: tuple, b: tuple, weights: np.ndarray, p: float,
+    indptr: np.ndarray, edges: np.ndarray, diff: np.ndarray,
+) -> np.ndarray:
+    """Distances of ``k`` pairs, pair ``i`` between row ``i`` of the CSR
+    layouts ``a`` and ``b`` (each ``(indptr, edge ids, values)``).  scipy's
+    ``csr_minus_csr`` merges them into ``indptr``, ``edges`` and ``diff``
+    (unchecked, so they must fit), edges sorted and exact zeros dropped,
+    and :func:`_reduce_pairs` sums each pair."""
+    csr_minus_csr(k, weights.size, *a, *b, indptr, edges, diff)
+    stored = indptr[k]
+    return _reduce_pairs(indptr[: k + 1], edges[:stored], diff[:stored], weights, p)
+
+
 def _pair_distance(
-    prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float, variant: str
+    prep: EdgePrep, u: GammaTable, v: GammaTable, p: float, variant: str
 ) -> float:
     weights = _edge_weights(prep, p, variant)
+    if u.indptr.size != 2 or v.indptr.size != 2:
+        raise ValueError(f"need one-row tables, got {len(u)} and {len(v)} rows")
     if not prep.root == u.root == v.root:
-        raise RootMismatch(f"roots differ: prep {prep.root}, vectors {u.root} and {v.root}")
+        raise RootMismatch(f"roots differ: prep {prep.root}, tables {u.root} and {v.root}")
     size = u.edge_ids.size + v.edge_ids.size
-    indptr, edges, diff = np.empty(2, np.int64), np.empty(size, np.int64), np.empty(size)
-    csr_minus_csr(
-        1, weights.size,
-        np.array([0, u.edge_ids.size], np.int64), u.edge_ids, u.values,
-        np.array([0, v.edge_ids.size], np.int64), v.edge_ids, v.values,
-        indptr, edges, diff,
+    d = _merge_reduce(
+        1, (u.indptr, u.edge_ids, u.values), (v.indptr, v.edge_ids, v.values), weights, p,
+        np.empty(2, np.int64), np.empty(size, np.int64), np.empty(size),
     )
-    stored = indptr[1]
-    return float(_reduce_pairs(indptr, edges[:stored], diff[:stored], weights, p)[0])
+    return float(d[0])
 
 
 # Stored entries of Gamma[first] plus Gamma[second] per block of a batch:
@@ -203,13 +216,12 @@ def pair_distances(
     for every ``k``, under one prepared root.
 
     Pairs run in blocks of about ``_BLOCK_ENTRIES`` stored entries.  Per
-    block, scipy's CSR kernels work on the table's own arrays: one gathers
-    the ``first`` and the ``second`` rows, one merges them into each pair's
-    differences with edges sorted and exact zeros dropped, and
-    :func:`_reduce_pairs` sums each pair.  Their outputs go into buffers
+    block, scipy's ``csr_row_index`` gathers the ``first`` and the
+    ``second`` rows from the table's own arrays, and :func:`_merge_reduce`
+    turns them into distances, as it does for the per-pair functions, whose
+    values every entry equals bit for bit.  The outputs go into buffers
     allocated once, sized from the blocks' exact entry counts; the kernels
-    do not bounds-check, so rows are validated first.  Every entry equals
-    the per-pair functions' value bit for bit.
+    do not bounds-check, so rows are validated first.
     """
     weights = _edge_weights(prep, p, variant)
     if prep.root != table.root:
@@ -235,30 +247,28 @@ def pair_distances(
         k = stop - start
         csr_row_index(k, first[start:stop], *layout, a_edges, a_values)
         csr_row_index(k, second[start:stop], *layout, b_edges, b_values)
-        csr_minus_csr(
-            k, weights.size,
-            a_end[start : stop + 1] - a_end[start], a_edges, a_values,
-            b_end[start : stop + 1] - b_end[start], b_edges, b_values,
-            indptr, edges, diff,
+        out[start:stop] = _merge_reduce(
+            k,
+            (a_end[start : stop + 1] - a_end[start], a_edges, a_values),
+            (b_end[start : stop + 1] - b_end[start], b_edges, b_values),
+            weights, p, indptr, edges, diff,
         )
-        stored = indptr[k]
-        out[start:stop] = _reduce_pairs(indptr[: k + 1], edges[:stored], diff[:stored], weights, p)
     return out
 
 
-def sobolev_ipm_distance(
-    prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float
-) -> float:
-    """Regularized Sobolev IPM of order ``p`` from cumulative vectors.  At
-    ``p = inf`` it is the max over touched edges of
-    ``|difference| / (1 + downstream length)``."""
+def sobolev_ipm_distance(prep: EdgePrep, u: GammaTable, v: GammaTable, p: float) -> float:
+    """Regularized Sobolev IPM of order ``p`` between two measures given as
+    one-row cumulative-vector tables (:func:`gamma_mass`); a table of any
+    other row count raises ``ValueError``.  At ``p = inf`` it is the max
+    over touched edges of ``|difference| / (1 + downstream length)``."""
     return _pair_distance(prep, u, v, p, VARIANT_SOBOLEV_IPM)
 
 
 def sobolev_transport_distance(
-    prep: EdgePrep, u: SparseEdgeVector, v: SparseEdgeVector, p: float
+    prep: EdgePrep, u: GammaTable, v: GammaTable, p: float
 ) -> float:
-    """Unregularized transport baseline: edge lengths as weights."""
+    """Unregularized transport baseline: edge lengths as weights, on the
+    same one-row tables."""
     return _pair_distance(prep, u, v, p, VARIANT_SOBOLEV_TRANSPORT)
 
 

@@ -225,24 +225,33 @@ def test_criterion_7_ambient_size_independence(acceptance, scale_instances):
     g_small, g_big = scale_instances
     edge_growth = g_big.edge_count / g_small.edge_count
 
-    times = {}
-    cache_ok = True
+    sides = {}
     for name, g, seed in (("small", g_small, 71), ("big", g_big, 72)):
         rs, prep = prepare_root(g, 0)
         beta_weights(prep, 2.0)
         ms = random_measures(g, 40, 5, seed=seed)
         vecs = [gamma_mass(rs, mu) for mu in ms]
         pairs = sample_index_pairs(np.random.default_rng(seed), 40, 300)
+        sides[name] = (rs, prep, ms, vecs, pairs)
 
-        def run():
-            for i, j in pairs:
-                sobolev_ipm_distance(prep, vecs[i], vecs[j], 2.0)
+    def run(name):
+        _, prep, _, vecs, pairs = sides[name]
+        for i, j in pairs:
+            sobolev_ipm_distance(prep, vecs[i], vecs[j], 2.0)
 
-        times[name] = min_total_seconds(run) / len(pairs)
-        # per-root preprocessing artifacts are cached, never rebuilt per pair
-        cache_ok = cache_ok and beta_weights(prep, 2.0) is beta_weights(prep, 2.0)
-        cache_ok = cache_ok and gamma_mass(rs, ms[0]) is vecs[0]
+    # each timed loop lasts a few ms; alternating the sides over many
+    # repeats keeps a host stall from landing on one side's repeats only
+    best = {name: math.inf for name in sides}
+    for _ in range(9):
+        for name in sides:
+            best[name] = min(best[name], min_total_seconds(partial(run, name), repeats=1))
+    times = {name: best[name] / len(sides[name][4]) for name in sides}
 
+    # per-root preprocessing artifacts are cached, never rebuilt per pair
+    cache_ok = all(
+        beta_weights(prep, 2.0) is beta_weights(prep, 2.0) and gamma_mass(rs, ms[0]) is vecs[0]
+        for rs, prep, ms, vecs, _ in sides.values()
+    )
     growth = times["big"] / times["small"]
     ok = edge_growth > 10.0 and growth < 2.0 and cache_ok
     acceptance(

@@ -10,10 +10,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gsobolev
-from gsobolev import load_graph, load_measures, sample_roots, sliced_distance
+from gsobolev import (
+    GramSpec,
+    KERNEL_EXP,
+    KERNEL_EXP_POW,
+    gram_matrix,
+    load_graph,
+    load_measures,
+    random_measures,
+    random_tree,
+    sample_roots,
+    save_graph,
+    save_measures,
+    sliced_distance,
+)
 from gsobolev.cli import _parse_p, _parse_root, CliError, main
 from gsobolev.verify import SuiteReport, SuiteCheck
 from conftest import read_matrix_csv
@@ -306,15 +320,51 @@ class TestBatchPath:
              "--out", "O"],
         ],
     )
-    def test_builds_no_vector(self, files, monkeypatch, argv):
-        # the batch path reads the Gamma table's arrays directly; a
-        # per-measure SparseEdgeVector built anywhere on it raises here
-        def refuse(self):
-            raise AssertionError("SparseEdgeVector built on the batch path")
+    def test_one_table_per_root(self, files, monkeypatch, argv):
+        # the batch path reads one Gamma table per root, in root order, and
+        # builds no other: no per-measure table, no row view
+        built = []
+        check = gsobolev.measures.GammaTable.__post_init__
 
-        monkeypatch.setattr(gsobolev.measures.SparseEdgeVector, "__post_init__", refuse)
+        def counted(self):
+            built.append(self.root)
+            check(self)
+
+        monkeypatch.setattr(gsobolev.measures.GammaTable, "__post_init__", counted)
         names = {"G": files["graph"], "M": files["measures"], "O": str(files["dir"] / "o.csv")}
-        assert main([names.get(a, a) for a in argv]) == 0
+        argv = [names.get(a, a) for a in argv]
+        assert main(argv) == 0
+        sliced = "--root" in argv
+        assert built == (sample_roots(load_graph(files["graph"]), 3, 1) if sliced else [0])
+
+
+class TestSlicedGram:
+    @pytest.mark.parametrize(
+        "p, kernel", [("1.5", "exp-pow"), ("1", "exp"), ("2", "exp-pow"), ("1.5", "exp")]
+    )
+    def test_gram_equals_kernel_of_distance_output(self, tmp_path, p, kernel):
+        # gram over sliced roots against the distance command's own values,
+        # read back exactly (17 significant digits) and put through the kernel
+        g = random_tree(40, seed=5)
+        ms = random_measures(g, 12, 4, seed=6)
+        save_graph(g, str(tmp_path / "g.graph"))
+        save_measures(ms, str(tmp_path / "m.measures"))
+        d_out, k_out = str(tmp_path / "d.csv"), str(tmp_path / "k.csv")
+        common = ["--graph", str(tmp_path / "g.graph"), "--measures", str(tmp_path / "m.measures"),
+                  "--root", "sliced:3:1", "--p", p]
+        assert main(["distance", *common, "--pairs", "all", "--out", d_out]) == 0
+        assert main(["gram", *common, "--kernel", kernel, "--out", k_out]) == 0
+        n = len(ms)
+        D = np.zeros((n, n))
+        for (i, j), d in read_distance_csv(d_out).items():
+            D[i, j] = D[j, i] = d
+        assert np.count_nonzero(D) == n * (n - 1)
+        form = KERNEL_EXP_POW if kernel == "exp-pow" else KERNEL_EXP
+        want = gram_matrix(D, GramSpec(p=float(p), t=1.0, form=form))
+        assert Path(k_out).read_text().partition("\n")[0] == str(n)
+        got = np.loadtxt(k_out, delimiter=",", skiprows=1)
+        assert got.tobytes() == want.tobytes()
+        assert (np.diag(got) == 1.0).all()
 
 
 class TestGramCommand:
@@ -385,7 +435,7 @@ class TestVerifyCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "verification passed" in text
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload[0]["suite"] == "tree"
         assert payload[0]["passed"] is True
         assert payload[0]["checks"][0]["violations"] == 0

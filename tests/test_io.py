@@ -33,7 +33,7 @@ from gsobolev import (
     save_graph,
     write_matrix_csv,
 )
-from gsobolev import cli, graph
+from gsobolev import graph
 from gsobolev.cli import _parse_pairs, _write_distance_csv
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -356,7 +356,7 @@ class TestDistanceCsv:
 
     @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 20])
     def test_block_bytes_equal_per_line_bytes(self, tmp_path, monkeypatch, count):
-        monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+        monkeypatch.setattr(graph, "_LINE_BLOCK", 7)
         rng = np.random.default_rng(count)
         first = np.sort(rng.integers(0, 10**6, count))
         second = first + rng.integers(0, 10**6, count)
@@ -368,7 +368,7 @@ class TestDistanceCsv:
 
     def test_default_block_spans_several_blocks(self, tmp_path):
         rng = np.random.default_rng(1)
-        count = 2 * cli._CSV_BLOCK + 3
+        count = 2 * graph._LINE_BLOCK + 3
         first, second = np.triu_indices(200, 1)
         first, second = first[:count], second[:count]
         values = np.abs(rng.standard_normal(count)) * 10.0 ** rng.integers(-300, 300, count)

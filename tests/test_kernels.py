@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ class TestMatrixCsv:
         write_matrix_csv(D, path)
         back = read_matrix_csv(path)
         np.testing.assert_array_equal(back, D)
-        first = open(path).readline().strip()
+        first = Path(path).read_text().partition("\n")[0]
         assert first == "3"
 
     def test_empty_file(self, tmp_path):

@@ -13,7 +13,6 @@ from gsobolev import (
     NegativeMass,
     NodeOutOfRange,
     ParseError,
-    SparseEdgeVector,
     gamma_mass,
     gamma_masses,
     load_measures,
@@ -103,31 +102,12 @@ class TestDiscreteMeasure:
             DiscreteMeasure.normalized([(0, 0.0)])
 
 
-class TestSparseEdgeVector:
-    def test_pairs(self):
-        vec = SparseEdgeVector(0, [2, 5], [0.25, 1.0])
-        assert vec.edge_ids.dtype == np.int64 and vec.edge_ids.tolist() == [2, 5]
-        assert vec.values.dtype == np.float64 and vec.values.tolist() == [0.25, 1.0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SparseEdgeVector(0, np.array([1]), np.array([0.5, 0.5]))
-
-    @pytest.mark.parametrize("ids", [[5, 2], [2, 2], [1, 4, 3]])
-    def test_edge_ids_must_increase(self, ids):
-        with pytest.raises(ValueError):
-            SparseEdgeVector(0, ids, [0.5] * len(ids))
-
-    def test_frozen(self):
-        vec = SparseEdgeVector(0, np.array([1]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            vec.values[0] = 2.0
-
-
 class TestGammaMass:
     def test_path_dirac(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)
         vec = gamma_mass(rs, DiscreteMeasure.dirac(2))
+        assert isinstance(vec, GammaTable) and vec.root == 0
+        assert vec.indptr.tolist() == [0, 2]
         assert vec.edge_ids.tolist() == [0, 1]
         assert vec.values.tolist() == [1.0, 1.0]
 
@@ -290,6 +270,8 @@ class TestGammaMasses:
     def test_rows_are_read_only_views(self, path_graph):
         table = gamma_masses(shortest_path_tree(path_graph, 0), [DiscreteMeasure.dirac(2)] * 2)
         row = table.row(1)
+        assert isinstance(row, GammaTable) and len(row) == 1 and row.root == 0
+        assert row.indptr.tolist() == [0, 2]
         assert np.shares_memory(row.values, table.values)
         for arr in (table.indptr, table.edge_ids, table.values, row.edge_ids, row.values):
             with pytest.raises(ValueError):
@@ -315,9 +297,15 @@ class TestGammaMasses:
         with pytest.raises(ValueError):
             GammaTable(0, indptr, edge_ids, np.ones(edge_ids.size))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_values_must_pair_with_edge_ids(self, count):
+        with pytest.raises(ValueError):
+            GammaTable(0, np.array([0, 2]), np.array([1, 4]), np.ones(count))
+
     def test_rows_may_restart_and_be_empty(self):
         table = GammaTable(0, np.array([0, 2, 2, 3]), np.array([3, 5, 1]), np.ones(3))
         assert [table.row(k).edge_ids.tolist() for k in range(3)] == [[3, 5], [], [1]]
+        assert [table.row(k).indptr.tolist() for k in range(3)] == [[0, 2], [0, 0], [0, 1]]
 
     def test_support_outside_graph(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)

@@ -188,6 +188,20 @@ class TestOrderAndVariantValidation:
         with pytest.raises(RootMismatch):
             sobolev_ipm_distance(prep0, u, v, 2.0)
 
+    @pytest.mark.parametrize("per_pair", [sobolev_ipm_distance, sobolev_transport_distance])
+    def test_per_pair_needs_one_row_tables(self, path_graph, per_pair):
+        rs, prep = prepare_root(path_graph, 0)
+        table = gamma_masses(rs, [DiscreteMeasure.dirac(1), DiscreteMeasure.dirac(2)])
+        empty = gamma_masses(rs, [])
+        one = table.row(0)
+        for u, v in ((table, one), (one, table), (empty, one), (one, empty)):
+            with pytest.raises(ValueError):
+                per_pair(prep, u, v, 2.0)
+        assert per_pair(prep, one, table.row(1), 2.0) == per_pair(
+            prep, gamma_mass(rs, DiscreteMeasure.dirac(1)),
+            gamma_mass(rs, DiscreteMeasure.dirac(2)), 2.0,
+        )
+
     def test_table_from_another_root(self, path_graph):
         _, prep0 = prepare_root(path_graph, 0)
         rs2, _ = prepare_root(path_graph, 2)
