@@ -17,19 +17,11 @@ import os
 import sys
 import tempfile
 import time
-from typing import Iterator
 
 import numpy as np
 
-from .errors import GSobolevError, ParseError, utf8_input
-from .graph import (
-    Graph,
-    _write_lines,
-    lambda_gamma,
-    load_graph,
-    save_graph,
-    shortest_path_tree,
-)
+from .errors import GSobolevError, ParseError
+from .graph import Graph, lambda_gamma, load_graph, save_graph, shortest_path_tree
 from .kernels import (
     GramSpec,
     KERNEL_EXP,
@@ -60,6 +52,7 @@ from .synth import (
     random_measures,
     save_point_cloud,
 )
+from .textio import read_table, row_line, utf8_input, write_lines
 from .verify import SUITES, run_suites
 
 VARIANT_FLAGS = {"sipm": VARIANT_SOBOLEV_IPM, "st": VARIANT_SOBOLEV_TRANSPORT}
@@ -149,46 +142,27 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, list[DiscreteMeasure]
     return g, measures, [spec[0]]
 
 
+_PAIR_LINE = np.dtype([("i", np.int64), ("j", np.int64)])
+
+
 @utf8_input
 def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct pairs ``i <= j`` of a pair file, sorted, as two index arrays.
 
-    Commas count as blanks, and the lines go to one ``np.loadtxt`` call.
-    A file it refuses (whole-line ``#`` comments included) or that holds an
-    index outside ``[0, n)`` is scanned line by line instead, which names
-    the offending line.  Pairs are deduplicated and sorted as the keys
-    ``min * n + max``.
+    Commas count as blanks, and the lines are read by
+    :func:`textio.read_table`; a bad line, or an index outside ``[0, n)``,
+    raises a :class:`ParseError` naming it.  Pairs are deduplicated and
+    sorted as the keys ``min * n + max``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().replace(",", " ")
-    pairs = None
-    if text.strip():  # np.loadtxt warns on input without data
-        try:
-            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
-        pairs = np.array(list(_scan_pairs(path, n)), dtype=np.int64).reshape(-1, 2)
-    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        text = io.StringIO(fh.read().replace(",", " "))
+    pairs = read_table(text, _PAIR_LINE, path, ("pair line must be 'i j'",) * 2)
+    lo, hi = np.minimum(pairs["i"], pairs["j"]), np.maximum(pairs["i"], pairs["j"])
+    outside = np.flatnonzero((lo < 0) | (hi >= n))
+    if outside.size:
+        raise ParseError(f"{path}:{row_line(text, int(outside[0]))}: index outside [0, {n})")
+    keys = np.unique(lo * n + hi)
     return (keys // n).astype(np.intp), (keys % n).astype(np.intp)
-
-
-def _scan_pairs(path: str, n: int) -> Iterator[tuple[int, int]]:
-    """The pairs of a pair file, one line at a time; a bad line raises a
-    :class:`ParseError` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            tok = text.replace(",", " ").split()
-            try:
-                i, j = (int(t) for t in tok)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: pair line must be 'i j'")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ParseError(f"{path}:{lineno}: index outside [0, {n})")
-            yield i, j
 
 
 def _write_distance_csv(
@@ -198,7 +172,7 @@ def _write_distance_csv(
     formatted one block of lines per ``%`` operation."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,distance\n")
-        _write_lines(fh, "%d,%d,%.17g\n", (first, second, values))
+        write_lines(fh, "%d,%d,%.17g\n", (first, second, values))
 
 
 def _root_mean(
@@ -263,6 +237,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.t) and args.t > 0.0):
         raise CliError(f"bandwidth --t must be positive and finite, got {args.t}")
     _require_out_path(args.out)
+    _require_out_path(args.out + ".json")
     g, measures, roots = _load_inputs(args)
     n = len(measures)
     first, second = np.triu_indices(n, 1)
@@ -461,7 +436,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"--dim must be at least 1, got {args.dim}")
     if args.family not in FAMILIES:
         raise CliError(f"unknown family {args.family!r}; pick from {FAMILIES}")
-    _require_out_path(args.out_prefix + ".graph")
+    for suffix in (".graph", ".measures", ".points"):
+        _require_out_path(args.out_prefix + suffix)
     rng = np.random.default_rng(args.seed)
     pts = PointCloud(rng.random((args.points, args.dim)))
     centroids, _ = farthest_point_clustering(pts, args.m, seed=args.seed)

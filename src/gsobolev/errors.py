@@ -9,18 +9,13 @@ context (line numbers, ids, offending values) to fix the input.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, TypeVar
-
-_Loader = TypeVar("_Loader", bound=Callable)
-
 
 class GSobolevError(Exception):
     """Base class for all errors raised deliberately by this package."""
 
 
 class ParseError(GSobolevError):
-    """A graph, measure, or point-cloud file is malformed."""
+    """A graph, measure, or pair file is malformed."""
 
 
 class NonPositiveWeight(GSobolevError):
@@ -85,25 +80,3 @@ class SupportTooLarge(GSobolevError):
 
 class DegenerateGeometryWarning(UserWarning):
     """Coincident points produced a zero-length edge; a jitter was applied."""
-
-
-def utf8_input(load: _Loader) -> _Loader:
-    """Decorate a loader whose first argument is a text file's path: a byte
-    that is not UTF-8 raises :class:`ParseError` naming the file and line,
-    not :class:`UnicodeDecodeError`."""
-
-    @functools.wraps(load)
-    def wrapped(path, *args, **kwargs):
-        try:
-            return load(path, *args, **kwargs)
-        except UnicodeDecodeError:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                lineno = data.count(b"\n", 0, exc.start) + 1
-                raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
-            raise
-
-    return wrapped  # type: ignore[return-value]

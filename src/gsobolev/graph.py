@@ -15,8 +15,7 @@ All arrays are frozen after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,7 +23,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import Disconnected, DuplicateEdge, NonPositiveWeight, ParseError
-from .errors import utf8_input
+from .textio import read_table, row_line, significant_lines, utf8_input, write_lines
 
 # Two root-path lengths within this relative tolerance count as tied.
 TIE_RTOL = 1e-12
@@ -129,101 +128,35 @@ def load_graph(path: str) -> Graph:
     0-based node ids and positive lengths.  Whole-line ``#`` comments and
     blank lines are ignored; anything after the three fields of an edge line,
     a trailing comment included, is an error.  The header is read line by
-    line; the edge lines then go to one ``np.loadtxt`` call on the file
-    itself, which reads it in chunks and skips blank lines.  A body that
-    ``np.loadtxt`` refuses, whole-line comments included, is read again
-    through the per-line filter, which names the offending line.
+    line and the edge lines by :func:`textio.read_table`, whose errors name
+    the offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lineno, text = next(_significant_lines(fh), (0, ""))
-        if not lineno:
-            raise ParseError(f"{path}: no data lines")
-        header = text.split()
-        if len(header) != 2:
-            raise ParseError(f"{path}:{lineno}: header must be 'n m'")
-        try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: header must hold two integers") from exc
-        if n < 1 or m < 0:
-            raise ParseError(f"{path}:{lineno}: need n >= 1 and m >= 0")
-        # np.loadtxt warns on input without data, so find the first body line.
-        body_line = next((k for k, raw in enumerate(fh, lineno + 1) if raw.strip()), 0)
-    if not body_line:
-        edges = np.empty(0, dtype=_EDGE_LINE)
-    else:
-        try:
-            edges = np.loadtxt(
-                path, dtype=_EDGE_LINE, comments=None, skiprows=body_line - 1,
-                ndmin=1, encoding="utf-8",
-            )
-        except ValueError:
-            edges = _filtered_edges(path)
+        lineno, text = next(significant_lines(fh), (0, ""))
+    if not lineno:
+        raise ParseError(f"{path}: no data lines")
+    header = text.split()
+    if len(header) != 2:
+        raise ParseError(f"{path}:{lineno}: header must be 'n m'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: header must hold two integers") from exc
+    if n < 1 or m < 0:
+        raise ParseError(f"{path}:{lineno}: need n >= 1 and m >= 0")
+    errors = ("edge line must be 'u v w'", "cannot parse edge line")
+    edges = read_table(path, _EDGE_LINE, path, errors, start=lineno + 1)
     if edges.size != m:
         raise ParseError(f"{path}: header promises {m} edges, found {edges.size}")
     u, v = np.ascontiguousarray(edges["u"]), np.ascontiguousarray(edges["v"])
     outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
     if outside.size:
-        with open(path, "r", encoding="utf-8") as fh:
-            lineno, _ = next(islice(_significant_lines(fh), int(outside[0]) + 1, None))
-        raise ParseError(f"{path}:{lineno}: node id outside [0, {n})")
+        bad = row_line(path, int(outside[0]), start=lineno + 1)
+        raise ParseError(f"{path}:{bad}: node id outside [0, {n})")
     return Graph(n, u, v, np.ascontiguousarray(edges["w"]))
 
 
 _EDGE_LINE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-
-
-def _significant_lines(fh: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """``(line number, text)`` of the lines that are neither blank nor a
-    whole-line ``#`` comment."""
-    for lineno, raw in enumerate(fh, start=1):
-        if raw.strip()[:1] not in ("", "#"):
-            yield lineno, raw
-
-
-def _filtered_edges(path: str) -> np.ndarray:
-    """The edge lines with whole-line comments and blank lines dropped by
-    :func:`_significant_lines`, through ``np.loadtxt``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        body = (text for _, text in islice(_significant_lines(fh), 1, None))
-        first = next(body, None)
-        if first is None:  # np.loadtxt warns on empty input
-            return np.empty(0, dtype=_EDGE_LINE)
-        try:
-            return np.loadtxt(
-                chain([first], body), dtype=_EDGE_LINE, comments=None, ndmin=1
-            )
-        except ValueError:
-            raise _edge_line_error(path) from None
-
-
-def _edge_line_error(path: str) -> ParseError:
-    """The error naming the first edge line that ``np.loadtxt`` refuses."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, text in islice(_significant_lines(fh), 1, None):
-            if len(text.split()) != 3:
-                return ParseError(f"{path}:{lineno}: edge line must be 'u v w'")
-            try:
-                np.loadtxt([text], dtype=_EDGE_LINE, comments=None)
-            except ValueError:
-                return ParseError(f"{path}:{lineno}: cannot parse edge line")
-    return ParseError(f"{path}: cannot parse edge lines")
-
-
-# Lines per formatted block of a written file (graph file, distance CSV).
-_LINE_BLOCK = 4096
-
-
-def _write_lines(fh: TextIO, line: str, columns: tuple[np.ndarray, ...]) -> None:
-    """Write ``line % row`` for every row of the equal-length ``columns``,
-    formatted one block of ``_LINE_BLOCK`` lines per ``%`` operation."""
-    width, count = len(columns), len(columns[0])
-    for start in range(0, count, _LINE_BLOCK):
-        stop = min(start + _LINE_BLOCK, count)
-        cells: list = [None] * (width * (stop - start))
-        for k, col in enumerate(columns):
-            cells[k::width] = col[start:stop].tolist()
-        fh.write(line * (stop - start) % tuple(cells))
 
 
 def save_graph(g: Graph, path: str) -> None:
@@ -231,7 +164,7 @@ def save_graph(g: Graph, path: str) -> None:
     17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.node_count} {g.edge_count}\n")
-        _write_lines(fh, "%d %d %.17g\n", (g.edge_u, g.edge_v, g.edge_w))
+        write_lines(fh, "%d %d %.17g\n", (g.edge_u, g.edge_v, g.edge_w))
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,11 +162,7 @@ def check_negative_definite(
     rows = D.mean(axis=1, keepdims=True)
     cols = D.mean(axis=0, keepdims=True)
     M = rows + cols - D - rows.mean()
-    M = (M + M.T) / 2.0
-    try:
-        spectral_min = float(np.linalg.eigvalsh(M).min())
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
+    spectral_min = min_eigenvalue((M + M.T) / 2.0)
     return DefinitenessReport(
         trials=trials,
         violations=violations,

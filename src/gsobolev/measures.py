@@ -15,21 +15,16 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_has_canonical_format
 
-from .errors import (
-    MassNotNormalized,
-    NegativeMass,
-    NodeOutOfRange,
-    ParseError,
-    utf8_input,
-)
+from .errors import MassNotNormalized, NegativeMass, NodeOutOfRange, ParseError
 from .graph import Graph, RootedStructure
+from .textio import significant_lines, utf8_input
 
-# Tolerance on |total mass - 1| accepted without renormalizing.
+# Largest accepted |total mass - 1| of a measure.
 MASS_TOL = 1e-9
 
 
@@ -81,18 +76,6 @@ class DiscreteMeasure:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @classmethod
-    def normalized(cls, entries: Iterable[tuple[int, float]]) -> "DiscreteMeasure":
-        """Build a measure from ``(node, weight)`` pairs, rescaling to total one."""
-        pairs = list(entries)
-        total = math.fsum(m for _, m in pairs)
-        if not math.isfinite(total) or total <= 0.0:
-            raise MassNotNormalized(f"cannot normalize total mass {total!r}")
-        return cls(
-            tuple(n for n, _ in pairs),
-            tuple(m / total for _, m in pairs),
-        )
 
     @classmethod
     def dirac(cls, node: int) -> "DiscreteMeasure":
@@ -240,22 +223,19 @@ def save_measures(measures: Sequence[DiscreteMeasure], path: str) -> None:
 
 
 @utf8_input
-def load_measures(path: str, g: Graph, normalize: bool = False) -> list[DiscreteMeasure]:
+def load_measures(path: str, g: Graph) -> list[DiscreteMeasure]:
     """Parse a measure file against graph ``g``.
 
     One measure per significant line: an id token followed by alternating
     ``node mass`` tokens (tab- or space-separated).  Lines starting with
-    ``#`` and blank lines are ignored.  With ``normalize`` the masses are
-    rescaled to total one; otherwise a total off by more than ``MASS_TOL``
-    raises :class:`MassNotNormalized`.
+    ``#`` and blank lines are ignored.  A total mass off one by more than
+    ``MASS_TOL`` raises :class:`MassNotNormalized`.
     """
     n = g.node_count
     out: list[DiscreteMeasure] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in significant_lines(fh):
             tok = raw.split()
-            if not tok or tok[0].startswith("#"):
-                continue
             if len(tok) < 3 or len(tok) % 2 == 0:
                 raise ParseError(
                     f"{path}:{lineno}: expected 'id node mass [node mass ...]'"
@@ -276,13 +256,10 @@ def load_measures(path: str, g: Graph, normalize: bool = False) -> list[Discrete
                     raise NegativeMass(
                         f"{path}:{lineno}: node {node} carries invalid mass {m!r}"
                     )
-            if normalize:
-                out.append(DiscreteMeasure.normalized(zip(nodes, masses)))
-            else:
-                total = math.fsum(masses)
-                if abs(total - 1.0) > MASS_TOL:
-                    raise MassNotNormalized(
-                        f"{path}:{lineno}: measure {label!r} sums to {total!r}"
-                    )
-                out.append(DiscreteMeasure._trusted(nodes, masses))
+            total = math.fsum(masses)
+            if abs(total - 1.0) > MASS_TOL:
+                raise MassNotNormalized(
+                    f"{path}:{lineno}: measure {label!r} sums to {total!r}"
+                )
+            out.append(DiscreteMeasure._trusted(nodes, masses))
     return out

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DegenerateGeometryWarning, EmptyCloud, SupportTooLarge
 from .graph import Graph
 from .measures import DiscreteMeasure
+from .textio import write_lines
 
 FAMILY_LOG = "log"
 FAMILY_SQRT = "sqrt"
@@ -51,11 +52,16 @@ class PointCloud:
 
 
 def save_point_cloud(pc: PointCloud, path: str) -> None:
+    """Write a ``count dim`` header, then one line of coordinates per point,
+    each at 17 significant digits."""
+    n, d = pc.points.shape
+    line = " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        n, d = pc.points.shape
         fh.write(f"{n} {d}\n")
-        for row in pc.points:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        if d:
+            write_lines(fh, line, tuple(pc.points.T))
+        else:
+            fh.write(line * n)
 
 
 def farthest_point_clustering(

@@ -310,8 +310,14 @@ def test_criterion_9_root_averaging(acceptance):
         for i, j in pairs:
             sliced_distance(g, root_list, ms[i], ms[j], 2.0, prepared=prepared)
 
-    t_single = min_total_seconds(lambda: run([roots[0]]))
-    t_sliced = min_total_seconds(lambda: run(roots))
+    # alternating the sides over many repeats keeps a host stall from
+    # landing on one side's repeats only
+    sides = {"single": [roots[0]], "sliced": roots}
+    best = {name: math.inf for name in sides}
+    for _ in range(9):
+        for name, root_list in sides.items():
+            best[name] = min(best[name], min_total_seconds(partial(run, root_list), repeats=1))
+    t_single, t_sliced = best["single"], best["sliced"]
     # K preparations plus K-fold evaluation, with a scheduler-noise margin
     within_budget = t_sliced <= 1.25 * K * t_single
 

@@ -116,9 +116,12 @@ class TestParsers:
         [
             (["distance", "--graph", "G", "--measures", "M", "--out", "X/d.csv"], "X/d.csv"),
             (["gram", "--graph", "G", "--measures", "M", "--out", "X/k.csv"], "X/k.csv"),
+            (["gram", "--graph", "G", "--measures", "M", "--out", "X/k.csv"], "X/k.csv.json"),
             (["bench", "--sizes", "10", "--out", "X/b.csv"], "X/b.csv"),
             (["verify", "--suite", "tree", "--out", "X/v.json"], "X/v.json"),
             (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.graph"),
+            (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.measures"),
+            (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.points"),
         ],
     )
     def test_output_in_missing_directory_exits_two(self, files, capsys, argv, written):
@@ -127,10 +130,12 @@ class TestParsers:
         argv = [names.get(a, a.replace("X", missing)) for a in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: output directory not found: {missing}\n"
-        # the directory exists, but the output file path names a directory
+        # the directory exists, but an output file path names a directory:
+        # refused before any output is written
         os.makedirs(written.replace("X", missing))
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: output path is a directory: ")
+        assert os.listdir(missing) == [os.path.basename(written)]
 
 
 class TestDistanceCommand:

@@ -1,12 +1,14 @@
 """The CLI's text readers and writer against naive line-by-line references.
 
-`load_graph` and the pair-file parser read their files with one
-``np.loadtxt`` call and fall back to a per-line scan; `load_measures` checks
-each line once and builds its measures without checking them again; the
-distance CSV and graph files are formatted in blocks of lines, and the Gram
-CSV formats each distinct value once.  Each is checked here against the simplest per-line
-reading or writing of the same grammar, on generated files with whole-line
-comments, blank lines, CRLF endings, comma separators and malformed lines.
+`load_graph` and the pair-file parser read their tables through one
+reader, ``textio.read_table`` (one ``np.loadtxt`` call, then the
+significant lines, then line by line to name a bad one); `load_measures`
+checks each line once and builds its measures without checking them again;
+the distance CSV and graph files are formatted in blocks of lines, and the
+Gram CSV formats each distinct value once.  Each is checked here against
+the simplest per-line reading or writing of the same grammar, on generated
+files with whole-line comments, blank lines, CRLF endings, comma
+separators and malformed lines.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from gsobolev import (
     save_graph,
     write_matrix_csv,
 )
-from gsobolev import graph
+from gsobolev import textio
 from gsobolev.cli import _parse_pairs, _write_distance_csv
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -234,8 +236,34 @@ class TestPairFiles:
             first, second = _parse_pairs(str(path), 3)
             assert first.size == second.size == 0
 
+    @pytest.mark.parametrize("bad", ["1_0 2", "\u0661 2", "1 \uff12"])
+    @pytest.mark.parametrize("comment", ["", "# c\n"])
+    def test_numpy_number_grammar_on_every_path(self, tmp_path, bad, comment):
+        # Python's int() reads "1_0" as 10 and non-ASCII digits as digits;
+        # the pair grammar is numpy's, with or without a whole-line comment
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"0 1\n{comment}{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            _parse_pairs(str(path), 20)
+        line = 3 if comment else 2
+        assert str(err.value) == f"{path}:{line}: pair line must be 'i j'"
 
-def reference_measures(path: str, n: int, normalize: bool):
+    @pytest.mark.parametrize("comment", ["", "# c\n"])
+    def test_line_of_commas_is_blank_on_every_path(self, tmp_path, comment):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"{comment}0 1\n,\n , ,\n2,1\n")
+        first, second = _parse_pairs(str(path), 3)
+        assert (first.tolist(), second.tolist()) == ([0, 1], [1, 2])
+
+    def test_index_beyond_int64_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"0 1\n1 {2**63}\n")
+        with pytest.raises(ParseError) as err:
+            _parse_pairs(str(path), 3)
+        assert str(err.value) == f"{path}:2: pair line must be 'i j'"
+
+
+def reference_measures(path: str, n: int):
     """``(nodes, masses)`` of each measure of a measure file read one line at
     a time, or ``(error class, text)`` of the error the grammar calls for."""
     out = []
@@ -261,11 +289,7 @@ def reference_measures(path: str, n: int, normalize: bool):
                 if not math.isfinite(m) or m < 0.0:
                     return NegativeMass, f"{path}:{k}: node {x} carries invalid mass {m!r}"
             total = math.fsum(masses)
-            if normalize:
-                if not math.isfinite(total) or total <= 0.0:
-                    return MassNotNormalized, f"cannot normalize total mass {total!r}"
-                masses = [m / total for m in masses]
-            elif abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > 1e-9:
                 return MassNotNormalized, f"{path}:{k}: measure {tok[0]!r} sums to {total!r}"
             out.append((tuple(nodes), tuple(masses)))
     return out
@@ -307,16 +331,13 @@ BAD_MEASURE_LINES = [
 
 class TestMeasureFiles:
     @EXAMPLES
-    @given(
-        data=st.data(), n=st.integers(1, 9), crlf=st.booleans(), final=st.booleans(),
-        normalize=st.booleans(),
-    )
-    def test_matches_line_by_line_reading(self, data, n, crlf, final, normalize):
+    @given(data=st.data(), n=st.integers(1, 9), crlf=st.booleans(), final=st.booleans())
+    def test_matches_line_by_line_reading(self, data, n, crlf, final):
         lines = data.draw(decorated(data.draw(measure_lines(n))))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_file(tmp, lines, "\r\n" if crlf else "\n", final)
-            expected = reference_measures(path, n, normalize)
-            got = load_measures(path, path_graph(n), normalize=normalize)
+            expected = reference_measures(path, n)
+            got = load_measures(path, path_graph(n))
         assert [(mu.nodes, mu.masses) for mu in got] == expected
         for mu in got:
             # as the checking constructor builds it: types, equality, hash
@@ -327,19 +348,16 @@ class TestMeasureFiles:
 
     @pytest.mark.parametrize("bad", BAD_MEASURE_LINES)
     @settings(max_examples=8, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 9), crlf=st.booleans(), normalize=st.booleans())
-    def test_error_names_the_same_line(self, bad, data, n, crlf, normalize):
+    @given(data=st.data(), n=st.integers(1, 9), crlf=st.booleans())
+    def test_error_names_the_same_line(self, bad, data, n, crlf):
         lines = data.draw(measure_lines(n))
         lines.insert(data.draw(st.integers(0, len(lines))), bad.format(n=n))
         lines = data.draw(decorated(lines))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_file(tmp, lines, "\r\n" if crlf else "\n", True)
-            expected = reference_measures(path, n, normalize)
-            if isinstance(expected, list):  # "m 0 0.5" normalizes
-                assert normalize
-                return
+            expected = reference_measures(path, n)
             with pytest.raises(expected[0]) as err:
-                load_measures(path, path_graph(n), normalize=normalize)
+                load_measures(path, path_graph(n))
         assert str(err.value) == expected[1]
 
 
@@ -356,7 +374,7 @@ class TestDistanceCsv:
 
     @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 20])
     def test_block_bytes_equal_per_line_bytes(self, tmp_path, monkeypatch, count):
-        monkeypatch.setattr(graph, "_LINE_BLOCK", 7)
+        monkeypatch.setattr(textio, "LINE_BLOCK", 7)
         rng = np.random.default_rng(count)
         first = np.sort(rng.integers(0, 10**6, count))
         second = first + rng.integers(0, 10**6, count)
@@ -368,7 +386,7 @@ class TestDistanceCsv:
 
     def test_default_block_spans_several_blocks(self, tmp_path):
         rng = np.random.default_rng(1)
-        count = 2 * graph._LINE_BLOCK + 3
+        count = 2 * textio.LINE_BLOCK + 3
         first, second = np.triu_indices(200, 1)
         first, second = first[:count], second[:count]
         values = np.abs(rng.standard_normal(count)) * 10.0 ** rng.integers(-300, 300, count)
@@ -382,7 +400,7 @@ class TestDistanceCsv:
 class TestGraphFile:
     @pytest.mark.parametrize("block", [5, 4096])
     def test_block_bytes_equal_per_edge_bytes(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(graph, "_LINE_BLOCK", block)
+        monkeypatch.setattr(textio, "LINE_BLOCK", block)
         g = random_tree(2 * block + 2, seed=block)  # crosses two block boundaries
         path = str(tmp_path / "g.graph")
         save_graph(g, path)

@@ -56,7 +56,7 @@ class TestDiscreteMeasure:
 
     def test_hash_cached_and_field_based(self):
         a = DiscreteMeasure((np.int64(0), 1), (np.float64(0.25), 0.75))
-        b = DiscreteMeasure.normalized([(0, 1.0), (1, 3.0)])
+        b = DiscreteMeasure([0, 1], [1.0 / 4.0, 3.0 / 4.0])
         assert a == b and hash(a) == hash(b) == hash(((0, 1), (0.25, 0.75)))
         assert a != DiscreteMeasure((1, 0), (0.75, 0.25))  # same mass, other order
         assert repr(a) == "DiscreteMeasure(nodes=(0, 1), masses=(0.25, 0.75))"
@@ -92,14 +92,6 @@ class TestDiscreteMeasure:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             DiscreteMeasure((0, 1), (1.0,))
-
-    def test_normalized_constructor(self):
-        mu = DiscreteMeasure.normalized([(0, 2.0), (1, 6.0)])
-        assert mu.masses == (0.25, 0.75)
-
-    def test_normalized_zero_total(self):
-        with pytest.raises(MassNotNormalized):
-            DiscreteMeasure.normalized([(0, 0.0)])
 
 
 class TestGammaMass:
@@ -362,13 +354,11 @@ class TestMeasureFiles:
         with pytest.raises(NegativeMass):
             load_measures(str(path), path_graph)
 
-    def test_unnormalized_rejected_then_rescaled(self, tmp_path, path_graph):
+    def test_unnormalized_rejected(self, tmp_path, path_graph):
         path = tmp_path / "m.txt"
         path.write_text("a 0 2.0 1 2.0\n")
         with pytest.raises(MassNotNormalized):
             load_measures(str(path), path_graph)
-        out = load_measures(str(path), path_graph, normalize=True)
-        assert out[0].masses == (0.5, 0.5)
 
     def test_garbage_mass(self, tmp_path, path_graph):
         path = tmp_path / "m.txt"
