@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import Disconnected, DuplicateEdge, NonPositiveWeight, ParseError
-from .textio import read_table, row_line, significant_lines, utf8_input, write_lines
+from .textio import read_table, row_line, significant_lines, utf8_input, write_rows
 
 # Two root-path lengths within this relative tolerance count as tied.
 TIE_RTOL = 1e-12
@@ -162,9 +162,9 @@ _EDGE_LINE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 def save_graph(g: Graph, path: str) -> None:
     """Write a graph in the format :func:`load_graph` reads, each length at
     17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.node_count} {g.edge_count}\n")
-        write_lines(fh, "%d %d %.17g\n", (g.edge_u, g.edge_v, g.edge_w))
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (g.node_count, g.edge_count))
+        write_rows(fh, (np.column_stack((g.edge_u, g.edge_v)), g.edge_w), " ")
 
 
 @dataclass(frozen=True, eq=False)

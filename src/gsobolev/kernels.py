@@ -23,6 +23,7 @@ from .errors import (
 from .graph import EdgePrep
 from .measures import GammaTable
 from .metrics import VARIANT_SOBOLEV_IPM, _check_order, pair_distances
+from .textio import write_rows
 
 KERNEL_EXP = "exp_neg_t_d"
 KERNEL_EXP_POW = "exp_neg_t_d_pow_p"
@@ -202,21 +203,12 @@ def divisibility_check(gram: np.ndarray, n: int) -> bool:
     return min_eigenvalue(root) >= floor
 
 
-def write_matrix_csv(m: np.ndarray, path: str) -> None:
+def write_matrix_csv(m: np.ndarray, path: str) -> int:
     """Serialize: first line the dimension, then the full square matrix with
-    17 significant digits.
-
-    Each distinct value, keyed by its bits, is formatted once and its string
-    reused wherever it occurs: a symmetric Gram matrix with a unit diagonal
-    formats about half its entries.
-    """
-    m = np.ascontiguousarray(_square(m))
-    n = len(m)
-    keys, where = np.unique(m.view(np.uint64).ravel(), return_inverse=True)
-    text = "%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())
-    strings = np.array(text.split("\n")[:-1], dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n}\n")
-        for row in strings[where.reshape(n, n)].tolist():
-            fh.write(",".join(row) + "\n")
+    17 significant digits, streamed in row blocks by :func:`textio.write_rows`;
+    returns its count of numbers formatted by Python."""
+    m = _square(m)
+    with open(path, "wb") as fh:
+        fh.write(b"%d\n" % len(m))
+        return write_rows(fh, (m,), ",")
 

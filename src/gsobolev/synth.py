@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DegenerateGeometryWarning, EmptyCloud, SupportTooLarge
 from .graph import Graph
 from .measures import DiscreteMeasure
-from .textio import write_lines
+from .textio import write_rows
 
 FAMILY_LOG = "log"
 FAMILY_SQRT = "sqrt"
@@ -55,13 +55,12 @@ def save_point_cloud(pc: PointCloud, path: str) -> None:
     """Write a ``count dim`` header, then one line of coordinates per point,
     each at 17 significant digits."""
     n, d = pc.points.shape
-    line = " ".join(["%.17g"] * d) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {d}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (n, d))
         if d:
-            write_lines(fh, line, tuple(pc.points.T))
+            write_rows(fh, (pc.points,), " ")
         else:
-            fh.write(line * n)
+            fh.write(b"\n" * n)
 
 
 def farthest_point_clustering(

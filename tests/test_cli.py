@@ -149,6 +149,23 @@ class TestDistanceCommand:
         rows = read_distance_csv(out)
         assert rows == {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 1.0}
 
+    def test_summary_counts_numbers_formatted_by_python(self, files, capsys):
+        # 1e-12 is below the array formatter's range; the other two are in it.
+        (files["dir"] / "g.txt").write_text("3 2\n0 1 1e-12\n1 2 1.0\n")
+        out = str(files["dir"] / "d.csv")
+        assert main([
+            "distance", "--graph", files["graph"], "--measures", files["measures"],
+            "--root", "0", "--p", "1", "--out", out,
+        ]) == 0
+        assert ", 1 number(s) formatted by Python -> " in capsys.readouterr().err
+        assert main([
+            "gram", "--graph", files["graph"], "--measures", files["measures"],
+            "--p", "2", "--t", "1e6", "--out", out,
+        ]) == 0
+        # The four entries of the pairs with measure 2 underflow to 0.0.
+        assert ", 4 number(s) formatted by Python -> " in capsys.readouterr().err
+        assert (read_matrix_csv(out) == 0.0).sum() == 4
+
     def test_pairs_file_deduplicated(self, files):
         pairs = files["dir"] / "pairs.txt"
         pairs.write_text("# wanted\n0 1\n1,0\n2 1\n")

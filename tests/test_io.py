@@ -1,18 +1,20 @@
 """The CLI's text readers and writer against naive line-by-line references.
 
 `load_graph` and the pair-file parser read their tables through one
-reader, ``textio.read_table`` (one ``np.loadtxt`` call, then the
-significant lines, then line by line to name a bad one); `load_measures`
+reader, ``textio.read_table`` (one ``np.loadtxt`` call, then one that
+drops whole-line comments, then line by line to name a bad one); `load_measures`
 checks each line once and builds its measures without checking them again;
-the distance CSV and graph files are formatted in blocks of lines, and the
-Gram CSV formats each distinct value once.  Each is checked here against
-the simplest per-line reading or writing of the same grammar, on generated
+the distance CSV, graph files and the Gram CSV are written by one array
+formatter, ``textio.write_rows``.  Each is checked here against the
+simplest per-line reading or writing of the same grammar, on generated
 files with whole-line comments, blank lines, CRLF endings, comma
-separators and malformed lines.
+separators and malformed lines, and the formatter against per-value
+``'%.17g'`` and ``'%d'`` on random bit patterns and every decade.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import tempfile
@@ -374,7 +376,7 @@ class TestDistanceCsv:
 
     @pytest.mark.parametrize("count", [0, 1, 6, 7, 8, 20])
     def test_block_bytes_equal_per_line_bytes(self, tmp_path, monkeypatch, count):
-        monkeypatch.setattr(textio, "LINE_BLOCK", 7)
+        monkeypatch.setattr(textio, "CELL_BLOCK", 7)  # two rows per block
         rng = np.random.default_rng(count)
         first = np.sort(rng.integers(0, 10**6, count))
         second = first + rng.integers(0, 10**6, count)
@@ -386,8 +388,8 @@ class TestDistanceCsv:
 
     def test_default_block_spans_several_blocks(self, tmp_path):
         rng = np.random.default_rng(1)
-        count = 2 * textio.LINE_BLOCK + 3
-        first, second = np.triu_indices(200, 1)
+        count = 2 * (textio.CELL_BLOCK // 3) + 3
+        first, second = np.triu_indices(300, 1)
         first, second = first[:count], second[:count]
         values = np.abs(rng.standard_normal(count)) * 10.0 ** rng.integers(-300, 300, count)
         values[:: 97] = 0.0
@@ -400,7 +402,7 @@ class TestDistanceCsv:
 class TestGraphFile:
     @pytest.mark.parametrize("block", [5, 4096])
     def test_block_bytes_equal_per_edge_bytes(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(textio, "LINE_BLOCK", block)
+        monkeypatch.setattr(textio, "CELL_BLOCK", 3 * block)  # `block` rows per block
         g = random_tree(2 * block + 2, seed=block)  # crosses two block boundaries
         path = str(tmp_path / "g.graph")
         save_graph(g, path)
@@ -446,3 +448,136 @@ class TestMatrixCsv:
         write_matrix_csv(m, path)
         with open(path, "rb") as fh:
             assert fh.read() == per_value_matrix_csv(m)
+
+
+def per_value_rows(columns, sep: str) -> bytes:
+    """The simplest ``'%d'`` / ``'%.17g'`` writing of ``write_rows``' rows."""
+    cols = [c[:, None] if c.ndim == 1 else c for c in columns]
+    rows = np.concatenate([c.astype(object) for c in cols], axis=1) if cols[0].size else []
+    return "".join(
+        sep.join("%.17g" % x if isinstance(x, float) else "%d" % x for x in row) + "\n"
+        for row in (r.tolist() for r in rows)
+    ).encode()
+
+
+def written(columns, sep: str = ",") -> tuple[bytes, int]:
+    out = io.BytesIO()
+    slow = textio.write_rows(out, columns, sep)
+    return out.getvalue(), slow
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  1e-5, 1e-4, 0.5, 1.0, 100.0, 1e16, 1e17, 9.999999999999999e16, 1 / 3]
+
+
+class TestNumberFormat:
+    """``textio.write_rows`` against per-value ``'%.17g'`` and ``'%d'``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), max_size=60),
+        specials=st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=6),
+        floats=st.lists(st.floats(), max_size=20),
+    )
+    def test_float_bit_patterns(self, bits, specials, floats):
+        x = np.concatenate([np.array(bits, np.uint64).view(np.float64),
+                            np.array(specials + floats, np.float64)])
+        got, slow = written((x,))
+        assert got == per_value_rows((x,), ",")
+        assert 0 <= slow <= x.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40), st.sampled_from([None, 1, 2]))
+    def test_int64(self, values, width):
+        v = np.array(values, np.int64)
+        table = v if width is None else v[: v.size - v.size % width].reshape(-1, width)
+        assert written((table,), " ")[0] == per_value_rows((table,), " ")
+
+    def test_every_decade_boundary(self):
+        powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+        x = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        x = np.concatenate([x, -x])
+        got, _ = written((x.reshape(-1, 6),))
+        assert got == per_value_rows((x.reshape(-1, 6),), ",")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_distributions(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([
+            rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+            np.exp(-30 * rng.random(20000)), 10 * rng.random(20000),
+            10 ** rng.uniform(-14, 46, 20000), rng.standard_normal(20000),
+            -(10 ** rng.uniform(-300, 300, 20000)),
+        ])
+        got, slow = written((np.arange(x.size), x))
+        assert got == per_value_rows((np.arange(x.size), x), ",")
+        assert slow < x.size
+
+    def test_all_fallback_without_the_80_bit_type(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        ints, x = rng.integers(-10**6, 10**6, (500, 2)), rng.lognormal(0.0, 30.0, 500)
+        want, fast_slow = written((ints, x))
+        monkeypatch.setattr(textio, "_EXACT", False)
+        got, slow = written((ints, x))
+        assert got == want == per_value_rows((ints, x), ",")
+        assert slow == x.size > fast_slow
+
+    def test_block_size_does_not_change_bytes(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        first, second = np.triu_indices(60, 1)
+        values = rng.lognormal(0.0, 10.0, first.size)
+        values[::13] = 0.0
+        table = (np.column_stack((first, second)), values)
+        matrix = np.exp(-rng.random((40, 40)) * 30)
+        results = []
+        for block in (1, 7, textio.CELL_BLOCK):
+            monkeypatch.setattr(textio, "CELL_BLOCK", block)
+            results.append((written(table), written((matrix,))))
+        assert results[0] == results[1] == results[2]
+        assert results[0][0][0] == per_value_rows(table, ",")
+        assert results[0][1][0] == per_value_rows((matrix,), ",")
+
+    def test_fallback_count(self):
+        x = np.array([0.0, 1.5, math.nan, 5e-324, 2.5, 1e300])
+        assert written((np.array([7, -10**17, 3, 0, 1, 2]), x)) == (
+            per_value_rows((np.array([7, -10**17, 3, 0, 1, 2]), x), ","), 5)
+
+
+class TestReadTableComments:
+    """Whole-line comments keep a table on ``np.loadtxt``'s path."""
+
+    LINES = ["0 1 1.5", "1 2 2.25", "2 3 1e-3", "3 4 7"]
+
+    def test_comments_and_blanks_read_alike_without_the_line_pass(self, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("\n".join(self.LINES) + "\n")
+        noisy = tmp_path / "noisy.txt"
+        noisy.write_text(
+            "# head\n\n" + "\n  # inner # twice\n\t\n\x0c\n \x85 # c\n\u3000\n".join(self.LINES)
+            + "\n# tail", encoding="utf-8",
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-line pass ran")
+
+        monkeypatch.setattr(textio, "_body", refuse)
+        dtype = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+        want = textio.read_table(str(plain), dtype, "plain", ("count", "field"))
+        got = textio.read_table(str(noisy), dtype, "noisy", ("count", "field"))
+        assert got.tobytes() == want.tobytes()
+        skipped = tmp_path / "skipped.txt"
+        skipped.write_text("5 4 # header\n# c\n" + "\n".join(self.LINES) + "\n")
+        got = textio.read_table(str(skipped), dtype, "skipped", ("count", "field"), start=2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("2 3 1e-3 # trailing", "t:4: count"), ("2 3 1e-3#x", "t:4: field"),
+    ])
+    def test_trailing_comment_is_still_named(self, tmp_path, bad, message):
+        path = tmp_path / "t.txt"
+        path.write_text("# c\n" + "\n".join(self.LINES[:2] + [bad] + self.LINES[3:]) + "\n")
+        dtype = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+        with pytest.raises(ParseError) as err:
+            textio.read_table(str(path), dtype, "t", ("count", "field"))
+        assert str(err.value) == message
