@@ -20,6 +20,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from .errors import GSobolevError, ParseError
 from .graph import Graph, lambda_gamma, load_graph, save_graph, shortest_path_tree
 from .kernels import (
@@ -175,6 +180,16 @@ def _write_distance_csv(
         return write_rows(fh, (np.column_stack((first, second)), values), ",")
 
 
+def _peak_rss() -> str:
+    """``", peak RSS <MB>"`` of this process so far, or ``""`` where the
+    ``resource`` module is missing."""
+    if resource is None:
+        return ""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    per_mb = 1 << 20 if sys.platform == "darwin" else 1 << 10  # bytes there, KiB here
+    return f", peak RSS {peak / per_mb:.1f} MB"
+
+
 def _root_mean(
     g: Graph, measures: list[DiscreteMeasure], roots: list[int],
     first: np.ndarray, second: np.ndarray, p: float, variant: str,
@@ -182,24 +197,28 @@ def _root_mean(
     """Distances between ``measures[first[k]]`` and ``measures[second[k]]``
     averaged over ``roots`` as ``sliced_distance`` averages them (a sum in
     root order from 0.0, then one division), with the set-up time (trees
-    and λ) and the evaluation time (Γ and distances) in ms.  Γ is built
-    per root for the measures the pairs use, one table at a time."""
-    t0 = time.perf_counter()
-    prepared = [prepare_root(g, r) for r in roots]
-    prep_ms = (time.perf_counter() - t0) * 1e3
-
+    and λ) and the evaluation time (Γ and distances) in ms, each summed
+    over the roots.  The roots stream: one root's tree, λ and Γ (for the
+    measures the pairs use) are built, used and dropped before the next
+    root's, so memory does not grow with the root count."""
     t0 = time.perf_counter()
     # Row slot[k] of each table holds measure k, for the measures in use.
     used = np.bincount(np.concatenate([first, second]), minlength=len(measures)) > 0
     slot = np.cumsum(used) - 1
     pool = [measures[k] for k in np.flatnonzero(used)]
     acc = np.zeros(first.size)
-    for rs, prep in prepared:
+    prep_s, eval_s = 0.0, time.perf_counter() - t0
+    for root in roots:
+        t0 = time.perf_counter()
+        rs, prep = prepare_root(g, root)
+        t1 = time.perf_counter()
         table = gamma_masses(rs, pool)
         acc += pair_distances(prep, table, slot[first], slot[second], p, variant)
-        del table
+        del rs, prep, table  # before the next root's are built
+        prep_s += t1 - t0
+        eval_s += time.perf_counter() - t1
     acc /= len(roots)
-    return acc, prep_ms, (time.perf_counter() - t0) * 1e3
+    return acc, prep_s * 1e3, eval_s * 1e3
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -219,7 +238,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     slow = _write_distance_csv(args.out, first, second, values)
     print(
         f"distance: {first.size} pairs, {len(roots)} root(s), "
-        f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms, "
+        f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms{_peak_rss()}, "
         f"{slow} number(s) formatted by Python -> {args.out}",
         file=sys.stderr,
     )
@@ -265,8 +284,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     print(
-        f"gram: {n} measures, min eigenvalue {sidecar['min_eigenvalue']:.3e}, "
-        f"{slow} number(s) formatted by Python -> {args.out} (+.json)",
+        f"gram: {n} measures, min eigenvalue {sidecar['min_eigenvalue']:.3e}"
+        f"{_peak_rss()}, {slow} number(s) formatted by Python -> {args.out} (+.json)",
         file=sys.stderr,
     )
     return 0

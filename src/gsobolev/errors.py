@@ -67,7 +67,9 @@ class InfeasibleMass(GSobolevError):
 
 
 class SizeLimitExceeded(GSobolevError):
-    """An exact oracle was asked for an instance above its size cap."""
+    """An instance is above a size cap: an exact oracle's, or the entry
+    budget of a cumulative edge vector table, which is refused before it is
+    built rather than exhausting memory."""
 
 
 class EmptyCloud(GSobolevError):

@@ -71,6 +71,7 @@ class Graph:
             i = int(np.flatnonzero(loops)[0])
             raise DuplicateEdge(f"edge {i} is a self-loop at node {u[i]}")
         # One sort of the pair keys: equal neighbours are repeats, then the CSR.
+        # Each scratch array is dropped once used, to keep the peak low.
         key = np.minimum(u, v) * n + np.maximum(u, v)
         order = np.argsort(key)
         key = key[order]
@@ -83,9 +84,15 @@ class Graph:
         object.__setattr__(self, "edge_w", _freeze(w))
         # Symmetric CSR adjacency; max -> min arcs first, so every row is sorted.
         idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        lo, hi = (part.astype(idx) for part in np.divmod(key, n))
+        lo, hi = np.divmod(key, n)
+        del key
+        lo, hi = lo.astype(idx), hi.astype(idx)
         arcs = (np.concatenate([hi, lo]), np.concatenate([lo, hi]))
-        csr = csr_matrix((np.tile(w[order], 2), arcs), shape=(n, n))
+        del lo, hi
+        data = np.tile(w[order], 2)
+        del order
+        csr = csr_matrix((data, arcs), shape=(n, n))
+        del data, arcs
         object.__setattr__(self, "_csr", csr)
         if breadth_first_order(csr, 0, return_predecessors=False).size < n:
             n_comp, _ = connected_components(csr, directed=False)
@@ -148,12 +155,13 @@ def load_graph(path: str) -> Graph:
     edges = read_table(path, _EDGE_LINE, path, errors, start=lineno + 1)
     if edges.size != m:
         raise ParseError(f"{path}: header promises {m} edges, found {edges.size}")
-    u, v = np.ascontiguousarray(edges["u"]), np.ascontiguousarray(edges["v"])
+    u, v, w = (np.ascontiguousarray(edges[name]) for name in _EDGE_LINE.names)
+    del edges  # the rows are in u, v and w now; free them before the CSR is built
     outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
     if outside.size:
         bad = row_line(path, int(outside[0]), start=lineno + 1)
         raise ParseError(f"{path}:{bad}: node id outside [0, {n})")
-    return Graph(n, u, v, np.ascontiguousarray(edges["w"]))
+    return Graph(n, u, v, w)
 
 
 _EDGE_LINE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])

@@ -92,11 +92,19 @@ def gram_matrix(d: np.ndarray, spec: GramSpec) -> np.ndarray:
 
     ``exp(-t * d)`` or ``exp(-t * d**p)`` per ``spec.form``.  The diagonal of
     a distance matrix is zero, so the kernel diagonal is exactly one.
+    Every step writes into one new n x n array; ``d`` is left as it is.
+    The values are those of ``np.exp(-t * d**p)``, bit for bit: ``**``
+    squares at ``p = 2``, as ``np.square`` does.
     """
     d = _square(d)
+    out = np.empty_like(d)
     if spec.form == KERNEL_EXP_POW and spec.p != 1.0:
-        d = d**spec.p
-    return np.exp(-spec.t * d)
+        if spec.p == 2.0:
+            d = np.square(d, out=out)
+        else:
+            d = np.power(d, spec.p, out=out)
+    np.multiply(d, -spec.t, out=out)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.sparse._sparsetools import csr_has_canonical_format
 
-from .errors import MassNotNormalized, NegativeMass, NodeOutOfRange, ParseError
+from .errors import (
+    MassNotNormalized,
+    NegativeMass,
+    NodeOutOfRange,
+    ParseError,
+    SizeLimitExceeded,
+)
 from .graph import Graph, RootedStructure
 from .textio import significant_lines, utf8_input
 
@@ -128,6 +134,15 @@ class GammaTable:
 # gamma_masses; bounds its scratch memory.
 _PASS_CELLS = 1 << 20
 
+# Most entries a Γ table may be predicted to hold (the support points' root
+# path lengths summed; equal (measure, edge) entries merge, so the table
+# holds at most that many).  A stored entry costs 16 bytes (an int64 edge id
+# and a float64 value), and up to _GAMMA_ENTRY_BYTES = 40 while the passes'
+# pieces are joined, so the budget caps a table near 1 GiB and its build
+# near 2.5 GiB.  Above it, gamma_masses refuses before it allocates.
+_GAMMA_ENTRY_BUDGET = 1 << 26
+_GAMMA_ENTRY_BYTES = 40
+
 
 def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> GammaTable:
     """Cumulative edge vector of ``mu`` under the root of ``rs``: the
@@ -142,17 +157,28 @@ def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> GammaTable:
 def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> GammaTable:
     """Cumulative edge vectors of ``measures`` under the root of ``rs``, row
     ``k`` for ``measures[k]``, computed together in passes whose root-path
-    tables hold about ``_PASS_CELLS`` cells."""
+    tables hold about ``_PASS_CELLS`` cells.  A table predicted to hold more
+    than ``_GAMMA_ENTRY_BUDGET`` entries raises :class:`SizeLimitExceeded`
+    before it is built."""
     n, m = rs.graph.node_count, rs.graph.edge_count
     supports = list(map(attrgetter("nodes"), measures))
     sizes = np.fromiter(map(len, supports), np.int64, len(supports))
     nodes = np.fromiter(chain.from_iterable(supports), np.int64)
-    masses = np.fromiter(chain.from_iterable(map(attrgetter("masses"), measures)), np.float64)
     outside = nodes[nodes >= n]
     if outside.size:
         raise NodeOutOfRange(f"support node {outside[0]} outside [0, {n})")
+    depth = rs.depth[nodes]
+    entries = int(depth.sum())
+    if entries > _GAMMA_ENTRY_BUDGET:
+        raise SizeLimitExceeded(
+            f"the cumulative edge vectors of {len(measures)} measures under root "
+            f"{rs.root} would hold up to {entries:,} entries "
+            f"({entries * _GAMMA_ENTRY_BYTES:,} bytes to build), above the budget "
+            f"of {_GAMMA_ENTRY_BUDGET:,} entries"
+        )
+    masses = np.fromiter(chain.from_iterable(map(attrgetter("masses"), measures)), np.float64)
     ends = np.cumsum(sizes)
-    deepest = np.maximum.reduceat(rs.depth[nodes], ends - sizes)
+    deepest = np.maximum.reduceat(depth, ends - sizes)
     owner = np.repeat(np.arange(sizes.size) * m, sizes)
     pieces = [(np.zeros(0, np.int64), np.zeros(0))]
     for start, stop, steps in _passes(sizes, deepest):

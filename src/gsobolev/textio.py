@@ -280,15 +280,18 @@ def _int_fields(v: np.ndarray) -> tuple[np.ndarray, int]:
     plus one byte for the separator, and how many went to Python."""
     lo, hi = (int(v.min()), int(v.max())) if v.size else (0, 0)
     width = len(str(max(-lo, hi))) + (lo < 0)
-    fast = (v > -10**16) & (v < 10**16)
+    inside = -10**16 < lo and hi < 10**16  # then every value is fast
+    fast = None if inside else (v > -10**16) & (v < 10**16)
     count = min(width - (lo < 0), 16)  # digits of the widest fast value
     groups = -(-count // 4)
     out = np.zeros((v.size, width + 1), np.uint8)
-    digits = _digits(np.abs(np.where(fast, v, 0)), groups, lead=True)
+    digits = _digits(np.abs(v if inside else np.where(fast, v, 0)), groups, lead=True)
     out[:, width - count:width] = digits[:, 4 * groups - count:]
     out[:, width - 1] |= 48  # the last digit of 0
     if lo < 0:
         out[:, 0] = 45 * (v < 0)
+    if inside:
+        return out, 0
     slow = np.flatnonzero(~fast)
     if slow.size:
         _fallback(out, v, slow, "%d")

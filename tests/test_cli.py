@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +22,10 @@ from gsobolev import (
     KERNEL_EXP,
     KERNEL_EXP_POW,
     gram_matrix,
+    beta_weights,
     load_graph,
     load_measures,
+    prepare_root,
     random_measures,
     random_tree,
     sample_roots,
@@ -28,7 +33,9 @@ from gsobolev import (
     save_measures,
     sliced_distance,
 )
+from gsobolev import measures as measures_module
 from gsobolev.cli import _parse_p, _parse_root, CliError, main
+from gsobolev.synth import PointCloud, build_random_graph
 from gsobolev.verify import SuiteReport, SuiteCheck
 from conftest import read_matrix_csv
 
@@ -157,13 +164,15 @@ class TestDistanceCommand:
             "distance", "--graph", files["graph"], "--measures", files["measures"],
             "--root", "0", "--p", "1", "--out", out,
         ]) == 0
-        assert ", 1 number(s) formatted by Python -> " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r" ms, peak RSS \d+\.\d MB, 1 number\(s\) formatted by Python -> ", err)
         assert main([
             "gram", "--graph", files["graph"], "--measures", files["measures"],
             "--p", "2", "--t", "1e6", "--out", out,
         ]) == 0
         # The four entries of the pairs with measure 2 underflow to 0.0.
-        assert ", 4 number(s) formatted by Python -> " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r", peak RSS \d+\.\d MB, 4 number\(s\) formatted by Python -> ", err)
         assert (read_matrix_csv(out) == 0.0).sum() == 4
 
     def test_pairs_file_deduplicated(self, files):
@@ -358,6 +367,81 @@ class TestBatchPath:
         assert main(argv) == 0
         sliced = "--root" in argv
         assert built == (sample_roots(load_graph(files["graph"]), 3, 1) if sliced else [0])
+
+
+class TestRootStreaming:
+    """``distance`` and ``gram`` hold one root's tree, λ and Γ at a time."""
+
+    GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+    def test_peak_memory_does_not_grow_with_roots(self, tmp_path):
+        rng = np.random.default_rng(0)
+        g = build_random_graph(PointCloud(rng.random((2000, 2))), "log", seed=0)
+        save_graph(g, str(tmp_path / "g.graph"))
+        save_measures(random_measures(g, 30, 5, seed=0), str(tmp_path / "m.measures"))
+
+        def peak(k: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main([
+                    "distance", "--graph", str(tmp_path / "g.graph"),
+                    "--measures", str(tmp_path / "m.measures"), "--root", f"sliced:{k}:0",
+                    "--p", "1", "--out", str(tmp_path / "d.csv"),
+                ]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # what one root holds while its pairs are evaluated: tree, λ, weights
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rs, prep = prepare_root(g, 0)
+            beta_weights(prep, 1.0)
+            one_root = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Eight roots held at once would add about seven roots' bytes.
+        assert peak(8) < peak(1) + one_root
+
+    @pytest.mark.parametrize(
+        "p, pairs, digest",
+        [
+            ("1.5", "all", "66306cfdd3aa24fc0f6dadb8a65f50a6d2df5f83a158cbb23f95544c88322043"),
+            ("inf", "instance.pairs",
+             "0414096114b4ce27e8051ca1bde980a9858ed1c00369ee54aae791f499ce0480"),
+        ],
+        ids=["all-pairs", "pair-file"],
+    )
+    def test_sliced_three_csv_bytes(self, tmp_path, p, pairs, digest):
+        # the SHA-256 of the CSV written when all roots were prepared first
+        out = tmp_path / "d.csv"
+        assert main([
+            "distance", "--graph", str(self.GOLDEN / "instance.graph"),
+            "--measures", str(self.GOLDEN / "instance.measures"), "--root", "sliced:3:11",
+            "--p", p, "--pairs", pairs if pairs == "all" else str(self.GOLDEN / pairs),
+            "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["distance", "gram"])
+    def test_gamma_budget_refusal_exits_three(self, files, monkeypatch, capsys, command):
+        # the three diracs' root paths hold 0 + 1 + 2 entries from root 0
+        monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", 2)
+        out = files["dir"] / "o.csv"
+        assert main([
+            command, "--graph", files["graph"], "--measures", files["measures"],
+            "--p", "1", "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: the cumulative edge vectors of 3 measures under root 0")
+        assert "up to 3 entries (120 bytes to build), above the budget of 2 entries" in err
+        assert not out.exists() and not Path(str(out) + ".json").exists()
+        monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", 3)
+        assert main([
+            command, "--graph", files["graph"], "--measures", files["measures"],
+            "--p", "1", "--out", str(out),
+        ]) == 0
 
 
 class TestSlicedGram:

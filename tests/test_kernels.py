@@ -13,6 +13,7 @@ from gsobolev import (
     GramSpec,
     InvalidBandwidth,
     InvalidExponent,
+    KERNEL_EXP,
     KERNEL_EXP_POW,
     NonPositiveEntry,
     RootMismatch,
@@ -144,6 +145,25 @@ class TestGramMatrix:
         K = gram_matrix(D, GramSpec(p=2.0, t=0.5, form=KERNEL_EXP_POW))
         want = math.exp(-0.5 * D[0, 1] ** 2)
         assert K[0, 1] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("form", [KERNEL_EXP, KERNEL_EXP_POW])
+    def test_in_place_bits_match_the_expressions(self, p, form):
+        # one output array, the same bits as the plain expressions, and the
+        # caller's matrix untouched
+        rng = np.random.default_rng(int(10 * p))
+        D = rng.lognormal(0.0, 2.0, (60, 60))
+        D = D + D.T
+        np.fill_diagonal(D, 0.0)
+        D[3, 5] = D[5, 3] = 1e-300
+        D[7, 9] = D[9, 7] = 1e150
+        kept = D.copy()
+        t = 0.37
+        K = gram_matrix(D, GramSpec(p=p, t=t, form=form))
+        powered = D**p if form == KERNEL_EXP_POW and p != 1.0 else D
+        assert K.tobytes() == np.exp(-t * powered).tobytes()
+        assert D.tobytes() == kept.tobytes()
+        assert not np.shares_memory(K, D)
 
     def test_bandwidth_scales_monotonically(self, path_triple):
         _, prep, table = path_triple

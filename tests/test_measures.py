@@ -13,6 +13,7 @@ from gsobolev import (
     NegativeMass,
     NodeOutOfRange,
     ParseError,
+    SizeLimitExceeded,
     gamma_mass,
     gamma_masses,
     load_measures,
@@ -253,6 +254,21 @@ class TestGammaMasses:
                 ids, vals = walk_sums(rs, mu)
                 assert table.row(k).edge_ids.tolist() == ids
                 assert table.row(k).values.tolist() == vals
+
+    def test_entry_budget_refused_before_the_build(self, monkeypatch):
+        g = random_weighted_graph(5, n_lo=40, n_hi=60)
+        rng = np.random.default_rng(5)
+        pool = [random_measure(rng, g.node_count, 4) for _ in range(10)]
+        rs = shortest_path_tree(g, 0)
+        predicted = int(sum(rs.depth[list(mu.nodes)].sum() for mu in pool))
+        monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", predicted)
+        table = gamma_masses(rs, pool)
+        assert table.edge_ids.size <= predicted
+        monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", predicted - 1)
+        monkeypatch.setattr(measures_module, "_passes", None)  # never reached
+        with pytest.raises(SizeLimitExceeded, match=f"up to {predicted:,} entries "
+                           f"\\({40 * predicted:,} bytes to build\\), above the budget"):
+            gamma_masses(rs, pool)
 
     def test_empty_batch(self, path_graph):
         table = gamma_masses(shortest_path_tree(path_graph, 0), [])
