@@ -18,6 +18,8 @@ root-path depths, not the ambient graph size.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +136,15 @@ def _reduce_pairs(
     the CSR rows ``(indptr, edges, diff)``, one row per pair.
 
     Within a row, edges come in increasing order.  Each row is reduced on
-    its own, sequentially in that order: scipy's ``csr_matvec`` against a
-    ones vector adds a row's terms one by one from 0.0, and multiplying by
-    1.0 is exact, so a pair's bits never depend on the batch it sits in.
-    Zero differences may be present or absent: adding ``+0.0`` to a
-    nonnegative sum, or a zero to a max, changes no bit.  A row without
-    entries is at distance 0.  ``diff`` is overwritten with the terms.
+    its own, sequentially in that order: scipy's ``csr_matvec``, with the
+    edge weights as its vector, adds a row's products ``term * weight`` one
+    by one from 0.0, so a pair's bits never depend on the batch it sits in.
+    This holds only while scipy's build does not fuse ``sum + term * weight``
+    into one FMA; ``TestReducePairs::test_rows_equal_sequential_python_sum``
+    is the test that catches a build that does.  Zero differences may be
+    present or absent: adding ``+0.0`` to a nonnegative sum, or a zero to a
+    max, changes no bit.  A row without entries is at distance 0.  ``diff``
+    is overwritten with the terms.
     """
     n_pairs = indptr.size - 1
     terms = np.abs(diff, out=diff)
@@ -152,10 +157,8 @@ def _reduce_pairs(
         return out
     if p != 1.0:
         terms **= p
-    terms *= weights[edges]
     total = np.zeros(n_pairs)
-    column = np.zeros(terms.size, dtype=indptr.dtype)
-    csr_matvec(n_pairs, 1, indptr, column, terms, np.ones(1), total)
+    csr_matvec(n_pairs, weights.size, indptr, edges, terms, weights, total)
     return total if p == 1.0 else total ** (1.0 / p)
 
 
@@ -204,6 +207,14 @@ def _rows(rows, n: int) -> np.ndarray:
     return np.where(rows < 0, rows + n, rows)
 
 
+def _lane_count() -> int:
+    """The CPUs this process may run on: one lane of blocks each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def pair_distances(
     prep: EdgePrep,
     table: GammaTable,
@@ -219,9 +230,16 @@ def pair_distances(
     block, scipy's ``csr_row_index`` gathers the ``first`` and the
     ``second`` rows from the table's own arrays, and :func:`_merge_reduce`
     turns them into distances, as it does for the per-pair functions, whose
-    values every entry equals bit for bit.  The outputs go into buffers
-    allocated once, sized from the blocks' exact entry counts; the kernels
-    do not bounds-check, so rows are validated first.
+    values every entry equals bit for bit.  The kernels do not bounds-check,
+    so rows are validated first.
+
+    The blocks are dealt round-robin to lanes, one per CPU the process may
+    use and never more than there are blocks.  Every kernel releases the
+    GIL, so the lanes run at once: the calling thread runs lane 0 and one
+    thread per other lane is started and joined within this call, so a
+    one-block call starts none.  Each lane has its own buffers, sized from
+    its own blocks' exact entry counts, and writes only its own blocks'
+    slices of the output.  An exception in any lane is raised here.
     """
     weights = _edge_weights(prep, p, variant)
     if prep.root != table.root:
@@ -237,22 +255,47 @@ def pair_distances(
     cost = a_end[1:] + b_end[1:]
     cuts = np.searchsorted(cost, np.arange(_BLOCK_ENTRIES, cost[-1], _BLOCK_ENTRIES))
     bounds = np.unique(np.concatenate([[0], cuts, [first.size]]))
-    a_size, b_size = (np.diff(end[bounds]).max() for end in (a_end, b_end))
-    a_edges, a_values = np.empty(a_size, np.int64), np.empty(a_size)
-    b_edges, b_values = np.empty(b_size, np.int64), np.empty(b_size)
-    indptr = np.empty(np.diff(bounds).max() + 1, np.int64)
-    edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
     layout = table.indptr, table.edge_ids, table.values
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        k = stop - start
-        csr_row_index(k, first[start:stop], *layout, a_edges, a_values)
-        csr_row_index(k, second[start:stop], *layout, b_edges, b_values)
-        out[start:stop] = _merge_reduce(
-            k,
-            (a_end[start : stop + 1] - a_end[start], a_edges, a_values),
-            (b_end[start : stop + 1] - b_end[start], b_edges, b_values),
-            weights, p, indptr, edges, diff,
-        )
+
+    def run_lane(starts: np.ndarray, stops: np.ndarray) -> None:
+        a_size, b_size = ((end[stops] - end[starts]).max() for end in (a_end, b_end))
+        a_edges, a_values = np.empty(a_size, np.int64), np.empty(a_size)
+        b_edges, b_values = np.empty(b_size, np.int64), np.empty(b_size)
+        indptr = np.empty((stops - starts).max() + 1, np.int64)
+        edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            k = stop - start
+            csr_row_index(k, first[start:stop], *layout, a_edges, a_values)
+            csr_row_index(k, second[start:stop], *layout, b_edges, b_values)
+            out[start:stop] = _merge_reduce(
+                k,
+                (a_end[start : stop + 1] - a_end[start], a_edges, a_values),
+                (b_end[start : stop + 1] - b_end[start], b_edges, b_values),
+                weights, p, indptr, edges, diff,
+            )
+
+    lanes = min(_lane_count(), bounds.size - 1)
+    spans = [(bounds[:-1][lane::lanes], bounds[1:][lane::lanes]) for lane in range(lanes)]
+    errors: list[BaseException] = []
+
+    def helper(starts: np.ndarray, stops: np.ndarray) -> None:
+        try:
+            run_lane(starts, stops)
+        except BaseException as exc:  # raised by the calling thread below
+            errors.append(exc)
+
+    started = []
+    try:
+        for span in spans[1:]:
+            thread = threading.Thread(target=helper, args=span)
+            thread.start()
+            started.append(thread)
+        run_lane(*spans[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

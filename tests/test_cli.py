@@ -341,6 +341,29 @@ class TestDistanceCommand:
         assert code == 3
 
 
+class TestImpossibleHeader:
+    def test_too_few_edges_exit_three_before_allocating(self, files, capsys):
+        # 1e13 nodes cannot be joined by 0 edges: refused before any n-sized array
+        graph = files["dir"] / "huge.graph"
+        graph.write_text("10000000000000 0\n")
+        out = files["dir"] / "d.csv"
+        tracemalloc.start()
+        try:
+            code = main([
+                "distance", "--graph", str(graph), "--measures", files["measures"],
+                "--out", str(out),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "data error: graph has 10000000000000 components, expected 1\n"
+        assert "Traceback" not in err
+        assert peak < 1 << 20
+        assert not out.exists()
+
+
 class TestBatchPath:
     @pytest.mark.parametrize(
         "argv",

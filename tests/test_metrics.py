@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,6 +520,75 @@ class TestRowSafety:
         want = pair_distances(prep, table, first % n, second % n, 2.0)
         assert got.tobytes() == want.tobytes()
         assert got.min() > 0.0
+
+
+class TestLanes:
+    """Blocks dealt to parallel lanes: the same bits for every lane count,
+    no thread for one block, and no thread left once a call returns."""
+
+    @pytest.mark.parametrize(
+        "p, variant",
+        [(p, VARIANT_SOBOLEV_IPM) for p in (1.0, 1.5, 2.0, math.inf)]
+        + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0)],
+    )
+    def test_lane_count_changes_no_bit(self, monkeypatch, p, variant):
+        _, prep, table = merge_pool(4, support=6)
+        i, j = np.triu_indices(len(table))
+        want = oracle_distances(table, i, j, _edge_weights(prep, p, variant), p)
+        threads = threading.active_count()
+        for entries in (1, 5, 64):
+            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(metrics, "_lane_count", lambda: lanes)
+                got = pair_distances(prep, table, i, j, p, variant)
+                assert got.tobytes() == want.tobytes()
+                assert threading.active_count() == threads
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        _, prep, table = merge_pool(4, support=6)
+        i, j = np.triu_indices(len(table))
+        want = pair_distances(prep, table, i, j, 1.5)
+
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(metrics, "_lane_count", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        assert pair_distances(prep, table, i, j, 1.5).tobytes() == want.tobytes()
+        assert pair_distances(prep, table, i[:1], j[:1], 1.5).tobytes() == want[:1].tobytes()
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 5)  # many blocks: lanes start
+        with pytest.raises(AssertionError, match="a thread was started"):
+            pair_distances(prep, table, i, j, 1.5)
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_error_in_a_lane_is_raised_after_the_join(self, monkeypatch, lane):
+        _, prep, table = merge_pool(4, support=6)
+        i, j = np.triu_indices(len(table))
+        gather = metrics.csr_row_index
+        main = threading.main_thread()
+
+        def failing(*args):
+            if (threading.current_thread() is main) == (lane == 0):
+                raise MemoryError(f"lane {lane} failed")
+            gather(*args)
+
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 5)
+        monkeypatch.setattr(metrics, "_lane_count", lambda: 2)
+        monkeypatch.setattr(metrics, "csr_row_index", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match=f"lane {lane} failed"):
+            pair_distances(prep, table, i, j, 2.0)
+        assert threading.active_count() == threads
+
+    def test_import_starts_no_thread(self):
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        code = "import threading, gsobolev.cli; print(threading.active_count())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and proc.stdout == "1\n"
 
 
 class TestSlicedDistance:
