@@ -86,11 +86,9 @@ class Graph:
             # Too few edges to connect n nodes: count the components among the
             # touched nodes alone, so no n-sized array is built.
             touched, ends = np.unique(np.concatenate([u, v]), return_inverse=True)
-            parts = 0
-            if touched.size:
-                arcs = (ends[: u.size], ends[u.size :])
-                adj = csr_matrix((np.ones(u.size), arcs), shape=(touched.size,) * 2)
-                parts, _ = connected_components(adj, directed=False)
+            arcs = (ends[: u.size], ends[u.size :])
+            adj = csr_matrix((np.ones(u.size), arcs), shape=(touched.size,) * 2)
+            parts, _ = connected_components(adj, directed=False)
             n_comp = parts + n - touched.size
             raise Disconnected(f"graph has {n_comp} components, expected 1")
         # Symmetric CSR adjacency; max -> min arcs first, so every row is sorted.

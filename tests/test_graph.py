@@ -136,6 +136,15 @@ class TestLoadGraph:
                 load_graph(write(tmp_path, text))
             assert str(err.value) == f"graph has {parts} components, expected 1"
 
+    def test_too_few_edges_counted_without_n_sized_arrays(self):
+        # 1e13 nodes: an int64 array over them would take 80 TB
+        n = 10**13
+        for (u, v), parts in [(([], []), n), (([0, 5], [1, n - 1]), n - 2)]:
+            with pytest.raises(Disconnected) as err:
+                Graph(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+                      np.ones(len(u)))
+            assert str(err.value) == f"graph has {parts} components, expected 1"
+
     def test_garbage_edge_line(self, tmp_path):
         with pytest.raises(ParseError):
             load_graph(write(tmp_path, "2 1\n0 one 1.0\n"))
