@@ -31,7 +31,7 @@ from .kernels import (
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
-    _symmetric,
+    _mirror_upper,
     gram_matrix,
     min_eigenvalue,
     quadratic_form_violations,
@@ -41,6 +41,7 @@ from .measures import DiscreteMeasure, gamma_masses, load_measures, save_measure
 from .metrics import (
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
+    _Triangle,
     beta_weights,
     pair_distances,
     prepare_root,
@@ -57,7 +58,7 @@ from .synth import (
     random_measures,
     save_point_cloud,
 )
-from .textio import read_table, row_line, utf8_input, write_rows
+from .textio import CELL_BLOCK, read_table, row_line, utf8_input, write_rows
 from .verify import SUITES, run_suites
 
 VARIANT_FLAGS = {"sipm": VARIANT_SOBOLEV_IPM, "st": VARIANT_SOBOLEV_TRANSPORT}
@@ -180,6 +181,20 @@ def _write_distance_csv(
         return write_rows(fh, (np.column_stack((first, second)), values), ",")
 
 
+def _write_all_pairs_csv(path: str, n: int, values: np.ndarray) -> int:
+    """:func:`_write_distance_csv` of every pair ``i < j`` of ``n``
+    measures, ``values`` in row-major order.  The ``i`` and ``j`` columns
+    are built for one block of ``CELL_BLOCK`` pairs at a time."""
+    tri, pairs = _Triangle(n), np.empty((2, CELL_BLOCK), np.int64)
+    slow = 0
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,distance\n")
+        for s in range(0, values.size, CELL_BLOCK):
+            e = min(s + CELL_BLOCK, values.size)
+            slow += write_rows(fh, (tri.pairs(s, e, pairs).T, values[s:e]), ",")
+    return slow
+
+
 def _peak_rss() -> str:
     """``", peak RSS <MB>"`` of this process so far, or ``""`` where the
     ``resource`` module is missing."""
@@ -192,28 +207,39 @@ def _peak_rss() -> str:
 
 def _root_mean(
     g: Graph, measures: list[DiscreteMeasure], roots: list[int],
-    first: np.ndarray, second: np.ndarray, p: float, variant: str,
+    first: np.ndarray | None, second: np.ndarray | None, p: float, variant: str,
+    into: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Distances between ``measures[first[k]]`` and ``measures[second[k]]``
     averaged over ``roots`` as ``sliced_distance`` averages them (a sum in
     root order from 0.0, then one division), with the set-up time (trees
     and λ) and the evaluation time (Γ and distances) in ms, each summed
-    over the roots.  The roots stream: one root's tree, λ and Γ (for the
-    measures the pairs use) are built, used and dropped before the next
-    root's, so memory does not grow with the root count."""
+    over the roots.  With ``first`` and ``second`` ``None``, the pairs are
+    all ``i < j``, summed in ``into`` (see :func:`metrics.pair_distances`).
+    The roots stream: one root's tree, λ and Γ (for the measures the pairs
+    use) are built, used and dropped before the next root's, so memory does
+    not grow with the root count."""
     t0 = time.perf_counter()
-    # Row slot[k] of each table holds measure k, for the measures in use.
-    used = np.bincount(np.concatenate([first, second]), minlength=len(measures)) > 0
-    slot = np.cumsum(used) - 1
-    pool = [measures[k] for k in np.flatnonzero(used)]
-    acc = np.zeros(first.size)
+    n = len(measures)
+    if first is None:
+        pool = measures
+        acc = np.zeros(n * (n - 1) // 2) if into is None else into
+    else:
+        # Row slot[k] of each table holds measure k, for the measures in use.
+        used = np.bincount(np.concatenate([first, second]), minlength=n) > 0
+        slot = np.cumsum(used) - 1
+        pool = [measures[k] for k in np.flatnonzero(used)]
+        acc = np.zeros(first.size)
     prep_s, eval_s = 0.0, time.perf_counter() - t0
     for root in roots:
         t0 = time.perf_counter()
         rs, prep = prepare_root(g, root)
         t1 = time.perf_counter()
         table = gamma_masses(rs, pool)
-        acc += pair_distances(prep, table, slot[first], slot[second], p, variant)
+        if first is None:
+            pair_distances(prep, table, None, None, p, variant, into=acc)
+        else:
+            acc += pair_distances(prep, table, slot[first], slot[second], p, variant)
         del rs, prep, table  # before the next root's are built
         prep_s += t1 - t0
         eval_s += time.perf_counter() - t1
@@ -229,15 +255,17 @@ def cmd_distance(args: argparse.Namespace) -> int:
     _require_out_path(args.out)
     g, measures, roots = _load_inputs(args)
     n = len(measures)
-    if args.pairs == "all":
-        first, second = np.triu_indices(n, 1)
-    else:
+    first = second = None
+    if args.pairs != "all":
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
     values, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, variant)
-    slow = _write_distance_csv(args.out, first, second, values)
+    if first is None:
+        slow = _write_all_pairs_csv(args.out, n, values)
+    else:
+        slow = _write_distance_csv(args.out, first, second, values)
     print(
-        f"distance: {first.size} pairs, {len(roots)} root(s), "
+        f"distance: {values.size} pairs, {len(roots)} root(s), "
         f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms{_peak_rss()}, "
         f"{slow} number(s) formatted by Python -> {args.out}",
         file=sys.stderr,
@@ -260,11 +288,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _require_out_path(args.out + ".json")
     g, measures, roots = _load_inputs(args)
     n = len(measures)
-    first, second = np.triu_indices(n, 1)
-    d, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, VARIANT_SOBOLEV_IPM)
+    D, prep_ms, eval_ms = _root_mean(
+        g, measures, roots, None, None, p, VARIANT_SOBOLEV_IPM, np.zeros((n, n))
+    )
 
     t0 = time.perf_counter()
-    D = _symmetric(n, first, second, d)
+    _mirror_upper(D)
     spec = GramSpec(
         p=p, t=args.t, form=KERNEL_FLAGS[args.kernel],
         allow_outside_range=args.allow_outside_range,

@@ -14,6 +14,7 @@ All arrays are frozen after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -27,6 +28,9 @@ from .textio import read_table, row_line, significant_lines, utf8_input, write_r
 
 # Two root-path lengths within this relative tolerance count as tied.
 TIE_RTOL = 1e-12
+
+# The most nodes whose pair keys lo * n + hi all fit in int64.
+_KEYED_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -70,15 +74,24 @@ class Graph:
         if loops.any():
             i = int(np.flatnonzero(loops)[0])
             raise DuplicateEdge(f"edge {i} is a self-loop at node {u[i]}")
-        # One sort of the pair keys: equal neighbours are repeats, then the CSR.
-        # Each scratch array is dropped once used, to keep the peak low.
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        order = np.argsort(key)
-        key = key[order]
-        dup = np.flatnonzero(key[1:] == key[:-1])
+        # One sort of the node pairs: equal neighbours are repeats, then the
+        # CSR.  While n * n fits in int64 the key lo * n + hi sorts them in one
+        # pass; past that np.lexsort sorts the two columns.  Each scratch
+        # array is dropped once used, to keep the peak low.
+        if n <= _KEYED_NODES:
+            key = np.minimum(u, v) * n + np.maximum(u, v)
+            order = np.argsort(key)
+            key = key[order]
+            lo, hi = np.divmod(key, n)
+            del key
+        else:
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+        dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
         if dup.size:
-            k = int(key[dup[0]])
-            raise DuplicateEdge(f"node pair ({k // n}, {k % n}) appears more than once")
+            k = dup[0]
+            raise DuplicateEdge(f"node pair ({lo[k]}, {hi[k]}) appears more than once")
         object.__setattr__(self, "edge_u", _freeze(u))
         object.__setattr__(self, "edge_v", _freeze(v))
         object.__setattr__(self, "edge_w", _freeze(w))
@@ -93,8 +106,6 @@ class Graph:
             raise Disconnected(f"graph has {n_comp} components, expected 1")
         # Symmetric CSR adjacency; max -> min arcs first, so every row is sorted.
         idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        lo, hi = np.divmod(key, n)
-        del key
         lo, hi = lo.astype(idx), hi.astype(idx)
         arcs = (np.concatenate([hi, lo]), np.concatenate([lo, hi]))
         del lo, hi

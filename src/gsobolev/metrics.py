@@ -147,7 +147,8 @@ def _reduce_pairs(
     is overwritten with the terms.
     """
     n_pairs = indptr.size - 1
-    terms = np.abs(diff, out=diff)
+    # d * d and |d| * |d| have the same bits, so p = 2 squares d as it is.
+    terms = diff if p == 2.0 else np.abs(diff, out=diff)
     if math.isinf(p):
         terms *= weights[edges]
         out = np.zeros(n_pairs)
@@ -215,13 +216,75 @@ def _lane_count() -> int:
         return os.cpu_count() or 1
 
 
+def _in_lanes(bounds: np.ndarray, run_lane) -> None:
+    """Deal the blocks ``[bounds[b], bounds[b + 1])`` round-robin to lanes,
+    one per CPU the process may use and never more than there are blocks,
+    and call ``run_lane(starts, stops)`` once per lane with its blocks.
+    The calling thread runs lane 0; one thread per other lane is started and
+    joined before this returns, also when a lane raises.  The first
+    exception of any lane is raised here."""
+    lanes = min(_lane_count(), bounds.size - 1)
+    spans = [(bounds[:-1][lane::lanes], bounds[1:][lane::lanes]) for lane in range(lanes)]
+    errors: list[BaseException] = []
+
+    def helper(starts: np.ndarray, stops: np.ndarray) -> None:
+        try:
+            run_lane(starts, stops)
+        except BaseException as exc:  # raised by the calling thread below
+            errors.append(exc)
+
+    started = []
+    try:
+        for span in spans[1:]:
+            thread = threading.Thread(target=helper, args=span)
+            thread.start()
+            started.append(thread)
+        run_lane(*spans[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+class _Triangle:
+    """The pairs ``(i, j)``, ``i < j``, of ``n`` rows, in row-major order."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.columns = np.arange(n, dtype=np.int64)
+        # where row i's pairs (i, i + 1) .. (i, n - 1) begin; the last is the pair count
+        self.begin = self.columns * (2 * n - 1 - self.columns) // 2
+        self.size = int(self.begin[-1]) if n else 0
+
+    def locate(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and columns of the pairs numbered ``pairs``."""
+        rows = self.begin.searchsorted(pairs, "right") - 1
+        return rows, pairs - self.begin[rows] + rows + 1
+
+    def pairs(self, s: int, e: int, out: np.ndarray) -> np.ndarray:
+        """Pairs ``[s, e)`` as their rows and columns in ``out[0, :e - s]``
+        and ``out[1, :e - s]``, written one row's run at a time, so nothing
+        of the block's size is allocated.  Returns that ``(2, e - s)`` view."""
+        r, c = (int(x) for x in self.locate(s))
+        done, k = 0, e - s
+        while done < k:
+            run = min(k - done, self.n - c)  # the rest of row r, or of the block
+            out[0, done : done + run] = r
+            out[1, done : done + run] = self.columns[c : c + run]
+            done, r, c = done + run, r + 1, r + 2
+        return out[:, :k]
+
+
 def pair_distances(
     prep: EdgePrep,
     table: GammaTable,
-    first: np.ndarray,
-    second: np.ndarray,
+    first: np.ndarray | None,
+    second: np.ndarray | None,
     p: float,
     variant: str = VARIANT_SOBOLEV_IPM,
+    *,
+    into: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distances between rows ``first[k]`` and ``second[k]`` of ``table``
     for every ``k``, under one prepared root.
@@ -233,17 +296,28 @@ def pair_distances(
     values every entry equals bit for bit.  The kernels do not bounds-check,
     so rows are validated first.
 
-    The blocks are dealt round-robin to lanes, one per CPU the process may
-    use and never more than there are blocks.  Every kernel releases the
-    GIL, so the lanes run at once: the calling thread runs lane 0 and one
-    thread per other lane is started and joined within this call, so a
-    one-block call starts none.  Each lane has its own buffers, sized from
-    its own blocks' exact entry counts, and writes only its own blocks'
-    slices of the output.  An exception in any lane is raised here.
+    The blocks are dealt to lanes (:func:`_in_lanes`).  Every kernel
+    releases the GIL, so the lanes run at once; a one-block call starts no
+    thread.  Each lane has its own buffers, sized from its own blocks' exact
+    entry counts, and writes only its own blocks' values.
+
+    With ``first`` and ``second`` both ``None``, the pairs are all ``i < j``
+    of the table's ``n`` rows in row-major order, and they are never
+    listed: the same blocks are cut from per-row entry sums, and each lane
+    builds its blocks' rows and columns in its own buffers.  A block within
+    one row ``i`` reads its second rows, consecutive in the table, in place.
+    The values are added to ``into`` and it is returned: a vector of the
+    ``n(n - 1)/2`` pairs in that order, zeros if not given, or a C-ordered
+    ``n x n`` float matrix whose ``[i, j]`` gets pair ``(i, j)``, its lower
+    triangle left as is.
     """
     weights = _edge_weights(prep, p, variant)
     if prep.root != table.root:
         raise RootMismatch(f"roots differ: prep {prep.root}, table {table.root}")
+    if first is None and second is None:
+        return _all_pairs(table, weights, p, into)
+    if into is not None:
+        raise ValueError("into takes the values of all pairs; pass first=second=None")
     first, second = _rows(first, len(table)), _rows(second, len(table))
     if first.size != second.size:
         raise ValueError(f"{first.size} first rows against {second.size} second rows")
@@ -274,29 +348,93 @@ def pair_distances(
                 weights, p, indptr, edges, diff,
             )
 
-    lanes = min(_lane_count(), bounds.size - 1)
-    spans = [(bounds[:-1][lane::lanes], bounds[1:][lane::lanes]) for lane in range(lanes)]
-    errors: list[BaseException] = []
-
-    def helper(starts: np.ndarray, stops: np.ndarray) -> None:
-        try:
-            run_lane(starts, stops)
-        except BaseException as exc:  # raised by the calling thread below
-            errors.append(exc)
-
-    started = []
-    try:
-        for span in spans[1:]:
-            thread = threading.Thread(target=helper, args=span)
-            thread.start()
-            started.append(thread)
-        run_lane(*spans[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _in_lanes(bounds, run_lane)
     return out
+
+
+def _all_pairs(
+    table: GammaTable, weights: np.ndarray, p: float, into: np.ndarray | None
+) -> np.ndarray:
+    """:func:`pair_distances` over all pairs ``i < j``, added to ``into``."""
+    n = len(table)
+    tri = _Triangle(n)
+    if into is None:
+        into = np.zeros(tri.size)
+    matrix = into.shape == (n, n)
+    if not (
+        (matrix or into.shape == (tri.size,))
+        and into.dtype == np.float64
+        and into.flags.c_contiguous
+        and into.flags.writeable
+    ):
+        raise ValueError(f"into must be {tri.size} or {n} x {n} writable float64s in C order")
+    if tri.size == 0:
+        return into
+    flat = into.reshape(-1)
+    nnz = np.diff(table.indptr)
+    ends = np.concatenate([[0], np.cumsum(nnz)])  # entries of the rows before each
+    # Entries before row i's pairs: each earlier row r once per pair of its
+    # own on the first side, and the rows after r on the second.
+    a_rows = np.concatenate([[0], np.cumsum((n - 1 - tri.columns) * nnz)])
+    b_rows = np.concatenate([[0], np.cumsum(ends[-1] - ends[1:])])
+
+    def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first and the second rows' entries of the pairs ``[0, before)``."""
+        row, col = tri.locate(before)
+        return a_rows[row] + (col - row - 1) * nnz[row], b_rows[row] + ends[col] - ends[row + 1]
+
+    # Cut as pair_distances cuts a list of the same pairs: before the first
+    # pair whose running entry count reaches each multiple of _BLOCK_ENTRIES,
+    # found by bisection, since that count is nondecreasing.
+    targets = np.arange(_BLOCK_ENTRIES, sum(entries(np.int64(tri.size))), _BLOCK_ENTRIES)
+    lo, hi = np.zeros(targets.size, np.int64), np.full(targets.size, tri.size - 1)
+    for _ in range(tri.size.bit_length()):
+        mid = (lo + hi) // 2
+        reached = sum(entries(mid + 1)) >= targets
+        lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
+    bounds = np.unique(np.concatenate([[0], lo, [tri.size]]))
+    layout = table.indptr, table.edge_ids, table.values
+
+    def run_lane(starts: np.ndarray, stops: np.ndarray) -> None:
+        (a0, b0), (a1, b1) = entries(starts), entries(stops)
+        a_size, b_size = (a1 - a0).max(), (b1 - b0).max()
+        k_size = (stops - starts).max()
+        block = np.empty((2, k_size), np.int64)  # a block's rows and columns
+        ptrs = np.empty((2, k_size + 1), np.int64)  # of its first and its second rows
+        a_edges, a_values = np.empty(a_size, np.int64), np.empty(a_size)
+        b_edges, b_values = np.empty(b_size, np.int64), np.empty(b_size)
+        indptr = np.empty(k_size + 1, np.int64)
+        edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
+        spans = zip(starts.tolist(), stops.tolist(), *(x.tolist() for x in tri.locate(starts)))
+        for start, stop, r, c in spans:
+            k = stop - start
+            a_ptr, b_ptr = ptrs[0, : k + 1], ptrs[1, : k + 1]
+            if c + k <= n:
+                # One row: the first rows are all r, and the second rows
+                # c .. c + k - 1 lie in the table in one piece, read in place.
+                rows = block[0, :k]
+                rows.fill(r)
+                np.multiply(tri.columns[: k + 1], nnz[r], out=a_ptr)
+                lo, hi = table.indptr[c], table.indptr[c + k]
+                np.subtract(table.indptr[c : c + k + 1], lo, out=b_ptr)
+                b = b_ptr, table.edge_ids[lo:hi], table.values[lo:hi]
+                spot = slice(r * n + c, r * n + c + k) if matrix else slice(start, stop)
+            else:
+                rows, cols = tri.pairs(start, stop, block)
+                a_ptr[0] = b_ptr[0] = 0
+                nnz.take(rows, out=a_ptr[1:], mode="clip")
+                nnz.take(cols, out=b_ptr[1:], mode="clip")
+                np.add.accumulate(ptrs[:, 1 : k + 1], axis=1, out=ptrs[:, 1 : k + 1])
+                csr_row_index(k, cols, *layout, b_edges, b_values)
+                b = b_ptr, b_edges, b_values
+                spot = rows * n + cols if matrix else slice(start, stop)
+            csr_row_index(k, rows, *layout, a_edges, a_values)
+            flat[spot] += _merge_reduce(
+                k, (a_ptr, a_edges, a_values), b, weights, p, indptr, edges, diff
+            )
+
+    _in_lanes(bounds, run_lane)
+    return into
 
 
 def sobolev_ipm_distance(prep: EdgePrep, u: GammaTable, v: GammaTable, p: float) -> float:

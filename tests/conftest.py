@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def random_weighted_graph(seed: int, n_lo: int = 8, n_hi: int = 40) -> Graph:
         have.add((min(u, v), max(u, v)))
         edges.append((u, v, float(rng.uniform(0.2, 2.0))))
     return Graph.from_edges(n, edges)
+
+
+def traced_peak(fn):
+    """``fn()`` under ``tracemalloc``: its result, the traced peak during the
+    call and the traced bytes still held when it returns."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak, held
+    finally:
+        tracemalloc.stop()
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

@@ -10,7 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,11 @@ from gsobolev import (
     KERNEL_EXP_POW,
     gram_matrix,
     beta_weights,
+    gamma_masses,
     load_graph,
     load_measures,
+    min_eigenvalue,
+    pair_distances,
     prepare_root,
     random_measures,
     random_tree,
@@ -32,12 +35,14 @@ from gsobolev import (
     save_graph,
     save_measures,
     sliced_distance,
+    VARIANT_SOBOLEV_IPM,
 )
 from gsobolev import measures as measures_module
-from gsobolev.cli import _parse_p, _parse_root, CliError, main
+from gsobolev.cli import VARIANT_FLAGS, _parse_p, _parse_root, CliError, main
+from gsobolev.kernels import quadratic_form_violations
 from gsobolev.synth import PointCloud, build_random_graph
 from gsobolev.verify import SuiteReport, SuiteCheck
-from conftest import read_matrix_csv
+from conftest import read_matrix_csv, traced_peak
 
 
 @pytest.fixture()
@@ -347,15 +352,10 @@ class TestImpossibleHeader:
         graph = files["dir"] / "huge.graph"
         graph.write_text("10000000000000 0\n")
         out = files["dir"] / "d.csv"
-        tracemalloc.start()
-        try:
-            code = main([
-                "distance", "--graph", str(graph), "--measures", files["measures"],
-                "--out", str(out),
-            ])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak, _ = traced_peak(lambda: main([
+            "distance", "--graph", str(graph), "--measures", files["measures"],
+            "--out", str(out),
+        ]))
         assert code == 3
         err = capsys.readouterr().err
         assert err == "data error: graph has 10000000000000 components, expected 1\n"
@@ -404,26 +404,21 @@ class TestRootStreaming:
         save_measures(random_measures(g, 30, 5, seed=0), str(tmp_path / "m.measures"))
 
         def peak(k: int) -> int:
-            tracemalloc.start()
-            try:
-                assert main([
-                    "distance", "--graph", str(tmp_path / "g.graph"),
-                    "--measures", str(tmp_path / "m.measures"), "--root", f"sliced:{k}:0",
-                    "--p", "1", "--out", str(tmp_path / "d.csv"),
-                ]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak, _ = traced_peak(lambda: main([
+                "distance", "--graph", str(tmp_path / "g.graph"),
+                "--measures", str(tmp_path / "m.measures"), "--root", f"sliced:{k}:0",
+                "--p", "1", "--out", str(tmp_path / "d.csv"),
+            ]))
+            assert code == 0
+            return peak
 
         # what one root holds while its pairs are evaluated: tree, λ, weights
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        def one_root_structures():
             rs, prep = prepare_root(g, 0)
             beta_weights(prep, 1.0)
-            one_root = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+            return rs, prep
+
+        _, _, one_root = traced_peak(one_root_structures)
         # Eight roots held at once would add about seven roots' bytes.
         assert peak(8) < peak(1) + one_root
 
@@ -465,6 +460,110 @@ class TestRootStreaming:
             command, "--graph", files["graph"], "--measures", files["measures"],
             "--p", "1", "--out", str(out),
         ]) == 0
+
+
+class TestAllPairsRowBlocks:
+    """``distance --pairs all`` and ``gram`` against a reference built from
+    the listed upper triangle, for every block size and lane count."""
+
+    @pytest.fixture(scope="class")
+    def instance(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("all-pairs")
+        g = random_tree(40, seed=5)
+        ms = random_measures(g, 15, 4, seed=6)
+        save_graph(g, str(tmp / "g.graph"))
+        save_measures(ms, str(tmp / "m.measures"))
+        common = ["--graph", str(tmp / "g.graph"), "--measures", str(tmp / "m.measures"),
+                  "--root", "sliced:3:1"]
+        return g, ms, common, tmp
+
+    @staticmethod
+    def listed_mean(g, ms, p, variant):
+        """The listed pairs i < j and their values summed over the three
+        roots in order, then divided once."""
+        i, j = np.triu_indices(len(ms), 1)
+        acc = np.zeros(i.size)
+        for root in sample_roots(g, 3, 1):
+            rs, prep = prepare_root(g, root)
+            acc += pair_distances(prep, gamma_masses(rs, ms), i, j, p, variant)
+        acc /= 3
+        return i, j, acc
+
+    @staticmethod
+    def in_blocks_and_lanes(monkeypatch, run):
+        threads = threading.active_count()
+        for entries in (1, 5, 64):
+            monkeypatch.setattr(gsobolev.metrics, "_BLOCK_ENTRIES", entries)
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(gsobolev.metrics, "_lane_count", lambda: lanes)
+                run()
+                assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "p, variant",
+        [(p, "sipm") for p in ("1", "1.5", "2", "inf")] + [(p, "st") for p in ("1", "1.5", "2")],
+    )
+    def test_distance_csv(self, instance, monkeypatch, p, variant):
+        g, ms, common, tmp = instance
+        i, j, d = self.listed_mean(g, ms, _parse_p(p), VARIANT_FLAGS[variant])
+        want = "i,j,distance\n" + "".join("%d,%d,%.17g\n" % row for row in zip(i, j, d))
+        out = tmp / f"d-{p}-{variant}.csv"
+
+        def run():
+            assert main(["distance", *common, "--p", p, "--variant", variant,
+                         "--out", str(out)]) == 0
+            assert out.read_text() == want
+
+        self.in_blocks_and_lanes(monkeypatch, run)
+
+    @pytest.mark.parametrize("p", ["1", "1.5", "2"])
+    def test_gram_csv_and_sidecar(self, instance, monkeypatch, p):
+        g, ms, common, tmp = instance
+        i, j, d = self.listed_mean(g, ms, float(p), VARIANT_SOBOLEV_IPM)
+        D = np.zeros((len(ms), len(ms)))
+        D[i, j] = D[j, i] = d
+        K = gram_matrix(D, GramSpec(p=float(p), t=0.7, form=KERNEL_EXP_POW))
+        want = "%d\n" % len(K) + "".join(",".join("%.17g" % x for x in row) + "\n" for row in K)
+        out = tmp / f"k-{p}.csv"
+
+        def run():
+            assert main(["gram", *common, "--p", p, "--kernel", "exp-pow", "--t", "0.7",
+                         "--seed", "3", "--out", str(out)]) == 0
+            assert out.read_text() == want
+            sidecar = json.loads(Path(str(out) + ".json").read_text())
+            assert sidecar["min_eigenvalue"] == min_eigenvalue(K)
+            assert sidecar["nd_violations"] == quadratic_form_violations(D, 200, seed=3)[0]
+
+        self.in_blocks_and_lanes(monkeypatch, run)
+
+
+class TestAllPairsMemory:
+    """No array per pair beyond the values: ``distance --pairs all`` holds
+    the running sum of the n(n-1)/2 values, and ``gram`` D and K."""
+
+    # Two lanes' block buffers (about 1 MiB each at 2^15 entries) plus the
+    # parse, Γ and write scratch, whatever the measure count.
+    SLACK = 4 << 20
+
+    @pytest.fixture(scope="class")
+    def instance(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("memory")
+        rng = np.random.default_rng(0)
+        g = build_random_graph(PointCloud(rng.random((300, 2))), "log", seed=0)
+        save_graph(g, str(tmp / "g.graph"))
+        save_measures(random_measures(g, 500, 4, seed=0), str(tmp / "m.measures"))
+        return ["--graph", str(tmp / "g.graph"), "--measures", str(tmp / "m.measures"),
+                "--out", str(tmp / "o.csv")], 500
+
+    @pytest.mark.parametrize("command", ["distance", "gram"])
+    def test_peak_is_the_values_and_a_fixed_slack(self, instance, monkeypatch, command):
+        common, n = instance
+        monkeypatch.setattr(gsobolev.metrics, "_lane_count", lambda: 2)
+        code, peak, _ = traced_peak(lambda: main([command, *common, "--p", "1.5"]))
+        assert code == 0
+        values = n * (n - 1) // 2 * 8 if command == "distance" else 2 * n * n * 8
+        # the listed pairs alone took 2 * 8 bytes each for i and j
+        assert peak < values + self.SLACK
 
 
 class TestSlicedGram:

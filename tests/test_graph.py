@@ -145,6 +145,19 @@ class TestLoadGraph:
                       np.ones(len(u)))
             assert str(err.value) == f"graph has {parts} components, expected 1"
 
+    def test_pairs_past_int64_keys_do_not_collide(self, tmp_path):
+        # lo * n + hi overflows int64 at n = 2^62: (4, 10) and (8, 10) once
+        # wrapped onto one key and were reported as the repeat (0, 10)
+        n = 1 << 62
+        with pytest.raises(Disconnected) as err:
+            load_graph(write(tmp_path, f"{n} 2\n4 10 1.0\n8 10 1.0\n"))
+        assert str(err.value) == f"graph has {n - 2} components, expected 1"
+
+    def test_repeat_past_int64_keys_is_named(self, tmp_path):
+        with pytest.raises(DuplicateEdge) as err:
+            load_graph(write(tmp_path, f"{1 << 62} 2\n4 10 1.0\n10 4 1.0\n"))
+        assert str(err.value) == "node pair (4, 10) appears more than once"
+
     def test_garbage_edge_line(self, tmp_path):
         with pytest.raises(ParseError):
             load_graph(write(tmp_path, "2 1\n0 one 1.0\n"))

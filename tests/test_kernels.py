@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,12 @@ from gsobolev import (
     gram_matrix,
     measure_distance,
     min_eigenvalue,
+    pair_distances,
     prepare_root,
+    random_measures,
     write_matrix_csv,
 )
+from gsobolev import kernels, metrics
 from gsobolev.kernels import quadratic_form_violations
 from conftest import random_weighted_graph, read_matrix_csv
 
@@ -120,6 +124,33 @@ class TestDistanceMatrix:
         assert table.indptr.tolist() == [0, 0, 0, 0]
         assert distance_matrix(prep, table, 2.0).max() == 0.0
         assert distance_matrix(prep, table, math.inf).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "p, variant",
+        [(p, VARIANT_SOBOLEV_IPM) for p in (1.0, 1.5, 2.0, math.inf)]
+        + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0)],
+    )
+    def test_equals_scatter_of_listed_pairs(self, monkeypatch, p, variant):
+        # the matrix as it was built from the listed upper triangle: each
+        # value scattered to (i, j) and (j, i) of a zero matrix
+        g = random_weighted_graph(4, 30, 50)
+        rs, prep = prepare_root(g, 3)
+        table = gamma_masses(rs, random_measures(g, 17, 4, seed=2))
+        n = len(table)
+        i, j = np.triu_indices(n, 1)
+        d = pair_distances(prep, table, i, j, p, variant)
+        want = np.zeros((n, n))
+        want[i, j] = d
+        want[j, i] = d
+        threads = threading.active_count()
+        for cells in (1, 40, 100, kernels._MIRROR_CELLS):  # 1, 2, 5 and all 17 rows a step
+            monkeypatch.setattr(kernels, "_MIRROR_CELLS", cells)
+            for entries, lanes in ((1, 3), (5, 2), (64, 1), (1 << 15, 2)):
+                monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(metrics, "_lane_count", lambda: lanes)
+                got = distance_matrix(prep, table, p, variant=variant)
+                assert got.tobytes() == want.tobytes()
+                assert threading.active_count() == threads
 
 
 class TestGramMatrix:

@@ -390,6 +390,26 @@ class TestReducePairs:
         got = _reduce_pairs(indptr, edges, diff, weights, p)
         assert got.tobytes() == want.tobytes()
 
+    def test_order_two_squares_signed_differences(self):
+        # p = 2 skips np.abs: d * d has the bits of |d| * |d|
+        rng = np.random.default_rng(11)
+        indptr, edges, diff = csr_rows(rng, rng.integers(0, 30, 200), 60)
+        assert (diff < 0).any() and (diff > 0).any()
+        weights = rng.random(60) * 10.0 ** rng.uniform(-3, 3, 60)
+        want = _reduce_pairs(indptr, edges, np.abs(diff), weights, 2.0)
+        for signed in (diff, -diff):
+            got = _reduce_pairs(indptr, edges, signed.copy(), weights, 2.0)
+            assert got.tobytes() == want.tobytes()
+        # against the dict-merge oracle, each pair in both orders, so every
+        # nonzero difference is merged once with each sign
+        _, prep, table = merge_pool(3)
+        first, second = (a.ravel() for a in np.meshgrid(np.arange(len(table)), [0, 4, 9]))
+        first, second = np.concatenate([first, second]), np.concatenate([second, first])
+        weights = _edge_weights(prep, 2.0, VARIANT_SOBOLEV_IPM)
+        oracle = oracle_distances(table, first, second, weights, 2.0)
+        assert oracle.max() > 0.0
+        assert pair_distances(prep, table, first, second, 2.0).tobytes() == oracle.tobytes()
+
     def test_identical_measures_at_distance_zero(self, figure_graph):
         rs, prep = prepare_root(figure_graph, 0)
         ms = [DiscreteMeasure((3, 9), (0.5, 0.5)), DiscreteMeasure.dirac(2)]
@@ -589,6 +609,82 @@ class TestLanes:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0 and proc.stdout == "1\n"
+
+
+class TestAllPairs:
+    """``first = second = None``: every pair ``i < j``, never listed."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_triangle_equals_triu_indices(self, n):
+        tri = metrics._Triangle(n)
+        i, j = np.triu_indices(n, 1)
+        assert tri.size == i.size
+        rows, cols = tri.locate(np.arange(i.size))
+        assert rows.tolist() == i.tolist() and cols.tolist() == j.tolist()
+        out = np.full((2, i.size + 1), -7)
+        for s in range(i.size):
+            for e in range(s + 1, i.size + 1):
+                rows, cols = tri.pairs(s, e, out)
+                assert rows.tolist() == i[s:e].tolist() and cols.tolist() == j[s:e].tolist()
+        assert out[:, -1].tolist() == [-7, -7]
+
+    @pytest.mark.parametrize(
+        "p, variant",
+        [(p, VARIANT_SOBOLEV_IPM) for p in (1.0, 1.5, 2.0, math.inf)]
+        + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0)],
+    )
+    def test_equal_listed_pairs_in_every_block_and_lane(self, monkeypatch, p, variant):
+        _, prep, table = merge_pool(4, support=6)
+        n = len(table)
+        i, j = np.triu_indices(n, 1)
+        want = pair_distances(prep, table, i, j, p, variant)
+        threads = threading.active_count()
+        for entries in (1, 5, 64, 1 << 15):
+            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(metrics, "_lane_count", lambda: lanes)
+                got = pair_distances(prep, table, None, None, p, variant)
+                assert got.tobytes() == want.tobytes()
+                # into a matrix: the upper triangle only, added to what is there
+                D = np.tril(np.full((n, n), -1.0))
+                assert pair_distances(prep, table, None, None, p, variant, into=D) is D
+                assert D[i, j].tobytes() == want.tobytes()
+                assert (np.tril(D) == np.tril(np.full((n, n), -1.0))).all()
+                assert threading.active_count() == threads
+
+    def test_values_are_added(self):
+        _, prep, table = merge_pool(1)
+        i, j = np.triu_indices(len(table), 1)
+        want = pair_distances(prep, table, i, j, 1.5)
+        acc = np.full(i.size, 0.25)
+        assert pair_distances(prep, table, None, None, 1.5, into=acc) is acc
+        assert acc.tobytes() == (0.25 + want).tobytes()
+
+    def test_tables_without_pairs(self, path_graph):
+        rs, prep = prepare_root(path_graph, 0)
+        for count in (0, 1):
+            table = gamma_masses(rs, [DiscreteMeasure.dirac(1)] * count)
+            got = pair_distances(prep, table, None, None, 2.0)
+            assert got.dtype == np.float64 and got.shape == (0,)
+            D = np.zeros((count, count))
+            assert pair_distances(prep, table, None, None, 2.0, into=D) is D
+        table = gamma_masses(rs, [DiscreteMeasure.dirac(x) for x in (1, 2)])
+        assert pair_distances(prep, table, None, None, 1.0).tolist() == [1.0]
+
+    def test_bad_into_raises(self, no_kernels):
+        _, prep, table = merge_pool(1)
+        n = len(table)
+        for into in (
+            np.zeros(n * (n - 1) // 2 + 1),
+            np.zeros((n, n + 1)),
+            np.zeros((n, n), np.float32),
+            np.zeros((n, n), order="F"),
+            np.zeros((n, 2 * n))[:, ::2],
+        ):
+            with pytest.raises(ValueError, match="into must be"):
+                pair_distances(prep, table, None, None, 2.0, into=into)
+        with pytest.raises(ValueError, match="into takes"):
+            pair_distances(prep, table, [0], [1], 2.0, into=np.zeros(1))
 
 
 class TestSlicedDistance:
