@@ -185,7 +185,7 @@ def _write_all_pairs_csv(path: str, n: int, values: np.ndarray) -> int:
     """:func:`_write_distance_csv` of every pair ``i < j`` of ``n``
     measures, ``values`` in row-major order.  The ``i`` and ``j`` columns
     are built for one block of ``CELL_BLOCK`` pairs at a time."""
-    tri, pairs = _Triangle(n), np.empty((2, CELL_BLOCK), np.int64)
+    tri, pairs = _Triangle(n), np.empty(2 * CELL_BLOCK, np.int64)
     slow = 0
     with open(path, "wb") as fh:
         fh.write(b"i,j,distance\n")
@@ -215,32 +215,30 @@ def _root_mean(
     root order from 0.0, then one division), with the set-up time (trees
     and λ) and the evaluation time (Γ and distances) in ms, each summed
     over the roots.  With ``first`` and ``second`` ``None``, the pairs are
-    all ``i < j``, summed in ``into`` (see :func:`metrics.pair_distances`).
-    The roots stream: one root's tree, λ and Γ (for the measures the pairs
-    use) are built, used and dropped before the next root's, so memory does
-    not grow with the root count."""
+    all ``i < j``.  The sum is kept in ``into`` (see
+    :func:`metrics.pair_distances`), zeros if not given.  The roots stream:
+    one root's tree, λ and Γ (for the measures the pairs use) are built,
+    used and dropped before the next root's, so memory does not grow with
+    the root count."""
     t0 = time.perf_counter()
     n = len(measures)
     if first is None:
-        pool = measures
-        acc = np.zeros(n * (n - 1) // 2) if into is None else into
+        pool, size = measures, n * (n - 1) // 2
     else:
         # Row slot[k] of each table holds measure k, for the measures in use.
         used = np.bincount(np.concatenate([first, second]), minlength=n) > 0
         slot = np.cumsum(used) - 1
-        pool = [measures[k] for k in np.flatnonzero(used)]
-        acc = np.zeros(first.size)
+        pool, size = [measures[k] for k in np.flatnonzero(used)], first.size
+    acc = np.zeros(size) if into is None else into
     prep_s, eval_s = 0.0, time.perf_counter() - t0
     for root in roots:
         t0 = time.perf_counter()
         rs, prep = prepare_root(g, root)
         t1 = time.perf_counter()
         table = gamma_masses(rs, pool)
-        if first is None:
-            pair_distances(prep, table, None, None, p, variant, into=acc)
-        else:
-            acc += pair_distances(prep, table, slot[first], slot[second], p, variant)
-        del rs, prep, table  # before the next root's are built
+        rows = (None, None) if first is None else (slot[first], slot[second])
+        pair_distances(prep, table, *rows, p, variant, into=acc)
+        del rs, prep, table, rows  # before the next root's are built
         prep_s += t1 - t0
         eval_s += time.perf_counter() - t1
     acc /= len(roots)
@@ -362,16 +360,17 @@ def _with_weights(prep, p: float):
     return prep
 
 
-def _time_pairs(fn, pairs, repeat: int = 1) -> float:
-    """Median over repeats of the mean per-pair time, in seconds."""
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        for i, j in pairs:
-            fn(i, j)
-        times.append((time.perf_counter() - t0) / len(pairs))
-    times.sort()
-    return times[len(times) // 2]
+def _sample_pairs(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Every pair ``i < j`` of ``n`` items if there are at most ``count``,
+    else ``count`` of them drawn by ``rng`` without replacement; in
+    row-major order either way.  The pairs are numbered, not listed, so
+    only the drawn ones are built."""
+    tri = _Triangle(n)
+    if tri.size > count:
+        picked = np.sort(rng.choice(tri.size, size=count, replace=False))
+    else:
+        picked = np.arange(tri.size)
+    return list(zip(*(x.tolist() for x in tri.locate(picked))))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -414,17 +413,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             vecs = [table.row(k) for k in range(len(table))]
             prep_ms = tree_ms + lambda_ms + gamma_ms
 
-            pairs = [(i, j) for i in range(len(measures)) for j in range(i + 1, len(measures))]
-            if len(pairs) > args.max_pairs:
-                idx = rng.choice(len(pairs), size=args.max_pairs, replace=False)
-                pairs = [pairs[int(k)] for k in sorted(idx)]
-
-            s_ns = _time_pairs(
-                lambda i, j: sobolev_ipm_distance(prep, vecs[i], vecs[j], p), pairs, 3
-            ) * 1e9
-            st_ns = _time_pairs(
-                lambda i, j: sobolev_transport_distance(prep, vecs[i], vecs[j], p), pairs, 3
-            ) * 1e9
+            pairs = _sample_pairs(len(measures), args.max_pairs, rng)
+            # per pair: the fastest of 3 loops over the pairs, over their count
+            s_ns, st_ns = (
+                _fastest(lambda: [dist(prep, vecs[i], vecs[j], p) for i, j in pairs], 3)[1]
+                * 1e6 / len(pairs)
+                for dist in (sobolev_ipm_distance, sobolev_transport_distance)
+            )
             union = float(
                 np.mean(
                     [np.union1d(vecs[i].edge_ids, vecs[j].edge_ids).size for i, j in pairs]
@@ -432,10 +427,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             if g.node_count <= LP_MAX_NODES:
                 lp_pairs = pairs[: min(len(pairs), 20)]
-                lp_ms = _time_pairs(
-                    lambda i, j: wasserstein1_lp(g, measures[i], measures[j]),
-                    lp_pairs,
-                ) * 1e3
+                lp_ms = _fastest(
+                    lambda: [wasserstein1_lp(g, measures[i], measures[j]) for i, j in lp_pairs], 3
+                )[1] / len(lp_pairs)
                 lp_cell = f"{lp_ms:.3f}"
             else:
                 lp_cell = ""

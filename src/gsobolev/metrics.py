@@ -263,17 +263,19 @@ class _Triangle:
         return rows, pairs - self.begin[rows] + rows + 1
 
     def pairs(self, s: int, e: int, out: np.ndarray) -> np.ndarray:
-        """Pairs ``[s, e)`` as their rows and columns in ``out[0, :e - s]``
-        and ``out[1, :e - s]``, written one row's run at a time, so nothing
-        of the block's size is allocated.  Returns that ``(2, e - s)`` view."""
+        """Pairs ``[s, e)`` as their rows, then their columns, in the first
+        ``2 (e - s)`` entries of the vector ``out``, written one row's run at
+        a time, so nothing of the block's size is allocated.  Returns them
+        as a ``(2, e - s)`` view."""
         r, c = (int(x) for x in self.locate(s))
         done, k = 0, e - s
+        out = out[: 2 * k].reshape(2, k)
         while done < k:
             run = min(k - done, self.n - c)  # the rest of row r, or of the block
             out[0, done : done + run] = r
             out[1, done : done + run] = self.columns[c : c + run]
             done, r, c = done + run, r + 1, r + 2
-        return out[:, :k]
+        return out
 
 
 def pair_distances(
@@ -287,150 +289,108 @@ def pair_distances(
     into: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distances between rows ``first[k]`` and ``second[k]`` of ``table``
-    for every ``k``, under one prepared root.
+    for every ``k``, under one prepared root, added to ``into``, which is
+    returned: a C-ordered writable float64 vector of one value per pair,
+    zeros if not given.  With ``first`` and ``second`` both ``None``, the
+    pairs are all ``i < j`` of the table's ``n`` rows in row-major order,
+    never listed, and ``into`` may also be an ``n x n`` matrix whose
+    ``[i, j]`` gets pair ``(i, j)``, its lower triangle left as is.
 
-    Pairs run in blocks of about ``_BLOCK_ENTRIES`` stored entries.  Per
-    block, scipy's ``csr_row_index`` gathers the ``first`` and the
-    ``second`` rows from the table's own arrays, and :func:`_merge_reduce`
-    turns them into distances, as it does for the per-pair functions, whose
-    values every entry equals bit for bit.  The kernels do not bounds-check,
-    so rows are validated first.
+    Both modes share one cutter and one body; a mode supplies only the
+    stored entries of its first and its second rows before a pair number
+    (running sums over listed rows, a closed form over the triangle) and
+    a block's rows and columns, which it writes into a lane's buffer
+    (copied from the lists, or built by :class:`_Triangle`).  Blocks end
+    before the pair whose running entry count reaches each multiple of
+    ``_BLOCK_ENTRIES``, found by bisection.  Per block, one call of scipy's
+    ``csr_row_index`` gathers the first rows, then the second rows, from
+    the table's own arrays, and :func:`_merge_reduce` turns them into
+    distances, as it does for the per-pair functions, whose values every
+    entry equals bit for bit.  The kernels do not bounds-check, so rows
+    and ``into`` are validated first.
 
     The blocks are dealt to lanes (:func:`_in_lanes`).  Every kernel
     releases the GIL, so the lanes run at once; a one-block call starts no
     thread.  Each lane has its own buffers, sized from its own blocks' exact
-    entry counts, and writes only its own blocks' values.
-
-    With ``first`` and ``second`` both ``None``, the pairs are all ``i < j``
-    of the table's ``n`` rows in row-major order, and they are never
-    listed: the same blocks are cut from per-row entry sums, and each lane
-    builds its blocks' rows and columns in its own buffers.  A block within
-    one row ``i`` reads its second rows, consecutive in the table, in place.
-    The values are added to ``into`` and it is returned: a vector of the
-    ``n(n - 1)/2`` pairs in that order, zeros if not given, or a C-ordered
-    ``n x n`` float matrix whose ``[i, j]`` gets pair ``(i, j)``, its lower
-    triangle left as is.
+    entry counts, and adds only its own blocks' values.
     """
     weights = _edge_weights(prep, p, variant)
     if prep.root != table.root:
         raise RootMismatch(f"roots differ: prep {prep.root}, table {table.root}")
-    if first is None and second is None:
-        return _all_pairs(table, weights, p, into)
-    if into is not None:
-        raise ValueError("into takes the values of all pairs; pass first=second=None")
-    first, second = _rows(first, len(table)), _rows(second, len(table))
-    if first.size != second.size:
-        raise ValueError(f"{first.size} first rows against {second.size} second rows")
-    out = np.empty(first.size)
-    if first.size == 0:
-        return out
-    nnz = np.diff(table.indptr)
-    a_end, b_end = (np.concatenate([[0], np.cumsum(nnz[rows])]) for rows in (first, second))
-    cost = a_end[1:] + b_end[1:]
-    cuts = np.searchsorted(cost, np.arange(_BLOCK_ENTRIES, cost[-1], _BLOCK_ENTRIES))
-    bounds = np.unique(np.concatenate([[0], cuts, [first.size]]))
-    layout = table.indptr, table.edge_ids, table.values
-
-    def run_lane(starts: np.ndarray, stops: np.ndarray) -> None:
-        a_size, b_size = ((end[stops] - end[starts]).max() for end in (a_end, b_end))
-        a_edges, a_values = np.empty(a_size, np.int64), np.empty(a_size)
-        b_edges, b_values = np.empty(b_size, np.int64), np.empty(b_size)
-        indptr = np.empty((stops - starts).max() + 1, np.int64)
-        edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            k = stop - start
-            csr_row_index(k, first[start:stop], *layout, a_edges, a_values)
-            csr_row_index(k, second[start:stop], *layout, b_edges, b_values)
-            out[start:stop] = _merge_reduce(
-                k,
-                (a_end[start : stop + 1] - a_end[start], a_edges, a_values),
-                (b_end[start : stop + 1] - b_end[start], b_edges, b_values),
-                weights, p, indptr, edges, diff,
-            )
-
-    _in_lanes(bounds, run_lane)
-    return out
-
-
-def _all_pairs(
-    table: GammaTable, weights: np.ndarray, p: float, into: np.ndarray | None
-) -> np.ndarray:
-    """:func:`pair_distances` over all pairs ``i < j``, added to ``into``."""
     n = len(table)
-    tri = _Triangle(n)
+    nnz = np.diff(table.indptr)
+    if first is None and second is None:
+        tri = _Triangle(n)
+        size, pairs, shapes = tri.size, tri.pairs, ((tri.size,), (n, n))
+        ends = np.concatenate([[0], np.cumsum(nnz)])  # entries of the rows before each
+        # Entries before row i's pairs: each earlier row r once per pair of its
+        # own on the first side, and the rows after r on the second.
+        a_rows = np.concatenate([[0], np.cumsum((n - 1 - tri.columns) * nnz)])
+        b_rows = np.concatenate([[0], np.cumsum(ends[-1] - ends[1:])])
+
+        def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            r, c = tri.locate(before)
+            return a_rows[r] + (c - r - 1) * nnz[r], b_rows[r] + ends[c] - ends[r + 1]
+
+    else:
+        first, second = _rows(first, n), _rows(second, n)
+        if first.size != second.size:
+            raise ValueError(f"{first.size} first rows against {second.size} second rows")
+        size, shapes = first.size, ((first.size,),)
+        a_end, b_end = (np.concatenate([[0], np.cumsum(nnz[rows])]) for rows in (first, second))
+
+        def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return a_end[before], b_end[before]
+
+        def pairs(s: int, e: int, out: np.ndarray) -> np.ndarray:
+            out = out[: 2 * (e - s)].reshape(2, e - s)
+            out[0], out[1] = first[s:e], second[s:e]
+            return out
+
     if into is None:
-        into = np.zeros(tri.size)
-    matrix = into.shape == (n, n)
+        into = np.zeros(size)
     if not (
-        (matrix or into.shape == (tri.size,))
+        into.shape in shapes
         and into.dtype == np.float64
         and into.flags.c_contiguous
         and into.flags.writeable
     ):
-        raise ValueError(f"into must be {tri.size} or {n} x {n} writable float64s in C order")
-    if tri.size == 0:
+        wanted = " or ".join(" x ".join(map(str, shape)) for shape in shapes)
+        raise ValueError(f"into must be {wanted} writable float64s in C order")
+    if size == 0:
         return into
-    flat = into.reshape(-1)
-    nnz = np.diff(table.indptr)
-    ends = np.concatenate([[0], np.cumsum(nnz)])  # entries of the rows before each
-    # Entries before row i's pairs: each earlier row r once per pair of its
-    # own on the first side, and the rows after r on the second.
-    a_rows = np.concatenate([[0], np.cumsum((n - 1 - tri.columns) * nnz)])
-    b_rows = np.concatenate([[0], np.cumsum(ends[-1] - ends[1:])])
-
-    def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The first and the second rows' entries of the pairs ``[0, before)``."""
-        row, col = tri.locate(before)
-        return a_rows[row] + (col - row - 1) * nnz[row], b_rows[row] + ends[col] - ends[row + 1]
-
-    # Cut as pair_distances cuts a list of the same pairs: before the first
-    # pair whose running entry count reaches each multiple of _BLOCK_ENTRIES,
-    # found by bisection, since that count is nondecreasing.
-    targets = np.arange(_BLOCK_ENTRIES, sum(entries(np.int64(tri.size))), _BLOCK_ENTRIES)
-    lo, hi = np.zeros(targets.size, np.int64), np.full(targets.size, tri.size - 1)
-    for _ in range(tri.size.bit_length()):
+    matrix, flat = into.ndim == 2, into.reshape(-1)
+    # The running entry count is nondecreasing, so each cut is a bisection.
+    targets = np.arange(_BLOCK_ENTRIES, sum(entries(np.int64(size))), _BLOCK_ENTRIES)
+    lo, hi = np.zeros(targets.size, np.int64), np.full(targets.size, size - 1)
+    for _ in range(size.bit_length()):
         mid = (lo + hi) // 2
         reached = sum(entries(mid + 1)) >= targets
         lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
-    bounds = np.unique(np.concatenate([[0], lo, [tri.size]]))
+    bounds = np.unique(np.concatenate([[0], lo, [size]]))
     layout = table.indptr, table.edge_ids, table.values
 
     def run_lane(starts: np.ndarray, stops: np.ndarray) -> None:
         (a0, b0), (a1, b1) = entries(starts), entries(stops)
         a_size, b_size = (a1 - a0).max(), (b1 - b0).max()
         k_size = (stops - starts).max()
-        block = np.empty((2, k_size), np.int64)  # a block's rows and columns
-        ptrs = np.empty((2, k_size + 1), np.int64)  # of its first and its second rows
-        a_edges, a_values = np.empty(a_size, np.int64), np.empty(a_size)
-        b_edges, b_values = np.empty(b_size, np.int64), np.empty(b_size)
+        block = np.empty(2 * k_size, np.int64)  # a block's rows, then its columns
+        ptrs = np.zeros(2 * k_size + 1, np.int64)  # where each starts in `gathered`
+        gathered = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
         indptr = np.empty(k_size + 1, np.int64)
         edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
-        spans = zip(starts.tolist(), stops.tolist(), *(x.tolist() for x in tri.locate(starts)))
-        for start, stop, r, c in spans:
+        for start, stop in zip(starts.tolist(), stops.tolist()):
             k = stop - start
-            a_ptr, b_ptr = ptrs[0, : k + 1], ptrs[1, : k + 1]
-            if c + k <= n:
-                # One row: the first rows are all r, and the second rows
-                # c .. c + k - 1 lie in the table in one piece, read in place.
-                rows = block[0, :k]
-                rows.fill(r)
-                np.multiply(tri.columns[: k + 1], nnz[r], out=a_ptr)
-                lo, hi = table.indptr[c], table.indptr[c + k]
-                np.subtract(table.indptr[c : c + k + 1], lo, out=b_ptr)
-                b = b_ptr, table.edge_ids[lo:hi], table.values[lo:hi]
-                spot = slice(r * n + c, r * n + c + k) if matrix else slice(start, stop)
-            else:
-                rows, cols = tri.pairs(start, stop, block)
-                a_ptr[0] = b_ptr[0] = 0
-                nnz.take(rows, out=a_ptr[1:], mode="clip")
-                nnz.take(cols, out=b_ptr[1:], mode="clip")
-                np.add.accumulate(ptrs[:, 1 : k + 1], axis=1, out=ptrs[:, 1 : k + 1])
-                csr_row_index(k, cols, *layout, b_edges, b_values)
-                b = b_ptr, b_edges, b_values
-                spot = rows * n + cols if matrix else slice(start, stop)
-            csr_row_index(k, rows, *layout, a_edges, a_values)
+            rows, cols = pairs(start, stop, block)
+            nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
+            np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
+            csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
+            spot = rows * n + cols if matrix else slice(start, stop)
+            # csr_minus_csr reads row i of a side at [ptr[i], ptr[i + 1]), so
+            # the second rows' pointers may go on from where the first rows end
             flat[spot] += _merge_reduce(
-                k, (a_ptr, a_edges, a_values), b, weights, p, indptr, edges, diff
+                k, (ptrs[: k + 1], *gathered), (ptrs[k : 2 * k + 1], *gathered),
+                weights, p, indptr, edges, diff,
             )
 
     _in_lanes(bounds, run_lane)

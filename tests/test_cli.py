@@ -38,7 +38,7 @@ from gsobolev import (
     VARIANT_SOBOLEV_IPM,
 )
 from gsobolev import measures as measures_module
-from gsobolev.cli import VARIANT_FLAGS, _parse_p, _parse_root, CliError, main
+from gsobolev.cli import VARIANT_FLAGS, _parse_p, _parse_root, _sample_pairs, CliError, main
 from gsobolev.kernels import quadratic_form_violations
 from gsobolev.synth import PointCloud, build_random_graph
 from gsobolev.verify import SuiteReport, SuiteCheck
@@ -705,6 +705,32 @@ class TestBenchCommand:
         assert float(row["preprocessing_ms"]) == pytest.approx(sum(layers), abs=0.02)
         assert float(row["per_pair_ns_sipm"]) > 0.0  # per-pair closed-form time
         assert float(row["per_pair_ms_lp"]) > 0.0  # per-pair LP time
+
+    @pytest.mark.parametrize(
+        "count, max_pairs, seed", [(5, 6, 0), (5, 10, 1), (5, 11, 2), (12, 7, 3), (40, 25, 11)]
+    )
+    def test_pairs_are_those_of_the_full_listing(self, count, max_pairs, seed):
+        # the pairs bench used to draw from a list of every pair i < j
+        listing = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        old = np.random.default_rng(seed)
+        want = listing
+        if len(listing) > max_pairs:
+            idx = old.choice(len(listing), size=max_pairs, replace=False)
+            want = [listing[int(k)] for k in sorted(idx)]
+        rng = np.random.default_rng(seed)
+        assert _sample_pairs(count, max_pairs, rng) == want
+        assert rng.random() == old.random()  # the stream goes on alike
+
+    def test_pairs_are_not_listed(self, tmp_path):
+        # 1000 measures have 499,500 pairs: listing them took about 46 MiB
+        argv = [
+            "bench", "--sizes", "30", "--families", "log", "--p", "2",
+            "--count", "1000", "--support-size", "2", "--max-pairs", "6",
+            "--seed", "0", "--out", str(tmp_path / "bench.csv"),
+        ]
+        code, peak, _ = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 4 << 20
 
     def test_bad_sizes(self, tmp_path):
         code = main(["bench", "--sizes", "10,x", "--out", str(tmp_path / "b.csv")])

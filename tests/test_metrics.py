@@ -420,10 +420,10 @@ class TestReducePairs:
         assert one > 0.0
 
 
-def merge_pool(seed: int, support: int = 3):
+def merge_pool(seed: int, support: int = 3, tail: tuple = ()):
     """A prepared root and a table whose rows include a root Dirac (an
     empty row), a repeated measure and a zero-mass support point (stored
-    zeros)."""
+    zeros), then the measures ``tail``."""
     g = random_weighted_graph(seed, 30, 60)
     rs, prep = prepare_root(g, 0)
     ms = random_measures(g, 8, support, seed=seed)
@@ -432,6 +432,7 @@ def merge_pool(seed: int, support: int = 3):
         DiscreteMeasure.dirac(0),
         ms[2],
         DiscreteMeasure((1 if deep != 1 else 2, deep), (1.0, 0.0)),
+        *tail,
     ]
     table = gamma_masses(rs, ms)
     assert np.diff(table.indptr)[8] == 0 and (table.values == 0.0).any()
@@ -552,8 +553,12 @@ class TestLanes:
         + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0)],
     )
     def test_lane_count_changes_no_bit(self, monkeypatch, p, variant):
-        _, prep, table = merge_pool(4, support=6)
-        i, j = np.triu_indices(len(table))
+        # every ordered pair, i > j and i == j included; the last row is a
+        # second root Dirac, so the table also ends in a row without entries
+        _, prep, table = merge_pool(4, support=6, tail=(DiscreteMeasure.dirac(0),))
+        n = len(table)
+        assert np.diff(table.indptr)[-1] == 0
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
         want = oracle_distances(table, i, j, _edge_weights(prep, p, variant), p)
         threads = threading.active_count()
         for entries in (1, 5, 64):
@@ -621,12 +626,12 @@ class TestAllPairs:
         assert tri.size == i.size
         rows, cols = tri.locate(np.arange(i.size))
         assert rows.tolist() == i.tolist() and cols.tolist() == j.tolist()
-        out = np.full((2, i.size + 1), -7)
         for s in range(i.size):
             for e in range(s + 1, i.size + 1):
+                out = np.full(2 * i.size + 1, -7)
                 rows, cols = tri.pairs(s, e, out)
                 assert rows.tolist() == i[s:e].tolist() and cols.tolist() == j[s:e].tolist()
-        assert out[:, -1].tolist() == [-7, -7]
+                assert np.shares_memory(rows, out) and (out[2 * (e - s) :] == -7).all()
 
     @pytest.mark.parametrize(
         "p, variant",
@@ -659,6 +664,13 @@ class TestAllPairs:
         acc = np.full(i.size, 0.25)
         assert pair_distances(prep, table, None, None, 1.5, into=acc) is acc
         assert acc.tobytes() == (0.25 + want).tobytes()
+        # listed pairs, here in reverse and with a repeat, add into a vector too
+        first, second = np.append(j[::-1], 3), np.append(i[::-1], 3)
+        acc = np.arange(first.size) / 8.0
+        assert pair_distances(prep, table, first, second, 1.5, into=acc) is acc
+        listed = pair_distances(prep, table, first, second, 1.5)
+        assert acc.tobytes() == (np.arange(first.size) / 8.0 + listed).tobytes()
+        assert listed[:-1].tobytes() == want[::-1].tobytes() and listed[-1] == 0.0
 
     def test_tables_without_pairs(self, path_graph):
         rs, prep = prepare_root(path_graph, 0)
@@ -683,8 +695,17 @@ class TestAllPairs:
         ):
             with pytest.raises(ValueError, match="into must be"):
                 pair_distances(prep, table, None, None, 2.0, into=into)
-        with pytest.raises(ValueError, match="into takes"):
-            pair_distances(prep, table, [0], [1], 2.0, into=np.zeros(1))
+        # listed pairs take a vector of one value per pair, and no matrix
+        first, second = np.arange(n), np.arange(n)[::-1]
+        for into in (
+            np.zeros(n + 1),
+            np.zeros(n - 1),
+            np.zeros(n, np.float32),
+            np.zeros(2 * n)[::2],
+            np.zeros((n, n)),
+        ):
+            with pytest.raises(ValueError, match=f"into must be {n} writable"):
+                pair_distances(prep, table, first, second, 2.0, into=into)
 
 
 class TestSlicedDistance:
