@@ -31,7 +31,6 @@ from .kernels import (
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
-    _mirror_upper,
     gram_matrix,
     min_eigenvalue,
     quadratic_form_violations,
@@ -172,26 +171,24 @@ def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_distance_csv(
-    path: str, first: np.ndarray, second: np.ndarray, values: np.ndarray
+    path: str, n: int, first: np.ndarray | None, second: np.ndarray | None,
+    values: np.ndarray,
 ) -> int:
-    """``i,j,distance`` lines, the distance at 17 significant digits; the
-    count of numbers formatted by Python (see :func:`textio.write_rows`)."""
-    with open(path, "wb") as fh:
-        fh.write(b"i,j,distance\n")
-        return write_rows(fh, (np.column_stack((first, second)), values), ",")
-
-
-def _write_all_pairs_csv(path: str, n: int, values: np.ndarray) -> int:
-    """:func:`_write_distance_csv` of every pair ``i < j`` of ``n``
-    measures, ``values`` in row-major order.  The ``i`` and ``j`` columns
-    are built for one block of ``CELL_BLOCK`` pairs at a time."""
-    tri, pairs = _Triangle(n), np.empty(2 * CELL_BLOCK, np.int64)
+    """``i,j,distance`` lines, the distance at 17 significant digits, one
+    block of ``CELL_BLOCK`` pairs at a time; the count of numbers formatted
+    by Python (see :func:`textio.write_rows`).  The pairs are ``first[k]``
+    and ``second[k]`` or, with both ``None``, every ``i < j`` of ``n``
+    measures in row-major order, whose ``i`` and ``j`` columns are built
+    per block, so they are never listed."""
+    if first is None:
+        tri, block = _Triangle(n), np.empty(2 * CELL_BLOCK, np.int64)
     slow = 0
     with open(path, "wb") as fh:
         fh.write(b"i,j,distance\n")
         for s in range(0, values.size, CELL_BLOCK):
             e = min(s + CELL_BLOCK, values.size)
-            slow += write_rows(fh, (tri.pairs(s, e, pairs).T, values[s:e]), ",")
+            pairs = tri.pairs(s, e, block) if first is None else (first[s:e], second[s:e])
+            slow += write_rows(fh, (np.column_stack(pairs), values[s:e]), ",")
     return slow
 
 
@@ -258,10 +255,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
     values, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, variant)
-    if first is None:
-        slow = _write_all_pairs_csv(args.out, n, values)
-    else:
-        slow = _write_distance_csv(args.out, first, second, values)
+    slow = _write_distance_csv(args.out, n, first, second, values)
     print(
         f"distance: {values.size} pairs, {len(roots)} root(s), "
         f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms{_peak_rss()}, "
@@ -291,7 +285,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
     )
 
     t0 = time.perf_counter()
-    _mirror_upper(D)
     spec = GramSpec(
         p=p, t=args.t, form=KERNEL_FLAGS[args.kernel],
         allow_outside_range=args.allow_outside_range,

@@ -206,9 +206,7 @@ class RootedStructure:
     ``depth`` counts the tree edges on each node's root path, and
     ``lift[k][x]`` is the node ``2**k`` tree steps above ``x`` (the root once
     the path ends), kept for every ``k`` with ``2**k`` below the largest
-    depth.  ``topo_order`` lists nodes by increasing distance, then depth, so
-    every parent comes before its children and subtree accumulations can run
-    as one linear scan.
+    depth.
     """
 
     graph: Graph
@@ -218,7 +216,6 @@ class RootedStructure:
     parent_edge: np.ndarray
     depth: np.ndarray
     lift: tuple[np.ndarray, ...]
-    topo_order: np.ndarray
     warnings: tuple[str, ...]
     _gamma_cache: dict = field(default_factory=dict, repr=False)
 
@@ -262,9 +259,7 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     ]
 
     # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
-    # ``depth`` counts the edges from each node to its ``anc``.  Depth breaks
-    # the (pathological) case of a parent at equal float distance, keeping
-    # parents strictly before children in topo_order.
+    # ``depth`` counts the edges from each node to its ``anc``.
     anc = parent.copy()
     anc[root] = root
     depth = np.ones(n, dtype=np.int64)
@@ -274,7 +269,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         lift.append(_freeze(anc))
         depth += depth[anc]
         anc = anc[anc]
-    topo_order = np.lexsort((depth, dist))  # stable: ties keep id order
 
     return RootedStructure(
         graph=g,
@@ -284,7 +278,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         parent_edge=_freeze(parent_edge),
         depth=_freeze(depth),
         lift=tuple(lift),
-        topo_order=_freeze(topo_order.astype(np.int64)),
         warnings=tuple(tie_notes),
     )
 
@@ -347,11 +340,11 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     np.add.at(portion, ev, shares[1])
 
     # Subtree sums sub[x] = portion[x] + sum of sub over the children of x,
-    # one tree level at a time from the deepest.  np.add.at adds one by one,
-    # so taking each level in reverse topological order adds every parent's
-    # children in the order a children-before-parents scan would.
-    rev = rs.topo_order[::-1]
-    order = rev[np.argsort(-rs.depth[rev], kind="stable")]
+    # one tree level at a time from the deepest, each level by decreasing
+    # distance, then id.  np.add.at adds one by one, so every parent gets its
+    # children in the order of a scan over the nodes sorted by distance,
+    # depth and id, taken backwards.
+    order = np.lexsort((rs.dist, rs.depth))[::-1]
     sub = portion
     for level in np.split(order, np.cumsum(np.bincount(rs.depth)[:0:-1]))[:-1]:
         np.add.at(sub, rs.parent[level], sub[level])

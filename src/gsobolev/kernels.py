@@ -52,25 +52,7 @@ def distance_matrix(
     under one root, as a symmetric array with a zero diagonal.  Each entry
     is the per-pair functions' value, bit for bit."""
     n = len(table)
-    d = pair_distances(prep, table, None, None, p, variant, into=np.zeros((n, n)))
-    return _mirror_upper(d)
-
-
-# Cells of scratch per step of _mirror_upper.
-_MIRROR_CELLS = 1 << 16
-
-
-def _mirror_upper(d: np.ndarray) -> np.ndarray:
-    """``d`` with its strict upper triangle copied onto its lower one, which
-    must hold zeros, in place.  Each step adds the transpose of a block of
-    columns to the same block of rows, so the copy numpy makes of that
-    overlapping operand is one block, never ``n x n``; adding to or adding
-    ``0.0`` changes no bit of a distance."""
-    n = len(d)
-    step = max(1, _MIRROR_CELLS // max(n, 1))
-    for a in range(0, n, step):
-        d[a : a + step] += d[:, a : a + step].T
-    return d
+    return pair_distances(prep, table, None, None, p, variant, into=np.zeros((n, n)))
 
 
 @dataclass(frozen=True)

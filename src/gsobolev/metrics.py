@@ -294,7 +294,8 @@ def pair_distances(
     zeros if not given.  With ``first`` and ``second`` both ``None``, the
     pairs are all ``i < j`` of the table's ``n`` rows in row-major order,
     never listed, and ``into`` may also be an ``n x n`` matrix whose
-    ``[i, j]`` gets pair ``(i, j)``, its lower triangle left as is.
+    ``[i, j]`` and ``[j, i]`` both get pair ``(i, j)``, its diagonal left
+    as is.
 
     Both modes share one cutter and one body; a mode supplies only the
     stored entries of its first and its second rows before a pair number
@@ -385,13 +386,17 @@ def pair_distances(
             nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
             np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
             csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
-            spot = rows * n + cols if matrix else slice(start, stop)
             # csr_minus_csr reads row i of a side at [ptr[i], ptr[i + 1]), so
             # the second rows' pointers may go on from where the first rows end
-            flat[spot] += _merge_reduce(
+            values = _merge_reduce(
                 k, (ptrs[: k + 1], *gathered), (ptrs[k : 2 * k + 1], *gathered),
                 weights, p, indptr, edges, diff,
             )
+            if matrix:
+                flat[rows * n + cols] += values
+                flat[cols * n + rows] += values
+            else:
+                flat[start:stop] += values
 
     _in_lanes(bounds, run_lane)
     return into

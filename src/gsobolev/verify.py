@@ -11,7 +11,7 @@ instances they draw themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -67,16 +67,7 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "instances": c.instances,
-                    "violations": c.violations,
-                    "worst": c.worst,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

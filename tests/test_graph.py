@@ -55,16 +55,28 @@ def star_of(leaves, seed=0):
     return Graph.from_edges(leaves + 1, edges)
 
 
+def grid_of(side):
+    """Grid of ``side`` x ``side`` nodes, node ``r * side + c``, every edge
+    0.1 long: most nodes have several shortest root paths, siblings share
+    their distance, and sums of the shares round, so the order in which a
+    parent adds its children shows in the bits."""
+    ids = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()])
+    return Graph(side * side, u, v, np.full(u.size, 0.1))
+
+
 def lambda_by_scan(g, rs):
     """Reference downstream lengths: edge shares gathered per node, then one
-    children-before-parents scan over the reverse topological order."""
+    children-before-parents scan over the nodes sorted by distance, depth
+    and id, taken backwards."""
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     du, dv = rs.dist[eu], rs.dist[ev]
     portion = np.zeros(g.node_count)
     np.add.at(portion, eu, np.clip((dv - du + w) / (2.0 * w), 0.0, 1.0) * w)
     np.add.at(portion, ev, np.clip((du - dv + w) / (2.0 * w), 0.0, 1.0) * w)
     sub = portion.copy()
-    for x in rs.topo_order[::-1]:
+    for x in np.lexsort((rs.depth, rs.dist))[::-1]:
         if x != rs.root:
             sub[rs.parent[x]] += sub[x]
     lam = np.zeros(g.edge_count)
@@ -324,29 +336,15 @@ class TestShortestPathTree:
             assert rs.dist[v] == pytest.approx(rs.dist[rs.parent[v]] + w, rel=1e-12)
             assert rs.dist[v] > rs.dist[rs.parent[v]]
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_topo_order_parents_first(self, seed):
-        g = random_weighted_graph(seed)
-        rs = shortest_path_tree(g, 0)
-        pos = np.empty(g.node_count, dtype=int)
-        pos[rs.topo_order] = np.arange(g.node_count)
-        for v in range(g.node_count):
-            if v != 0:
-                assert pos[rs.parent[v]] < pos[v]
-        assert (np.diff(rs.dist[rs.topo_order]) >= 0).all()
-
-
     @pytest.mark.parametrize(
         "g,root",
         [(random_weighted_graph(seed), seed) for seed in range(6)]
         + [(path_of(300), 0), (path_of(300), 150), (star_of(200), 0), (star_of(200), 7)],
     )
-    def test_depth_and_topo_order_match_chain_walk(self, g, root):
+    def test_depth_and_lift_match_chain_walk(self, g, root):
         rs = shortest_path_tree(g, root % g.node_count)
         depth = np.array([len(chain_to_root(rs, x)) for x in range(g.node_count)])
         np.testing.assert_array_equal(rs.depth, depth)
-        expect = np.lexsort((np.arange(g.node_count), depth, rs.dist))
-        np.testing.assert_array_equal(rs.topo_order, expect)
         # lift[k][x] is 2**k steps up the chain, the root once it runs out
         assert 2 ** len(rs.lift) >= depth.max() > 2 ** (len(rs.lift) - 1)
         for k, up in enumerate(rs.lift):
@@ -449,7 +447,8 @@ class TestLambdaGamma:
     @pytest.mark.parametrize(
         "g,root",
         [(random_weighted_graph(seed, n_lo=20, n_hi=300), seed) for seed in range(10)]
-        + [(star_of(2000), 0), (star_of(2000), 5), (path_of(10_000), 0), (path_of(10_000), 4321)],
+        + [(star_of(2000), 0), (star_of(2000), 5), (path_of(10_000), 0), (path_of(10_000), 4321)]
+        + [(grid_of(60), 0), (grid_of(60), 1830)],
     )
     def test_matches_sequential_scan(self, g, root):
         rs = shortest_path_tree(g, root % g.node_count)

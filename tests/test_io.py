@@ -37,7 +37,7 @@ from gsobolev import (
     save_graph,
     write_matrix_csv,
 )
-from gsobolev import textio
+from gsobolev import cli, textio
 from gsobolev.cli import _parse_pairs, _write_distance_csv
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -382,7 +382,7 @@ class TestDistanceCsv:
         second = first + rng.integers(0, 10**6, count)
         values = np.concatenate([self.SPECIAL, rng.lognormal(0.0, 30.0, count)])[:count]
         path = str(tmp_path / "d.csv")
-        _write_distance_csv(path, first, second, values)
+        _write_distance_csv(path, 2 * 10**6, first, second, values)
         with open(path, "rb") as fh:
             assert fh.read() == per_line_csv(first.tolist(), second.tolist(), values.tolist())
 
@@ -394,7 +394,24 @@ class TestDistanceCsv:
         values = np.abs(rng.standard_normal(count)) * 10.0 ** rng.integers(-300, 300, count)
         values[:: 97] = 0.0
         path = str(tmp_path / "d.csv")
-        _write_distance_csv(path, first, second, values)
+        _write_distance_csv(path, 300, first, second, values)
+        with open(path, "rb") as fh:
+            assert fh.read() == per_line_csv(first.tolist(), second.tolist(), values.tolist())
+
+    @pytest.mark.parametrize("n, block", [(1, 7), (2, 7), (9, 7), (9, 36), (200, None)])
+    def test_all_pairs_bytes_equal_per_line_bytes(self, tmp_path, monkeypatch, n, block):
+        # every pair i < j, unlisted: the i,j columns are built per block of
+        # CELL_BLOCK pairs, here 7 (blocks end inside rows), all 36 in one,
+        # and the default, which 200 measures' 19900 pairs cross
+        if block is not None:
+            monkeypatch.setattr(cli, "CELL_BLOCK", block)
+            monkeypatch.setattr(textio, "CELL_BLOCK", block)
+        first, second = np.triu_indices(n, 1)
+        rng = np.random.default_rng(n)
+        values = np.concatenate([self.SPECIAL, rng.lognormal(0.0, 30.0, first.size)])
+        values = values[: first.size]
+        path = str(tmp_path / "d.csv")
+        _write_distance_csv(path, n, None, None, values)
         with open(path, "rb") as fh:
             assert fh.read() == per_line_csv(first.tolist(), second.tolist(), values.tolist())
 

@@ -643,6 +643,11 @@ class TestAllPairs:
         n = len(table)
         i, j = np.triu_indices(n, 1)
         want = pair_distances(prep, table, i, j, p, variant)
+        # into a matrix R: R plus the listed values scattered to (i, j) and
+        # (j, i), the diagonal left as it is
+        R = np.random.default_rng(3).uniform(0.5, 2.0, (n, n))
+        S = np.zeros((n, n))
+        S[i, j] = S[j, i] = want
         threads = threading.active_count()
         for entries in (1, 5, 64, 1 << 15):
             monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
@@ -650,11 +655,10 @@ class TestAllPairs:
                 monkeypatch.setattr(metrics, "_lane_count", lambda: lanes)
                 got = pair_distances(prep, table, None, None, p, variant)
                 assert got.tobytes() == want.tobytes()
-                # into a matrix: the upper triangle only, added to what is there
-                D = np.tril(np.full((n, n), -1.0))
+                D = R.copy()
                 assert pair_distances(prep, table, None, None, p, variant, into=D) is D
-                assert D[i, j].tobytes() == want.tobytes()
-                assert (np.tril(D) == np.tril(np.full((n, n), -1.0))).all()
+                assert D.tobytes() == (R + S).tobytes()
+                assert np.diag(D).tobytes() == np.diag(R).tobytes()
                 assert threading.active_count() == threads
 
     def test_values_are_added(self):
