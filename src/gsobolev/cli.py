@@ -25,7 +25,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from .errors import GSobolevError, ParseError
+from .errors import GSobolevError, ParseError, SizeLimitExceeded
 from .graph import Graph, lambda_gamma, load_graph, save_graph, shortest_path_tree
 from .kernels import (
     GramSpec,
@@ -202,6 +202,22 @@ def _peak_rss() -> str:
     return f", peak RSS {peak / per_mb:.1f} MB"
 
 
+# The most bytes of n^2-sized arrays a command may hold at once: gram's D, K
+# and eigvalsh's copy of K, or the running sum of distance --pairs all.  It
+# admits gram up to 13,377 measures and all pairs up to 32,768.
+_SQUARE_BYTES_BUDGET = 4 << 30
+
+
+def _check_square_budget(command: str, n: int, nbytes: int) -> None:
+    """Refuse ``command`` on ``n`` measures before it allocates, when its
+    n^2-sized arrays would take more than ``_SQUARE_BYTES_BUDGET`` bytes."""
+    if nbytes > _SQUARE_BYTES_BUDGET:
+        raise SizeLimitExceeded(
+            f"{command} on {n:,} measures would hold {nbytes:,} bytes of n^2-sized "
+            f"arrays, above the budget of {_SQUARE_BYTES_BUDGET:,} bytes"
+        )
+
+
 def _root_mean(
     g: Graph, measures: list[DiscreteMeasure], roots: list[int],
     first: np.ndarray | None, second: np.ndarray | None, p: float, variant: str,
@@ -251,7 +267,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     g, measures, roots = _load_inputs(args)
     n = len(measures)
     first = second = None
-    if args.pairs != "all":
+    if args.pairs == "all":
+        _check_square_budget("distance --pairs all", n, n * (n - 1) // 2 * 8)
+    else:
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
     values, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, variant)
@@ -280,6 +298,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _require_out_path(args.out + ".json")
     g, measures, roots = _load_inputs(args)
     n = len(measures)
+    _check_square_budget("gram", n, 3 * n * n * 8)
     D, prep_ms, eval_ms = _root_mean(
         g, measures, roots, None, None, p, VARIANT_SOBOLEV_IPM, np.zeros((n, n))
     )

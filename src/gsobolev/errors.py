@@ -67,9 +67,10 @@ class InfeasibleMass(GSobolevError):
 
 
 class SizeLimitExceeded(GSobolevError):
-    """An instance is above a size cap: an exact oracle's, or the entry
-    budget of a cumulative edge vector table, which is refused before it is
-    built rather than exhausting memory."""
+    """An instance is above a size cap: an exact oracle's, the entry budget
+    of a cumulative edge vector table, or the byte budget of a command's
+    n^2-sized arrays; the last two are refused before they are built rather
+    than exhausting memory."""
 
 
 class EmptyCloud(GSobolevError):

@@ -202,7 +202,7 @@ class RootedStructure:
     ``dist`` holds exact Dijkstra distances.  ``parent``/``parent_edge`` give,
     for every non-root node, the tree predecessor; when several predecessors
     produce equal-length root paths (within ``TIE_RTOL`` relative tolerance)
-    the smallest node id wins and the tie is recorded in ``warnings``.
+    the smallest node id wins, and ``ties`` lists those nodes, ascending.
     ``depth`` counts the tree edges on each node's root path, and
     ``lift[k][x]`` is the node ``2**k`` tree steps above ``x`` (the root once
     the path ends), kept for every ``k`` with ``2**k`` below the largest
@@ -216,7 +216,7 @@ class RootedStructure:
     parent_edge: np.ndarray
     depth: np.ndarray
     lift: tuple[np.ndarray, ...]
-    warnings: tuple[str, ...]
+    ties: np.ndarray
     _gamma_cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -226,9 +226,10 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     Distances come from Dijkstra's algorithm.  Parents are then derived in a
     deterministic pass: node ``u`` is a candidate parent of ``v`` when
     ``dist[u] < dist[v]`` and ``dist[u] + w_uv`` matches ``dist[v]`` within
-    ``TIE_RTOL * max(1, dist[v])``; the smallest candidate id is kept and any
-    multiplicity is reported as a tie warning.  This makes the recorded tree a
-    pure function of the graph and the root, independent of heap order.
+    ``TIE_RTOL * max(1, dist[v])``; the smallest candidate id is kept, and
+    the nodes with more than one candidate are recorded as ``ties``.  This
+    makes the recorded tree a pure function of the graph and the root,
+    independent of heap order.
     """
     n = g.node_count
     if not 0 <= root < n:
@@ -252,11 +253,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     parent_edge = np.full(n, -1, dtype=np.int64)
     parent_edge[child[won]] = np.concatenate([fwd, bwd])[won]
     parent[counts == 0] = -1
-    tie_notes = [
-        f"node {v}: {int(counts[v])} equal-length root paths within tolerance; "
-        f"kept parent {int(parent[v])} (smallest id)"
-        for v in np.flatnonzero(counts > 1).tolist()
-    ]
 
     # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
     # ``depth`` counts the edges from each node to its ``anc``.
@@ -278,7 +274,7 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         parent_edge=_freeze(parent_edge),
         depth=_freeze(depth),
         lift=tuple(lift),
-        warnings=tuple(tie_notes),
+        ties=_freeze(np.flatnonzero(counts > 1)),
     )
 
 

@@ -1,11 +1,13 @@
 """Seeded property suites: metric axioms, sandwich bounds, tree equality,
 kernel definiteness, and oracle agreement.
 
-Each suite draws its own instance pool from a master seed, hands it to
-checkers that count violations at pinned tolerances, and returns a
-machine-readable report.  The CLI's ``verify`` command is a thin wrapper;
-the acceptance tests call the same suites, or the same checkers on
-instances they draw themselves.
+Each suite takes only a master seed.  It draws its instance pool from the
+seed, hands it to checkers that count violations, and returns a
+machine-readable report.  Every tolerance, order list and pool size is
+pinned here, as a constant or a literal, and nowhere else: the CLI's
+``verify`` command is a thin wrapper, and the acceptance tests call the same
+suites, or the same checkers on instances they draw themselves, and assert
+the pinned values they rely on.
 """
 
 from __future__ import annotations
@@ -40,7 +42,17 @@ from .metrics import (
 from .oracles import beta_quadrature, distance_by_discretization, wasserstein1_lp
 from .synth import FAMILY_LOG, PointCloud, build_random_graph, random_measures, random_tree
 
-REL_SLACK = 1e-9
+# Pinned tolerances.
+REL_SLACK = 1e-9  # metric axioms and every bound, relative
+BETA_RTOL = 1e-8  # closed-form edge weight against quadrature, relative
+DISC_ATOL = 1e-4  # S_p ** p against the discretized integral, absolute
+TREE_ATOL = 1e-8  # order-1 distance against LP 1-Wasserstein on trees, absolute
+PSD_RTOL = 1e-8  # smallest Gram eigenvalue against the largest entry
+
+ALL_ORDERS = (1.0, 1.5, 2.0, 3.0, math.inf)
+FINITE_ORDERS = ALL_ORDERS[:-1]
+# 1 <= p <= 2, where the distance is negative definite.
+KERNEL_ORDERS = (1.0, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +107,10 @@ def _canonical(mu: DiscreteMeasure) -> tuple:
 # -- checkers: count violations on prepared instances ------------------------
 
 
-def check_axioms(cases: list, ps: tuple, rel_slack: float = REL_SLACK) -> list[SuiteCheck]:
+def check_axioms(cases: list, ps: tuple) -> list[SuiteCheck]:
     """Metric axioms for every order in ``ps``: identity, symmetry,
     positivity, distinct measures at nonzero distance, and the triangle
-    inequality within ``rel_slack``.
+    inequality within ``REL_SLACK``.
 
     Each case is ``(distance, pool, triples)``: a callable
     ``distance(mu, nu, p)``, a measure list, and index triples into it.
@@ -121,18 +133,16 @@ def check_axioms(cases: list, ps: tuple, rel_slack: float = REL_SLACK) -> list[S
                     or d12 < 0.0
                     or (_canonical(mu) != _canonical(nu) and d12 == 0.0)
                 )
-                gap = d13 - (d12 + d23) - rel_slack * max(d12 + d23, d13)
+                gap = d13 - (d12 + d23) - REL_SLACK * max(d12 + d23, d13)
                 tallies[p].add(gap, bad or gap > 0.0)
     return [tallies[p].check(f"axioms_p={p}") for p in ps]
 
 
-def check_bounds(
-    cases: list, ps: tuple, rel_slack: float = REL_SLACK
-) -> tuple[SuiteCheck, SuiteCheck]:
+def check_bounds(cases: list) -> tuple[SuiteCheck, SuiteCheck]:
     """Transport sandwich ``(1 + L)^((1-p)/p) ST_p <= S_p <= ST_p`` for
-    every order in ``ps``, and cross-order comparison
-    ``S_p <= (L (1 + L))^(1/p - 1/q) S_q`` for every ``p < q`` in ``ps``,
-    within ``rel_slack``; ``L`` is the graph's total length.
+    every order in ``FINITE_ORDERS``, and cross-order comparison
+    ``S_p <= (L (1 + L))^(1/p - 1/q) S_q`` for every ``p < q`` among them,
+    within ``REL_SLACK``; ``L`` is the graph's total length.
 
     Each case is ``(rs, prep, pool, tuples)``: a prepared root, a measure
     list, and index tuples whose first two entries name a pair.
@@ -142,63 +152,63 @@ def check_bounds(
         L = rs.graph.total_length
         for i, j, *_ in tuples:
             u, v = gamma_mass(rs, pool[i]), gamma_mass(rs, pool[j])
-            svals = {p: sobolev_ipm_distance(prep, u, v, p) for p in ps}
-            for p in ps:
+            svals = {p: sobolev_ipm_distance(prep, u, v, p) for p in FINITE_ORDERS}
+            for p in FINITE_ORDERS:
                 st = sobolev_transport_distance(prep, u, v, p)
                 s = svals[p]
                 lo = (1.0 + L) ** ((1.0 - p) / p) * st
                 gap = max(lo - s, s - st)
-                sandwich.add(gap, gap > rel_slack * max(st, s, 1.0))
-            for a, p in enumerate(ps):
-                for q in ps[a + 1 :]:
+                sandwich.add(gap, gap > REL_SLACK * max(st, s, 1.0))
+            for a, p in enumerate(FINITE_ORDERS):
+                for q in FINITE_ORDERS[a + 1 :]:
                     fac = (L * (1.0 + L)) ** (1.0 / p - 1.0 / q)
                     gap = svals[p] - fac * svals[q]
-                    order.add(gap, gap > rel_slack * max(svals[p], fac * svals[q], 1.0))
+                    order.add(gap, gap > REL_SLACK * max(svals[p], fac * svals[q], 1.0))
     return sandwich.check("transport_sandwich"), order.check("order_comparison")
 
 
-def check_w1_lower_bound(cases: list, ps: tuple, rel_slack: float = REL_SLACK) -> SuiteCheck:
+def check_w1_lower_bound(cases: list) -> SuiteCheck:
     """``S_p >= (L (1 + L))^((1-p)/p) W_1`` against the exact LP
-    1-Wasserstein distance for every order in ``ps``, within ``rel_slack``.
-    Each case is ``(g, rs, prep, mu, nu)``."""
+    1-Wasserstein distance for every order in ``FINITE_ORDERS``, within
+    ``REL_SLACK``.  Each case is ``(g, rs, prep, mu, nu)``."""
     tally = _Tally()
     for g, rs, prep, mu, nu in cases:
         L = g.total_length
         w1 = wasserstein1_lp(g, mu, nu)
         u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        for p in ps:
+        for p in FINITE_ORDERS:
             s = sobolev_ipm_distance(prep, u, v, p)
             bound = (L * (1.0 + L)) ** ((1.0 - p) / p) * w1
             gap = bound - s
-            tally.add(gap, gap > rel_slack * max(s, bound, 1.0))
+            tally.add(gap, gap > REL_SLACK * max(s, bound, 1.0))
     return tally.check("wasserstein_lower_bound")
 
 
-def check_beta(triples: list, tol: float) -> SuiteCheck:
+def check_beta(triples: list) -> SuiteCheck:
     """Closed-form edge weight against 1e4-step quadrature: relative error
-    below ``tol`` for each ``(downstream length, edge length, p)``."""
+    below ``BETA_RTOL`` for each ``(downstream length, edge length, p)``."""
     tally = _Tally()
     for lam, w, p in triples:
         prep = EdgePrep(root=0, lambda_gamma=np.array([lam]), edge_lengths=np.array([w]))
         closed = float(beta_weights(prep, p)[0])
-        ref = beta_quadrature(lam, w, p, steps=10_000)
+        ref = beta_quadrature(lam, w, p)
         rel = abs(closed - ref) / abs(ref)
-        tally.add(rel, rel >= tol)
+        tally.add(rel, rel >= BETA_RTOL)
     return tally.check("beta_vs_quadrature")
 
 
-def check_discretization(cases: list, ps: tuple, resolution: int, tol: float) -> SuiteCheck:
-    """``S_p ** p`` against a ``resolution``-point discretization of the
-    defining integral, absolute error below ``tol``, for every order in
-    ``ps``.  Each case is ``(g, rs, prep, mu, nu)``."""
+def check_discretization(cases: list) -> SuiteCheck:
+    """``S_p ** p`` against the 1e5-point discretization of the defining
+    integral, absolute error below ``DISC_ATOL``, for every order in
+    ``KERNEL_ORDERS``.  Each case is ``(g, rs, prep, mu, nu)``."""
     tally = _Tally()
     for g, rs, prep, mu, nu in cases:
         u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        for p in ps:
+        for p in KERNEL_ORDERS:
             closed_pow = sobolev_ipm_distance(prep, u, v, p) ** p
-            ref = distance_by_discretization(g, rs.root, mu, nu, p, resolution)
+            ref = distance_by_discretization(g, rs.root, mu, nu, p)
             err = abs(closed_pow - ref)
-            tally.add(err, err >= tol)
+            tally.add(err, err >= DISC_ATOL)
     return tally.check("integral_discretization")
 
 
@@ -257,19 +267,13 @@ def _merged(name: str, checks: list[SuiteCheck]) -> SuiteCheck:
 # -- suites ------------------------------------------------------------------
 
 
-def metric_suite(
-    seed: int = 0,
-    triples: int = 500,
-    ps: tuple = (1.0, 1.5, 2.0, 3.0, math.inf),
-    sliced_triples: int = 60,
-    rel_slack: float = REL_SLACK,
-) -> SuiteReport:
-    """Metric axioms for every order in ``ps``, plus the same axioms for
-    the root-averaged variant at orders 1 and 2."""
+def metric_suite(seed: int = 0) -> SuiteReport:
+    """Metric axioms for every order in ``ALL_ORDERS`` on 500 triples, plus
+    the same axioms for the root-averaged variant at orders 1 and 2 on 60."""
     rng = np.random.default_rng(seed)
     cases = [
         (partial(measure_distance, rs, prep), pool, idx)
-        for rs, prep, pool, idx in _pool_cases(rng, triples, 10, 3)
+        for rs, prep, pool, idx in _pool_cases(rng, 500, 10, 3)
     ]
     g = _pool_graph(rng)
     roots = sample_roots(g, min(3, g.node_count), _child_seed(rng))
@@ -277,25 +281,20 @@ def metric_suite(
     sliced = (
         partial(sliced_distance, g, roots, prepared={}),
         pool,
-        _index_tuples(rng, len(pool), sliced_triples, 3),
+        _index_tuples(rng, len(pool), 60, 3),
     )
-    checks = check_axioms(cases, ps, rel_slack)
-    checks.append(_merged("axioms_sliced", check_axioms([sliced], (1.0, 2.0), rel_slack)))
+    checks = check_axioms(cases, ALL_ORDERS)
+    checks.append(_merged("axioms_sliced", check_axioms([sliced], (1.0, 2.0))))
     return SuiteReport("metric", seed, checks)
 
 
-def bounds_suite(
-    seed: int = 0,
-    pairs: int = 500,
-    ps: tuple = (1.0, 1.5, 2.0, 3.0),
-    trees: int = 50,
-    rel_slack: float = REL_SLACK,
-) -> SuiteReport:
-    """Two-sided transport sandwich, cross-order comparison, and the
-    lower bound against exact 1-Wasserstein, on trees (where the order-1
-    distance coincides with 1-Wasserstein) and general graphs alike."""
+def bounds_suite(seed: int = 0) -> SuiteReport:
+    """Two-sided transport sandwich and cross-order comparison on 500
+    pairs, and the lower bound against exact 1-Wasserstein on 50 graphs,
+    trees (where the order-1 distance coincides with 1-Wasserstein) and
+    general graphs alike."""
     rng = np.random.default_rng(seed)
-    cases = _pool_cases(rng, pairs, 8, 2)
+    cases = _pool_cases(rng, 500, 8, 2)
     w1_cases = [
         _two_measures(
             rng,
@@ -303,62 +302,49 @@ def bounds_suite(
             if k % 2 == 0
             else _pool_graph(rng, max_nodes=25),
         )
-        for k in range(trees)
+        for k in range(50)
     ]
-    checks = [*check_bounds(cases, ps, rel_slack), check_w1_lower_bound(w1_cases, ps, rel_slack)]
-    return SuiteReport("bounds", seed, checks)
+    return SuiteReport("bounds", seed, [*check_bounds(cases), check_w1_lower_bound(w1_cases)])
 
 
-def tree_suite(
-    seed: int = 0,
-    trees: int = 50,
-    max_nodes: int = 100,
-    max_support: int = 20,
-    tol: float = 1e-8,
-) -> SuiteReport:
-    """On trees the order-1 distance equals 1-Wasserstein exactly."""
+def tree_suite(seed: int = 0) -> SuiteReport:
+    """On 50 trees of up to 100 nodes the order-1 distance equals
+    1-Wasserstein within ``TREE_ATOL``."""
     rng = np.random.default_rng(seed)
     tally = _Tally()
-    for _ in range(trees):
-        n = int(rng.integers(5, max_nodes + 1))
+    for _ in range(50):
+        n = int(rng.integers(5, 101))
         g = random_tree(n, seed=_child_seed(rng))
-        size = int(rng.integers(1, min(max_support, n) + 1))
+        size = int(rng.integers(1, min(20, n) + 1))
         mu, nu = random_measures(g, 2, size, seed=_child_seed(rng))
         rs, prep = prepare_root(g, int(rng.integers(n)))
         u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
         err = abs(sobolev_ipm_distance(prep, u, v, 1.0) - wasserstein1_lp(g, mu, nu))
-        tally.add(err, err >= tol)
+        tally.add(err, err >= TREE_ATOL)
     return SuiteReport("tree", seed, [tally.check("w1_equality")])
 
 
-def definiteness_suite(
-    seed: int = 0,
-    sets: int = 20,
-    set_size: int = 30,
-    ps: tuple = (1.0, 1.5, 2.0),
-    bandwidths: tuple = (0.1, 1.0, 10.0),
-    roots: tuple = (2, 5, 10),
-    trials: int = 200,
-) -> SuiteReport:
-    """Negative definiteness of distance matrices, positive semidefiniteness
-    of the exponential kernels, and entrywise-root divisibility."""
+def definiteness_suite(seed: int = 0) -> SuiteReport:
+    """On 20 sets of 30 measures, for every order in ``KERNEL_ORDERS``:
+    negative definiteness of the distance matrix, positive semidefiniteness
+    of both exponential kernels at bandwidths 0.1, 1 and 10, and
+    divisibility by entrywise roots 2, 5 and 10."""
     rng = np.random.default_rng(seed)
     nd, psd, div = _Tally(), _Tally(), _Tally()
-    for _ in range(sets):
+    for _ in range(20):
         g = _pool_graph(rng)
         rs, prep = prepare_root(g, int(rng.integers(g.node_count)))
-        pool = _pool_measures(rng, g, set_size)
-        table = gamma_masses(rs, pool)
-        for p in ps:
+        table = gamma_masses(rs, _pool_measures(rng, g, 30))
+        for p in KERNEL_ORDERS:
             D = distance_matrix(prep, table, p)
-            rep = check_negative_definite(D, p, trials=trials, seed=_child_seed(rng))
+            rep = check_negative_definite(D, p, seed=_child_seed(rng))
             nd.add(max(-rep.spectral_min, rep.worst), not rep.passed)
-            for t in bandwidths:
+            for t in (0.1, 1.0, 10.0):
                 for form in (KERNEL_EXP, KERNEL_EXP_POW):
                     K = gram_matrix(D, GramSpec(p=p, t=t, form=form))
                     lo = min_eigenvalue(K)
-                    psd.add(-lo, lo < -1e-8 * K.max())
-                    for nroot in roots:
+                    psd.add(-lo, lo < -PSD_RTOL * K.max())
+                    for nroot in (2, 5, 10):
                         div.add(0.0, not divisibility_check(K, nroot))
     return SuiteReport(
         "definiteness",
@@ -367,27 +353,20 @@ def definiteness_suite(
     )
 
 
-def oracle_suite(
-    seed: int = 0,
-    beta_triples: int = 200,
-    disc_graphs: int = 20,
-    disc_ps: tuple = (1.0, 1.5, 2.0),
-    resolution: int = 100_000,
-    tree_triples: int = 10,
-    tol_beta: float = 1e-8,
-    tol_disc: float = 1e-4,
-    tol_triple: float = 1e-6,
-) -> SuiteReport:
-    """Agreement between the closed forms and the slow references."""
+def oracle_suite(seed: int = 0) -> SuiteReport:
+    """Agreement between the closed forms and the slow references: edge
+    weights on 200 triples, the integral on 20 graphs, and the order-1
+    distance, LP 1-Wasserstein and a 2000-point discretization within 1e-6
+    of each other on 10 trees."""
     rng = np.random.default_rng(seed)
     triples = [
         (rng.uniform(0.0, 20.0), rng.uniform(0.05, 5.0), rng.uniform(1.0, 4.0))
-        for _ in range(beta_triples)
+        for _ in range(200)
     ]
-    disc = [_two_measures(rng, _pool_graph(rng, max_nodes=30)) for _ in range(disc_graphs)]
+    disc = [_two_measures(rng, _pool_graph(rng, max_nodes=30)) for _ in range(20)]
     tree_cases = [
         _two_measures(rng, random_tree(int(rng.integers(5, 40)), seed=_child_seed(rng)))
-        for _ in range(tree_triples)
+        for _ in range(10)
     ]
     agree = _Tally()
     for g, rs, prep, mu, nu in tree_cases:
@@ -396,13 +375,12 @@ def oracle_suite(
         w1 = wasserstein1_lp(g, mu, nu)
         d = distance_by_discretization(g, rs.root, mu, nu, 1.0, resolution=2000)
         err = max(abs(s1 - w1), abs(s1 - d), abs(w1 - d))
-        agree.add(err, err >= tol_triple)
-    checks = [
-        check_beta(triples, tol_beta),
-        check_discretization(disc, disc_ps, resolution, tol_disc),
-        agree.check("order1_triple_agreement"),
-    ]
-    return SuiteReport("oracle", seed, checks)
+        agree.add(err, err >= 1e-6)
+    return SuiteReport(
+        "oracle",
+        seed,
+        [check_beta(triples), check_discretization(disc), agree.check("order1_triple_agreement")],
+    )
 
 
 SUITES = {

@@ -1,8 +1,10 @@
 """Acceptance gate: one pass/fail record per shipped guarantee.
 
 Each test prints an ``ACCEPTANCE n PASS/FAIL`` line through the recorder
-fixture (collected again in the terminal summary), then asserts.  Tolerances
-and pool sizes are pinned here and nowhere else.
+fixture (collected again in the terminal summary), then asserts.  Tolerances,
+orders and pool sizes live in ``gsobolev.verify``; each criterion asserts the
+values it relies on and the instance counts the checks report, so loosening a
+tolerance or shrinking a pool there fails here.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ from gsobolev import (
     sobolev_ipm_distance,
     wasserstein1_lp,
 )
+from gsobolev import verify
 from gsobolev.verify import (
+    ALL_ORDERS,
+    BETA_RTOL,
+    DISC_ATOL,
+    PSD_RTOL,
+    REL_SLACK,
+    TREE_ATOL,
     check_axioms,
     check_beta,
     check_bounds,
@@ -38,10 +47,6 @@ from gsobolev.verify import (
     definiteness_suite,
     tree_suite,
 )
-
-REL_SLACK = 1e-9
-FINITE_ORDERS = (1.0, 1.5, 2.0, 3.0)
-ALL_ORDERS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
 
 def sample_index_pairs(rng, n: int, count: int) -> list[tuple[int, int]]:
@@ -97,16 +102,17 @@ def test_criterion_1_edge_weight_oracle(acceptance):
         (rng.uniform(0.0, 20.0), rng.uniform(0.05, 5.0), rng.uniform(1.0, 4.0))
         for _ in range(200)
     ]
-    chk = check_beta(triples, tol=1e-8)
+    chk = check_beta(triples)
     elapsed = time.perf_counter() - t0
-    ok = chk.passed and elapsed < 1.0
+    pinned = BETA_RTOL == 1e-8 and chk.instances == 200 and chk.worst < 1e-8
+    ok = chk.passed and pinned and elapsed < 1.0
     acceptance(
         1,
         f"closed-form edge weights match 1e4-step quadrature over 200 "
         f"triples (worst rel {chk.worst:.2e} < 1e-8, {elapsed:.2f} s < 1 s)",
         ok,
     )
-    assert chk.passed, chk
+    assert chk.passed and pinned, chk
     assert elapsed < 1.0
 
 
@@ -123,32 +129,34 @@ def test_criterion_2_integral_discretization(acceptance):
         size = int(rng.integers(1, min(6, g.node_count) + 1))
         mu, nu = random_measures(g, 2, size, seed=int(rng.integers(2**31)))
         cases.append((g, *prepare_root(g, root), mu, nu))
-    chk = check_discretization(cases, (1.0, 1.5, 2.0), resolution=100_000, tol=1e-4)
+    chk = check_discretization(cases)
     elapsed = time.perf_counter() - t0
-    ok = chk.passed and elapsed < 120.0
+    pinned = DISC_ATOL == 1e-4 and chk.instances == 60 and chk.worst < 1e-4
+    ok = chk.passed and pinned and elapsed < 120.0
     acceptance(
         2,
         f"p-th powers match direct 1e5-point discretization on 20 graphs "
         f"(worst abs {chk.worst:.2e} < 1e-4, {elapsed:.1f} s < 120 s)",
         ok,
     )
-    assert chk.passed, chk
+    assert chk.passed and pinned, chk
     assert elapsed < 120.0
 
 
 def test_criterion_3_tree_equality(acceptance):
     t0 = time.perf_counter()
-    rep = tree_suite(seed=303, trees=50, max_nodes=100, max_support=20, tol=1e-8)
+    rep = tree_suite(seed=303)
     elapsed = time.perf_counter() - t0
     chk = rep.checks[0]
-    ok = rep.passed and elapsed < 30.0
+    pinned = TREE_ATOL == 1e-8 and chk.instances == 50 and chk.worst < 1e-8
+    ok = rep.passed and pinned and elapsed < 30.0
     acceptance(
         3,
         f"order-1 distance equals LP 1-Wasserstein on 50 trees "
         f"(worst {chk.worst:.2e} < 1e-8, {elapsed:.1f} s < 30 s)",
         ok,
     )
-    assert rep.passed, chk
+    assert rep.passed and pinned, chk
     assert elapsed < 30.0
 
 
@@ -157,10 +165,10 @@ def test_criterion_4_metric_axioms(acceptance, shared_pool):
         (partial(measure_distance, rs, prep), pool, triples)
         for _, rs, prep, pool, triples in shared_pool
     ]
-    checks = check_axioms(cases, ALL_ORDERS, REL_SLACK)
+    checks = check_axioms(cases, ALL_ORDERS)
     violations = sum(c.violations for c in checks)
     checked = sum(c.instances for c in checks)
-    ok = violations == 0 and checked == 500 * len(ALL_ORDERS)
+    ok = violations == 0 and checked == 2500 and REL_SLACK == 1e-9
     acceptance(
         4,
         f"identity/symmetry/positivity/triangle hold on 500 triples x "
@@ -172,21 +180,21 @@ def test_criterion_4_metric_axioms(acceptance, shared_pool):
 
 def test_criterion_5_sandwich_and_comparison_bounds(acceptance, shared_pool):
     sandwich, order = check_bounds(
-        [(rs, prep, pool, triples) for _, rs, prep, pool, triples in shared_pool],
-        FINITE_ORDERS,
-        REL_SLACK,
+        [(rs, prep, pool, triples) for _, rs, prep, pool, triples in shared_pool]
     )
     lower = check_w1_lower_bound(
         [
             (g, rs, prep, pool[i], pool[j])
             for g, rs, prep, pool, triples in shared_pool
             for i, j, _ in triples
-        ],
-        FINITE_ORDERS,
-        REL_SLACK,
+        ]
     )
     sandwich_bad, order_bad, lower_bad = (c.violations for c in (sandwich, order, lower))
-    ok = sandwich_bad == 0 and order_bad == 0 and lower_bad == 0
+    # 500 pairs at each of the four finite orders, and at each of their six
+    # ordered pairs for the comparison
+    counts = (sandwich.instances, order.instances, lower.instances)
+    pinned = REL_SLACK == 1e-9 and counts == (2000, 3000, 2000)
+    ok = sandwich_bad == 0 and order_bad == 0 and lower_bad == 0 and pinned
     acceptance(
         5,
         f"transport sandwich / cross-order comparison / 1-Wasserstein lower "
@@ -197,18 +205,23 @@ def test_criterion_5_sandwich_and_comparison_bounds(acceptance, shared_pool):
     assert ok
 
 
-def test_criterion_6_definiteness(acceptance):
-    rep = definiteness_suite(
-        seed=606,
-        sets=20,
-        set_size=30,
-        ps=(1.0, 1.5, 2.0),
-        bandwidths=(0.1, 1.0, 10.0),
-        roots=(2, 5, 10),
-        trials=200,
-    )
+def test_criterion_6_definiteness(acceptance, monkeypatch):
+    # the suite's pool, seen from outside: one 30 x 30 distance matrix per
+    # set and order reaches the definiteness check
+    shapes = []
+    nd_check = verify.check_negative_definite
+
+    def spy(D, *args, **kwargs):
+        shapes.append(D.shape)
+        return nd_check(D, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_negative_definite", spy)
+    rep = definiteness_suite(seed=606)
     by_name = {c.name: c for c in rep.checks}
-    ok = rep.passed
+    # 20 sets x 3 orders; x 3 bandwidths x 2 kernels; x 3 entrywise roots
+    counts = tuple(c.instances for c in rep.checks)
+    pinned = PSD_RTOL == 1e-8 and counts == (60, 360, 1080) and shapes == [(30, 30)] * 60
+    ok = rep.passed and pinned
     acceptance(
         6,
         f"20 sets x 30 measures: spectral negative definiteness, kernel "
@@ -324,9 +337,10 @@ def test_criterion_9_root_averaging(acceptance):
     rng = np.random.default_rng(919)
     triples = [tuple(int(x) for x in rng.integers(0, 10, size=3)) for _ in range(60)]
     sliced = partial(sliced_distance, g, roots, prepared={})
-    checks = check_axioms([(sliced, ms, triples)], (1.0, 2.0), REL_SLACK)
+    checks = check_axioms([(sliced, ms, triples)], (1.0, 2.0))
     violations = sum(c.violations for c in checks)
-    metric_ok = violations == 0
+    checked = sum(c.instances for c in checks)
+    metric_ok = violations == 0 and checked == 120 and REL_SLACK == 1e-9
 
     ok = within_budget and metric_ok
     acceptance(

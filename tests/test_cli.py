@@ -461,6 +461,27 @@ class TestRootStreaming:
             "--p", "1", "--out", str(out),
         ]) == 0
 
+    @pytest.mark.parametrize(
+        "command, nbytes",
+        # gram: D, K and eigvalsh's copy, 3 x 3 each; all pairs: 3 values
+        [(["gram"], 3 * 9 * 8), (["distance", "--pairs", "all"], 3 * 8)],
+        ids=["gram", "all-pairs"],
+    )
+    def test_square_budget_refusal_exits_three(self, files, monkeypatch, capsys, command, nbytes):
+        argv = [*command, "--graph", files["graph"], "--measures", files["measures"],
+                "--p", "1", "--out", str(files["dir"] / "o.csv")]
+        monkeypatch.setattr("gsobolev.cli._SQUARE_BYTES_BUDGET", nbytes - 1)
+        monkeypatch.setattr("gsobolev.cli._root_mean", None)  # refused before any evaluation
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {' '.join(command)} on 3 measures would hold {nbytes} bytes of "
+            f"n^2-sized arrays, above the budget of {nbytes - 1} bytes\n"
+        )
+        assert sorted(f.name for f in files["dir"].iterdir()) == ["g.txt", "m.txt"]
+        monkeypatch.undo()
+        monkeypatch.setattr("gsobolev.cli._SQUARE_BYTES_BUDGET", nbytes)
+        assert main(argv) == 0
+
 
 class TestAllPairsRowBlocks:
     """``distance --pairs all`` and ``gram`` against a reference built from

@@ -240,7 +240,7 @@ class TestShortestPathTree:
         rs = shortest_path_tree(path_graph, 0)
         np.testing.assert_allclose(rs.dist, [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(rs.parent, [-1, 0, 1])
-        assert rs.warnings == ()
+        assert rs.ties.size == 0
         np.testing.assert_array_equal(rs.parent_edge, [-1, 0, 1])
 
     def test_root_out_of_range(self, path_graph):
@@ -250,33 +250,28 @@ class TestShortestPathTree:
     def test_square_cycle_tie_kept_smallest_parent(self, square_cycle):
         rs = shortest_path_tree(square_cycle, 0)
         # node 2 is reachable at length 2 through node 1 or node 3
-        assert len(rs.warnings) == 1
-        assert "node 2" in rs.warnings[0]
+        assert rs.ties.tolist() == [2]
         assert rs.parent[2] == 1
         assert sorted(rs.parent_edge[rs.parent_edge >= 0]) == [0, 1, 3]
 
-    def test_unit_grid_tie_warnings(self):
+    def test_unit_grid_ties(self):
         # 3 x 3 unit grid, node r * 3 + c: every node off the first row and
         # column has two shortest root paths and keeps the parent above it
         edges = [(r * 3 + c, r * 3 + c + 1, 1.0) for r in range(3) for c in range(2)]
         edges += [(r * 3 + c, r * 3 + c + 3, 1.0) for r in range(2) for c in range(3)]
         rs = shortest_path_tree(Graph.from_edges(9, edges), 0)
-        assert rs.warnings == tuple(
-            f"node {v}: 2 equal-length root paths within tolerance; "
-            f"kept parent {v - 3} (smallest id)"
-            for v in (4, 5, 7, 8)
-        )
+        assert rs.ties.tolist() == [4, 5, 7, 8]
+        assert rs.parent[rs.ties].tolist() == [1, 2, 4, 5]
+        assert rs.ties.dtype == np.int64 and not rs.ties.flags.writeable
 
-    def test_three_way_tie_warnings(self):
+    def test_three_way_ties(self):
         # node 4 is two steps from root 0 through 3, 2 and 1; node 6 through
         # 2 and 3.  Edges come in mixed order and orientation.
         edges = [(0, 3), (2, 0), (0, 1), (4, 3), (4, 2), (1, 4), (3, 6), (6, 2), (5, 6)]
         g = Graph.from_edges(7, [(a, b, 1.0) for a, b in edges])
         rs = shortest_path_tree(g, 0)
-        assert rs.warnings == (
-            "node 4: 3 equal-length root paths within tolerance; kept parent 1 (smallest id)",
-            "node 6: 2 equal-length root paths within tolerance; kept parent 2 (smallest id)",
-        )
+        assert rs.ties.tolist() == [4, 6]
+        assert rs.parent[rs.ties].tolist() == [1, 2]
         assert rs.parent.tolist() == [-1, 0, 0, 0, 1, 6, 2]
         assert rs.parent_edge.tolist() == [-1, 2, 1, 0, 5, 8, 7]
 
@@ -300,18 +295,15 @@ class TestShortestPathTree:
         for y, found in cands.items():
             assert (rs.parent[y], rs.parent_edge[y]) == min(found)
         assert rs.parent[root] == rs.parent_edge[root] == -1
-        assert rs.warnings == tuple(
-            f"node {y}: {len(cands[y])} equal-length root paths within tolerance; "
-            f"kept parent {min(cands[y])[0]} (smallest id)"
-            for y in sorted(cands) if len(cands[y]) > 1
-        )
-        assert rs.warnings
+        tied = [y for y in sorted(cands) if len(cands[y]) > 1]
+        assert tied and rs.ties.tolist() == tied
+        assert rs.parent[rs.ties].tolist() == [min(cands[y])[0] for y in tied]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_ties_on_generic_weights(self, seed):
         g = random_weighted_graph(seed)
         rs = shortest_path_tree(g, seed % g.node_count)
-        assert rs.warnings == ()
+        assert rs.ties.size == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_distances_match_floyd_warshall(self, seed):
