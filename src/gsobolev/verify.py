@@ -308,8 +308,8 @@ def bounds_suite(seed: int = 0) -> SuiteReport:
 
 
 def tree_suite(seed: int = 0) -> SuiteReport:
-    """On 50 trees of up to 100 nodes the order-1 distance equals
-    1-Wasserstein within ``TREE_ATOL``."""
+    """On 50 trees of 5 to 100 nodes, with supports of up to 20 points, the
+    order-1 distance equals 1-Wasserstein within ``TREE_ATOL``."""
     rng = np.random.default_rng(seed)
     tally = _Tally()
     for _ in range(50):

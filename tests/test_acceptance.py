@@ -64,6 +64,22 @@ def min_total_seconds(fn, repeats: int = 3) -> float:
     return best
 
 
+def record_calls(monkeypatch, name: str, note) -> list:
+    """Wrap ``verify.<name>`` so that each call appends
+    ``note(result, *args)`` to the returned list: the suites' pools, seen
+    from outside."""
+    seen = []
+    real = getattr(verify, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(note(out, *args))
+        return out
+
+    monkeypatch.setattr(verify, name, spy)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def shared_pool():
     """Twenty prepared graphs, ten measures and 25 index triples each;
@@ -143,12 +159,20 @@ def test_criterion_2_integral_discretization(acceptance):
     assert elapsed < 120.0
 
 
-def test_criterion_3_tree_equality(acceptance):
+def test_criterion_3_tree_equality(acceptance, monkeypatch):
+    pool = record_calls(
+        monkeypatch, "wasserstein1_lp", lambda _, g, mu, nu: (g.node_count, len(mu.nodes))
+    )
     t0 = time.perf_counter()
     rep = tree_suite(seed=303)
     elapsed = time.perf_counter() - t0
     chk = rep.checks[0]
-    pinned = TREE_ATOL == 1e-8 and chk.instances == 50 and chk.worst < 1e-8
+    # the trees' nodes and the support points of one measure per tree, in
+    # all, as measured when pinned: lower caps on either draw fewer
+    drawn = (sum(n for n, _ in pool), sum(k for _, k in pool))
+    pinned = (
+        TREE_ATOL == 1e-8 and chk.instances == 50 and chk.worst < 1e-8 and drawn == (2633, 602)
+    )
     ok = rep.passed and pinned and elapsed < 30.0
     acceptance(
         3,
@@ -206,21 +230,18 @@ def test_criterion_5_sandwich_and_comparison_bounds(acceptance, shared_pool):
 
 
 def test_criterion_6_definiteness(acceptance, monkeypatch):
-    # the suite's pool, seen from outside: one 30 x 30 distance matrix per
-    # set and order reaches the definiteness check
-    shapes = []
-    nd_check = verify.check_negative_definite
-
-    def spy(D, *args, **kwargs):
-        shapes.append(D.shape)
-        return nd_check(D, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "check_negative_definite", spy)
+    matrices = record_calls(
+        monkeypatch, "check_negative_definite", lambda rep, D, *_: (D.shape, rep.trials)
+    )
     rep = definiteness_suite(seed=606)
     by_name = {c.name: c for c in rep.checks}
     # 20 sets x 3 orders; x 3 bandwidths x 2 kernels; x 3 entrywise roots
     counts = tuple(c.instances for c in rep.checks)
-    pinned = PSD_RTOL == 1e-8 and counts == (60, 360, 1080) and shapes == [(30, 30)] * 60
+    pinned = (
+        PSD_RTOL == 1e-8
+        and counts == (60, 360, 1080)
+        and matrices == [((30, 30), 200)] * 60  # 30 measures a set, 200 trials
+    )
     ok = rep.passed and pinned
     acceptance(
         6,
