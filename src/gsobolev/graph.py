@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csr_plus_csr, csr_tocsc
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
@@ -32,10 +33,20 @@ TIE_RTOL = 1e-12
 # The most nodes whose pair keys lo * n + hi all fit in int64.
 _KEYED_NODES = math.isqrt(np.iinfo(np.int64).max)
 
+# Edges per pass of the tree's candidate test and of lambda's shares, so
+# their scratch does not grow with the edge count.
+_EDGE_CHUNK = 1 << 16
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _edge_chunks(m: int) -> list[slice]:
+    """Consecutive runs of ``_EDGE_CHUNK`` edge ids covering ``[0, m)``; one
+    empty run when there are no edges."""
+    return [slice(s, s + _EDGE_CHUNK) for s in range(0, max(m, 1), _EDGE_CHUNK)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,24 +85,30 @@ class Graph:
         if loops.any():
             i = int(np.flatnonzero(loops)[0])
             raise DuplicateEdge(f"edge {i} is a self-loop at node {u[i]}")
-        # One sort of the node pairs: equal neighbours are repeats, then the
-        # CSR.  While n * n fits in int64 the key lo * n + hi sorts them in one
-        # pass; past that np.lexsort sorts the two columns.  Each scratch
-        # array is dropped once used, to keep the peak low.
+        del bad, loops
+        # One sort of the node pairs: equal neighbours are repeats, and the
+        # sorted pairs (lo, hi) are the adjacency's upper triangle, row by row.
+        # While n * n fits in int64 the key lo * n + hi sorts them in one
+        # pass and holds both ends; past that np.lexsort sorts the two
+        # columns.  Each scratch array is dropped once used, so scratch peaks
+        # near 24 bytes an edge beside the inputs and the adjacency.
         if n <= _KEYED_NODES:
-            key = np.minimum(u, v) * n + np.maximum(u, v)
+            key = np.minimum(u, v)
+            key *= n
+            key += np.maximum(u, v)
             order = np.argsort(key)
             key = key[order]
-            lo, hi = np.divmod(key, n)
-            del key
+            dup = np.flatnonzero(key[1:] == key[:-1])[:1]
+            named = divmod(key[dup], n)
         else:
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             order = np.lexsort((hi, lo))
             lo, hi = lo[order], hi[order]
-        dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+            dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))[:1]
+            named = lo[dup], hi[dup]
         if dup.size:
-            k = dup[0]
-            raise DuplicateEdge(f"node pair ({lo[k]}, {hi[k]}) appears more than once")
+            a, b = (int(x[0]) for x in named)
+            raise DuplicateEdge(f"node pair ({a}, {b}) appears more than once")
         object.__setattr__(self, "edge_u", _freeze(u))
         object.__setattr__(self, "edge_v", _freeze(v))
         object.__setattr__(self, "edge_w", _freeze(w))
@@ -104,15 +121,19 @@ class Graph:
             parts, _ = connected_components(adj, directed=False)
             n_comp = parts + n - touched.size
             raise Disconnected(f"graph has {n_comp} components, expected 1")
-        # Symmetric CSR adjacency; max -> min arcs first, so every row is sorted.
-        idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        lo, hi = lo.astype(idx), hi.astype(idx)
-        arcs = (np.concatenate([hi, lo]), np.concatenate([lo, hi]))
-        del lo, hi
-        data = np.tile(w[order], 2)
+        idx = np.int32 if max(n, 2 * u.size) <= np.iinfo(np.int32).max else np.int64
+        data = w[order]
         del order
-        csr = csr_matrix((data, arcs), shape=(n, n))
-        del data, arcs
+        if n <= _KEYED_NODES:
+            indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
+            indices = np.remainder(key, n, out=key).astype(idx, copy=False)
+            del key
+        else:
+            indptr = np.searchsorted(lo, np.arange(n + 1)).astype(idx)
+            indices = hi.astype(idx, copy=False)
+            del lo, hi
+        csr = _symmetric_csr(n, indptr, indices, data)
+        del indptr, indices, data
         object.__setattr__(self, "_csr", csr)
         if breadth_first_order(csr, 0, return_predecessors=False).size < n:
             n_comp, _ = connected_components(csr, directed=False)
@@ -145,6 +166,24 @@ class Graph:
         if ids.size != 1:
             raise KeyError(f"no edge joins nodes {a} and {b}")
         return int(ids[0])
+
+
+def _symmetric_csr(
+    n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
+) -> csr_matrix:
+    """The symmetric ``n x n`` adjacency whose strict upper triangle is the
+    CSR ``(indptr, indices, data)``, each row's columns increasing.  scipy's
+    ``csr_tocsc`` lays out its transpose, the strict lower triangle, rows
+    sorted too, and ``csr_plus_csr`` merges the two row by row: each row
+    holds its lower arcs, then its upper ones, as scipy's own COO build
+    gives them.  Lengths are positive, so the merge drops none.
+    """
+    m = indices.size
+    lower = np.empty(n + 1, indices.dtype), np.empty(m, indices.dtype), np.empty(m)
+    csr_tocsc(n, n, indptr, indices, data, *lower)
+    out = np.empty(n + 1, indices.dtype), np.empty(2 * m, indices.dtype), np.empty(2 * m)
+    csr_plus_csr(n, n, indptr, indices, data, *lower, *out)
+    return csr_matrix((out[2], out[1], out[0]), shape=(n, n))
 
 
 @utf8_input
@@ -238,9 +277,13 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     # Connectivity is a Graph invariant, so every distance is finite.
     tol = TIE_RTOL * np.maximum(1.0, dist)
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
-    du, dv = dist[eu], dist[ev]
-    fwd = np.flatnonzero((du < dv) & (np.abs(du + w - dv) <= tol[ev]))  # u parents v
-    bwd = np.flatnonzero((dv < du) & (np.abs(dv + w - du) <= tol[eu]))  # v parents u
+    fwd, bwd = [], []  # edges whose u parents v, and whose v parents u
+    for e in _edge_chunks(g.edge_count):
+        u, v = eu[e], ev[e]
+        du, dv = dist[u], dist[v]
+        fwd.append(np.flatnonzero((du < dv) & (np.abs(du + w[e] - dv) <= tol[v])) + e.start)
+        bwd.append(np.flatnonzero((dv < du) & (np.abs(dv + w[e] - du) <= tol[u])) + e.start)
+    fwd, bwd = np.concatenate(fwd), np.concatenate(bwd)
     # Each child keeps its smallest candidate and the one edge joining them.
     child = np.concatenate([ev[fwd], eu[bwd]])
     cand = np.concatenate([eu[fwd], ev[bwd]])
@@ -325,15 +368,16 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
         raise ValueError("rooted structure was built for a different graph")
     n, m = g.node_count, g.edge_count
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
-    gap = rs.dist[ev] - rs.dist[eu]  # w - gap is (du - dv) + w to the bit
-    w2 = 2.0 * w
-    shares = (np.add(gap, w), np.subtract(w, gap, out=gap))
-    for share in shares:  # clip((dv - du + w) / 2w, 0, 1) * w, in place
-        np.clip(np.divide(share, w2, out=share), 0.0, 1.0, out=share)
-        share *= w
     portion = np.zeros(n, dtype=np.float64)
-    np.add.at(portion, eu, shares[0])
-    np.add.at(portion, ev, shares[1])
+    # Every u-side share is added before any v-side one, in edge order.
+    for near in (eu, ev):
+        for e in _edge_chunks(m):
+            gap = rs.dist[ev[e]] - rs.dist[eu[e]]  # w - gap is (du - dv) + w to the bit
+            share = np.add(gap, w[e], out=gap) if near is eu else np.subtract(w[e], gap, out=gap)
+            # clip((dv - du + w) / 2w, 0, 1) * w, in place
+            np.clip(np.divide(share, 2.0 * w[e], out=share), 0.0, 1.0, out=share)
+            share *= w[e]
+            np.add.at(portion, near[e], share)
 
     # Subtree sums sub[x] = portion[x] + sum of sub over the children of x,
     # one tree level at a time from the deepest, each level by decreasing

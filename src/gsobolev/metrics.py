@@ -67,15 +67,6 @@ def equivalence_constants(total_length: float, p: float) -> EquivalenceConstants
     return EquivalenceConstants(c1=c1, c2=c2, degenerate=(L == 0.0))
 
 
-def _cached_weights(prep: EdgePrep, key: float, make) -> np.ndarray:
-    cached = prep.beta_cache.get(key)
-    if cached is not None:
-        return cached
-    weights = make()
-    weights.flags.writeable = False
-    return prep.beta_cache.setdefault(key, weights)
-
-
 def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
     """Per-edge closed-form weights for order ``p`` (cached on ``prep``).
 
@@ -91,25 +82,28 @@ def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
     baseline and this distance coincide bit for bit.
     """
     p = _check_order(p)
-
-    def make() -> np.ndarray:
-        w = prep.edge_lengths
-        if p == 1.0:
-            return w.copy()
+    cached = prep.beta_cache.get(p)
+    if cached is not None:
+        return cached
+    w = prep.edge_lengths
+    if p == 1.0:
+        weights = w.copy()
+    else:
         scale = 1.0 + prep.lambda_gamma
-        log_ratio = np.log1p(w / scale)
+        weights = np.log1p(w / scale)
         q = 2.0 - p
-        if q == 0.0:
-            return log_ratio
-        return scale**q * np.expm1(q * log_ratio) / q
-
-    return _cached_weights(prep, p, make)
+        if q != 0.0:
+            weights = scale**q * np.expm1(q * weights) / q
+    weights.flags.writeable = False
+    return prep.beta_cache.setdefault(p, weights)
 
 
 def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
-    """The per-edge weight vector of a (variant, order): ``beta(p)`` for the
-    regularized IPM, raw edge lengths for the transport baseline, and
-    ``1 / (1 + downstream length)`` for the IPM's max form at ``p = inf``.
+    """The per-edge vector :func:`_reduce_pairs` takes for a (variant,
+    order): ``beta(p)`` for the regularized IPM, raw edge lengths for the
+    transport baseline, and the downstream lengths themselves for the IPM's
+    max form at ``p = inf``, whose weight ``1 / (1 + downstream length)``
+    is computed per gathered entry, so no edge-sized vector is made for it.
 
     The weight along an edge is largest at the far end of the edge's
     downstream region, where it equals ``1 + lambda_gamma[e]``; the essential
@@ -121,7 +115,7 @@ def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
     if variant == VARIANT_SOBOLEV_TRANSPORT:
         return prep.edge_lengths
     if math.isinf(p):
-        return _cached_weights(prep, p, lambda: 1.0 / (1.0 + prep.lambda_gamma))
+        return prep.lambda_gamma
     return beta_weights(prep, p)
 
 
@@ -144,13 +138,17 @@ def _reduce_pairs(
     is the test that catches a build that does.  Zero differences may be
     present or absent: adding ``+0.0`` to a nonnegative sum, or a zero to a
     max, changes no bit.  A row without entries is at distance 0.  ``diff``
-    is overwritten with the terms.
+    is overwritten with the terms.  At ``p = inf``, ``weights`` are the
+    downstream lengths ``lam``, and each term is multiplied by
+    ``1.0 / (1.0 + lam[edge])``, made for its own entry.
     """
     n_pairs = indptr.size - 1
     # d * d and |d| * |d| have the same bits, so p = 2 squares d as it is.
     terms = diff if p == 2.0 else np.abs(diff, out=diff)
     if math.isinf(p):
-        terms *= weights[edges]
+        scale = weights.take(edges)
+        scale += 1.0
+        terms *= np.divide(1.0, scale, out=scale)
         out = np.zeros(n_pairs)
         filled = np.flatnonzero(np.diff(indptr))
         if filled.size:
@@ -216,30 +214,34 @@ def _lane_count() -> int:
         return os.cpu_count() or 1
 
 
-def _in_lanes(bounds: np.ndarray, run_lane) -> None:
+def _in_lanes(bounds: np.ndarray, buffers, run_lane) -> None:
     """Deal the blocks ``[bounds[b], bounds[b + 1])`` round-robin to lanes,
     one per CPU the process may use and never more than there are blocks,
-    and call ``run_lane(starts, stops)`` once per lane with its blocks.
-    The calling thread runs lane 0; one thread per other lane is started and
-    joined before this returns, also when a lane raises.  The first
-    exception of any lane is raised here."""
+    and call ``run_lane(starts, stops, scratch)`` once per lane with its
+    blocks and the ``scratch = buffers(starts, stops)`` made for them.
+    Every lane's scratch is allocated here, in the calling thread, before
+    any thread starts, so none of it comes from a helper thread's own malloc
+    arena.  The calling thread runs lane 0; one thread per other lane is
+    started and joined before this returns, also when a lane raises.  The
+    first exception of any lane is raised here."""
     lanes = min(_lane_count(), bounds.size - 1)
     spans = [(bounds[:-1][lane::lanes], bounds[1:][lane::lanes]) for lane in range(lanes)]
+    work = [(*span, buffers(*span)) for span in spans]
     errors: list[BaseException] = []
 
-    def helper(starts: np.ndarray, stops: np.ndarray) -> None:
+    def helper(*args) -> None:
         try:
-            run_lane(starts, stops)
+            run_lane(*args)
         except BaseException as exc:  # raised by the calling thread below
             errors.append(exc)
 
     started = []
     try:
-        for span in spans[1:]:
-            thread = threading.Thread(target=helper, args=span)
+        for args in work[1:]:
+            thread = threading.Thread(target=helper, args=args)
             thread.start()
             started.append(thread)
-        run_lane(*spans[0])
+        run_lane(*work[0])
     finally:
         for thread in started:
             thread.join()
@@ -297,18 +299,21 @@ def pair_distances(
     ``[i, j]`` and ``[j, i]`` both get pair ``(i, j)``, its diagonal left
     as is.
 
-    Both modes share one cutter and one body; a mode supplies only the
-    stored entries of its first and its second rows before a pair number
-    (running sums over listed rows, a closed form over the triangle) and
-    a block's rows and columns, which it writes into a lane's buffer
-    (copied from the lists, or built by :class:`_Triangle`).  Blocks end
-    before the pair whose running entry count reaches each multiple of
-    ``_BLOCK_ENTRIES``, found by bisection.  Per block, one call of scipy's
-    ``csr_row_index`` gathers the first rows, then the second rows, from
-    the table's own arrays, and :func:`_merge_reduce` turns them into
-    distances, as it does for the per-pair functions, whose values every
-    entry equals bit for bit.  The kernels do not bounds-check, so rows
-    and ``into`` are validated first.
+    Both modes share one cutter and one body.  A mode supplies the stored
+    entries of its first and its second rows before a pair number (running
+    sums over listed rows, a closed form over the triangle) and a block's
+    gather: the block's first rows, then its second rows, read from the
+    table's own arrays into one lane buffer by scipy's ``csr_row_index``,
+    and their row pointers, the second side's going on from where the first
+    rows end.  Listed pairs gather each side straight from slices of the
+    lists, with pointers cut from the running sums; all pairs write a
+    block's rows and columns with :class:`_Triangle` and gather both sides
+    in one call.  Blocks end before the pair whose running entry count
+    reaches each multiple of ``_BLOCK_ENTRIES``, found by bisection.
+    :func:`_merge_reduce` turns each block into distances, as it does for
+    the per-pair functions, whose values every entry equals bit for bit.
+    The kernels do not bounds-check, so rows and ``into`` are validated
+    first.
 
     The blocks are dealt to lanes (:func:`_in_lanes`).  Every kernel
     releases the GIL, so the lanes run at once; a one-block call starts no
@@ -320,9 +325,10 @@ def pair_distances(
         raise RootMismatch(f"roots differ: prep {prep.root}, table {table.root}")
     n = len(table)
     nnz = np.diff(table.indptr)
+    layout = table.indptr, table.edge_ids, table.values
     if first is None and second is None:
         tri = _Triangle(n)
-        size, pairs, shapes = tri.size, tri.pairs, ((tri.size,), (n, n))
+        size, shapes = tri.size, ((tri.size,), (n, n))
         ends = np.concatenate([[0], np.cumsum(nnz)])  # entries of the rows before each
         # Entries before row i's pairs: each earlier row r once per pair of its
         # own on the first side, and the rows after r on the second.
@@ -332,6 +338,14 @@ def pair_distances(
         def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             r, c = tri.locate(before)
             return a_rows[r] + (c - r - 1) * nnz[r], b_rows[r] + ends[c] - ends[r + 1]
+
+        def gather(s: int, e: int, block, ptrs, gathered) -> tuple[np.ndarray, np.ndarray]:
+            k = e - s
+            rows, cols = tri.pairs(s, e, block)
+            nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
+            np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
+            csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
+            return rows, cols
 
     else:
         first, second = _rows(first, n), _rows(second, n)
@@ -343,10 +357,13 @@ def pair_distances(
         def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return a_end[before], b_end[before]
 
-        def pairs(s: int, e: int, out: np.ndarray) -> np.ndarray:
-            out = out[: 2 * (e - s)].reshape(2, e - s)
-            out[0], out[1] = first[s:e], second[s:e]
-            return out
+        def gather(s: int, e: int, block, ptrs, gathered) -> tuple[np.ndarray, np.ndarray]:
+            k, split = e - s, int(a_end[e] - a_end[s])
+            np.subtract(a_end[s : e + 1], a_end[s], out=ptrs[: k + 1])
+            np.subtract(b_end[s : e + 1], b_end[s] - split, out=ptrs[k : 2 * k + 1])
+            csr_row_index(k, first[s:e], *layout, *gathered)
+            csr_row_index(k, second[s:e], *layout, *(g[split:] for g in gathered))
+            return first[s:e], second[s:e]
 
     if into is None:
         into = np.zeros(size)
@@ -369,28 +386,29 @@ def pair_distances(
         reached = sum(entries(mid + 1)) >= targets
         lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
     bounds = np.unique(np.concatenate([[0], lo, [size]]))
-    layout = table.indptr, table.edge_ids, table.values
 
-    def run_lane(starts: np.ndarray, stops: np.ndarray) -> None:
+    def buffers(starts: np.ndarray, stops: np.ndarray) -> tuple:
         (a0, b0), (a1, b1) = entries(starts), entries(stops)
-        a_size, b_size = (a1 - a0).max(), (b1 - b0).max()
-        k_size = (stops - starts).max()
-        block = np.empty(2 * k_size, np.int64)  # a block's rows, then its columns
-        ptrs = np.zeros(2 * k_size + 1, np.int64)  # where each starts in `gathered`
-        gathered = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
-        indptr = np.empty(k_size + 1, np.int64)
-        edges, diff = np.empty(a_size + b_size, np.int64), np.empty(a_size + b_size)
+        entry_size, k_size = (a1 - a0 + b1 - b0).max(), (stops - starts).max()
+        return (
+            np.empty(2 * k_size, np.int64),  # a block's rows, then its columns
+            np.zeros(2 * k_size + 1, np.int64),  # where each starts in `gathered`
+            (np.empty(entry_size, np.int64), np.empty(entry_size)),  # gathered rows
+            np.empty(k_size + 1, np.int64),  # the merge: row pointers,
+            np.empty(entry_size, np.int64),  # edges
+            np.empty(entry_size),  # and differences
+        )
+
+    def run_lane(starts: np.ndarray, stops: np.ndarray, scratch: tuple) -> None:
+        block, ptrs, gathered, *merged = scratch
         for start, stop in zip(starts.tolist(), stops.tolist()):
             k = stop - start
-            rows, cols = pairs(start, stop, block)
-            nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
-            np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
-            csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
+            rows, cols = gather(start, stop, block, ptrs, gathered)
             # csr_minus_csr reads row i of a side at [ptr[i], ptr[i + 1]), so
             # the second rows' pointers may go on from where the first rows end
             values = _merge_reduce(
                 k, (ptrs[: k + 1], *gathered), (ptrs[k : 2 * k + 1], *gathered),
-                weights, p, indptr, edges, diff,
+                weights, p, *merged,
             )
             if matrix:
                 flat[rows * n + cols] += values
@@ -398,7 +416,7 @@ def pair_distances(
             else:
                 flat[start:stop] += values
 
-    _in_lanes(bounds, run_lane)
+    _in_lanes(bounds, buffers, run_lane)
     return into
 
 

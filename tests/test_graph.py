@@ -21,8 +21,9 @@ from gsobolev import (
     save_graph,
     shortest_path_tree,
 )
+from gsobolev import graph as graph_module
 from gsobolev.graph import TIE_RTOL
-from conftest import random_weighted_graph
+from conftest import random_weighted_graph, traced_peak
 
 
 def write(tmp_path, text):
@@ -218,10 +219,20 @@ class TestGraphInvariants:
         with pytest.raises(KeyError):
             path_graph.edge_id(0, 2)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_adjacency_equals_coo_build(self, seed):
-        # the one-sort build gives scipy's canonical CSR of both arc directions
-        g = random_weighted_graph(seed, n_lo=20, n_hi=80)
+    @pytest.mark.parametrize(
+        "g",
+        [random_weighted_graph(seed, n_lo=20, n_hi=80) for seed in range(4)]
+        + [
+            Graph(40, np.zeros(39, np.int64), np.arange(1, 40), np.linspace(0.5, 2.0, 39)),
+            Graph(40, np.arange(39), np.full(39, 39), np.linspace(0.5, 2.0, 39)),
+            Graph.from_edges(2, [(1, 0, 0.75)]),
+        ],
+        ids=[str(seed) for seed in range(4)] + ["star-first", "star-last", "two-nodes"],
+    )
+    def test_adjacency_equals_coo_build(self, g):
+        # the merge of the sorted upper triangle and its transpose gives
+        # scipy's canonical CSR of both arc directions; on the stars one row
+        # holds every arc, above or below the diagonal
         u, v, w = g.edge_u, g.edge_v, g.edge_w
         arcs = (np.concatenate([u, v]), np.concatenate([v, u]))
         ref = csr_matrix((np.concatenate([w, w]), arcs), shape=(g.node_count,) * 2)
@@ -233,6 +244,83 @@ class TestGraphInvariants:
     def test_single_node_graph(self):
         g = Graph.from_edges(1, [])
         assert g.total_length == 0.0
+
+
+CHUNK_GRAPHS = (
+    [(random_weighted_graph(seed, n_lo=20, n_hi=300), seed) for seed in range(6)]
+    + [(grid_of(60), 0), (grid_of(60), 1830), (path_of(3000), 0), (path_of(3000), 1234)]
+)
+
+
+class TestEdgeChunks:
+    @pytest.mark.parametrize("g,root", CHUNK_GRAPHS)
+    def test_edge_chunks_change_no_bit(self, monkeypatch, g, root):
+        # the tree's candidate test and lambda's shares run over runs of
+        # _EDGE_CHUNK edges; any run length gives the one-run arrays, byte
+        # for byte
+        root %= g.node_count
+
+        def arrays():
+            rs = shortest_path_tree(g, root)
+            lam = lambda_gamma(g, rs).lambda_gamma
+            return [rs.parent, rs.parent_edge, rs.depth, rs.ties, lam]
+
+        m = g.edge_count
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", m)
+        want = arrays()
+        for chunk in (1, 7, m - 1):
+            monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
+            got = arrays()
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _sparse_graph(n, m, seed, long=0):
+    """``n`` nodes joined by a random spanning tree plus random chords,
+    ``m`` edges with generic lengths, then ``long`` more chords far longer
+    than any root path, so no tree changes for them.  The edges are one
+    seeded stream cut at ``m + long``."""
+    rng = np.random.default_rng(seed)
+    w = np.concatenate([rng.uniform(0.5, 2.0, m), np.full(long, 1e6)])
+    keys = rng.integers(0, np.arange(1, n)) * n + np.arange(1, n)
+    while keys.size < m + long:
+        a, b = rng.integers(0, n, (2, n))
+        chords = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+        keys = np.concatenate([keys, chords])
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first of each pair
+    lo, hi = np.divmod(keys[: m + long], n)
+    return Graph(n, lo, hi, w)
+
+
+class TestScratchBounds:
+    """Scratch memory of the set-up passes, under tracemalloc: the traced
+    peak during a call minus what the call keeps."""
+
+    def test_tree_and_lambda_scratch_does_not_grow_with_edges(self, monkeypatch):
+        # 2^10-edge runs: doubling the edges of a graph on the same nodes,
+        # with chords that leave its tree as it was, leaves the scratch of
+        # the tree plus lambda where it was
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", 1 << 10)
+        n = 20_000
+
+        def scratch(g):
+            _, peak, held = traced_peak(lambda: lambda_gamma(g, shortest_path_tree(g, 0)))
+            return peak - held
+
+        sparse, dense = _sparse_graph(n, 3 * n, seed=5), _sparse_graph(n, 3 * n, 5, long=3 * n)
+        assert dense.edge_count == 2 * sparse.edge_count
+        tree = shortest_path_tree(sparse, 0).parent
+        assert shortest_path_tree(dense, 0).parent.tobytes() == tree.tobytes()
+        growth = scratch(dense) / scratch(sparse)
+        assert abs(growth - 1.0) < 0.1, growth
+
+    def test_graph_build_scratch_per_edge(self):
+        n, m = 10_000, 300_000
+        g = _sparse_graph(n, m, seed=6)
+        u, v, w = g.edge_u.copy(), g.edge_v.copy(), g.edge_w.copy()
+        built, peak, held = traced_peak(lambda: Graph(n, u, v, w))
+        assert built.edge_count == m
+        assert (peak - held) / m <= 28.0, (peak - held) / m
 
 
 class TestShortestPathTree:

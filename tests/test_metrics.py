@@ -241,6 +241,9 @@ class TestOrderAndVariantValidation:
             assert one > 0.0
             assert np.float64(one).tobytes() == np.float64(by_measure).tobytes()
             assert np.float64(one).tobytes() == batch[k].tobytes()
+        # the max form's weights are made per entry: nothing edge-sized is kept
+        assert prep.beta_cache == {}
+        assert _edge_weights(prep, math.inf, VARIANT_SOBOLEV_IPM) is prep.lambda_gamma
 
 
 class TestEquivalenceConstants:
@@ -352,13 +355,13 @@ class TestReducePairs:
         counts[[0, 17, 18, n_pairs - 1]] = 0
         indptr, edges, diff = csr_rows(rng, counts, n_edges)
         rows = np.repeat(np.arange(n_pairs), counts)
-        weights = 1.0 / (1.0 + rng.random(n_edges) * 10.0)
+        lam = rng.random(n_edges) * 10.0  # downstream lengths: the weight is 1 / (1 + lam)
         want = np.zeros(n_pairs)
-        np.maximum.at(want, rows, weights[edges] * np.abs(diff))
-        got = _reduce_pairs(indptr, edges, diff, weights, math.inf)
+        np.maximum.at(want, rows, (1.0 / (1.0 + lam[edges])) * np.abs(diff))
+        got = _reduce_pairs(indptr, edges, diff, lam, math.inf)
         assert got.tobytes() == want.tobytes()
         empty = np.zeros(0, dtype=np.intp)
-        got = _reduce_pairs(np.zeros(4, dtype=np.intp), empty, np.zeros(0), weights, math.inf)
+        got = _reduce_pairs(np.zeros(4, dtype=np.intp), empty, np.zeros(0), lam, math.inf)
         assert got.tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -375,9 +378,12 @@ class TestReducePairs:
             counts[[0, 250, 251, -1]] = 0
         indptr, edges, diff = csr_rows(rng, np.asarray(counts), n_edges)
         weights = rng.random(n_edges) * 10.0 ** rng.uniform(-3, 3, n_edges)
-        # elementwise as numpy computes it; each row then reduced in order
+        # elementwise as numpy computes it; each row then reduced in order.
+        # At p = inf the weights are downstream lengths lam, and each term's
+        # weight is 1 / (1 + lam) of its own edge.
         terms = np.abs(diff) if p in (1.0, math.inf) else np.abs(diff) ** p
-        terms = (weights[edges] * terms).tolist()
+        scale = 1.0 / (1.0 + weights[edges]) if math.isinf(p) else weights[edges]
+        terms = (scale * terms).tolist()
         want = []
         for start, stop in zip(indptr[:-1], indptr[1:]):
             acc = 0.0
@@ -442,7 +448,9 @@ def merge_pool(seed: int, support: int = 3, tail: tuple = ()):
 def oracle_distances(table, first, second, weights, p):
     """Naive pair distances: a dict union of the two rows, edges sorted,
     terms summed one by one in Python.  Powers are taken as numpy arrays,
-    as the library takes them."""
+    as the library takes them.  At ``p = inf`` the weights are the
+    downstream lengths ``lam``, and each term is weighted by
+    ``1 / (1 + lam[edge])``, worked out for that term."""
     weights = weights.tolist()
     sums = []
     for a, b in zip(first, second):
@@ -452,7 +460,10 @@ def oracle_distances(table, first, second, weights, p):
         terms = diff if p in (1.0, math.inf) else diff**p
         acc = 0.0
         for e, term in zip(edges, terms.tolist()):
-            acc = max(acc, term * weights[e]) if math.isinf(p) else acc + term * weights[e]
+            if math.isinf(p):
+                acc = max(acc, term * (1.0 / (1.0 + weights[e])))
+            else:
+                acc += term * weights[e]
         sums.append(acc)
     sums = np.array(sums)
     return sums if p in (1.0, math.inf) else sums ** (1.0 / p)
@@ -605,6 +616,27 @@ class TestLanes:
         with pytest.raises(MemoryError, match=f"lane {lane} failed"):
             pair_distances(prep, table, i, j, 2.0)
         assert threading.active_count() == threads
+
+    def test_scratch_made_in_the_calling_thread_before_any_lane(self, monkeypatch):
+        # every lane's buffers come from the calling thread, while no lane
+        # thread runs yet, and each lane gets the buffers made for its blocks
+        main, threads = threading.main_thread(), threading.active_count()
+        made, ran = [], []
+
+        def buffers(starts, stops):
+            assert threading.current_thread() is main
+            assert threading.active_count() == threads
+            made.append(starts.tolist())
+            return object()
+
+        def run_lane(starts, stops, scratch):
+            ran.append((starts.tolist(), scratch))
+
+        monkeypatch.setattr(metrics, "_lane_count", lambda: 3)
+        metrics._in_lanes(np.arange(0, 80, 10), buffers, run_lane)
+        assert made == [[0, 30, 60], [10, 40], [20, 50]]
+        assert sorted(starts for starts, _ in ran) == sorted(made)
+        assert len({id(scratch) for _, scratch in ran}) == 3
 
     def test_import_starts_no_thread(self):
         src = str(Path(metrics.__file__).resolve().parents[1])
