@@ -299,21 +299,18 @@ def pair_distances(
     ``[i, j]`` and ``[j, i]`` both get pair ``(i, j)``, its diagonal left
     as is.
 
-    Both modes share one cutter and one body.  A mode supplies the stored
-    entries of its first and its second rows before a pair number (running
-    sums over listed rows, a closed form over the triangle) and a block's
-    gather: the block's first rows, then its second rows, read from the
-    table's own arrays into one lane buffer by scipy's ``csr_row_index``,
-    and their row pointers, the second side's going on from where the first
-    rows end.  Listed pairs gather each side straight from slices of the
-    lists, with pointers cut from the running sums; all pairs write a
-    block's rows and columns with :class:`_Triangle` and gather both sides
-    in one call.  Blocks end before the pair whose running entry count
-    reaches each multiple of ``_BLOCK_ENTRIES``, found by bisection.
-    :func:`_merge_reduce` turns each block into distances, as it does for
-    the per-pair functions, whose values every entry equals bit for bit.
-    The kernels do not bounds-check, so rows and ``into`` are validated
-    first.
+    Both modes share one cutter and one body; a mode supplies only the
+    stored entries of its first and its second rows before a pair number
+    (running sums over listed rows, a closed form over the triangle) and
+    a block's rows and columns, which it writes into a lane's buffer
+    (copied from the lists, or built by :class:`_Triangle`).  Blocks end
+    before the pair whose running entry count reaches each multiple of
+    ``_BLOCK_ENTRIES``, found by bisection.  Per block, one call of scipy's
+    ``csr_row_index`` gathers the first rows, then the second rows, from
+    the table's own arrays, and :func:`_merge_reduce` turns them into
+    distances, as it does for the per-pair functions, whose values every
+    entry equals bit for bit.  The kernels do not bounds-check, so rows
+    and ``into`` are validated first.
 
     The blocks are dealt to lanes (:func:`_in_lanes`).  Every kernel
     releases the GIL, so the lanes run at once; a one-block call starts no
@@ -325,10 +322,9 @@ def pair_distances(
         raise RootMismatch(f"roots differ: prep {prep.root}, table {table.root}")
     n = len(table)
     nnz = np.diff(table.indptr)
-    layout = table.indptr, table.edge_ids, table.values
     if first is None and second is None:
         tri = _Triangle(n)
-        size, shapes = tri.size, ((tri.size,), (n, n))
+        size, pairs, shapes = tri.size, tri.pairs, ((tri.size,), (n, n))
         ends = np.concatenate([[0], np.cumsum(nnz)])  # entries of the rows before each
         # Entries before row i's pairs: each earlier row r once per pair of its
         # own on the first side, and the rows after r on the second.
@@ -338,14 +334,6 @@ def pair_distances(
         def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             r, c = tri.locate(before)
             return a_rows[r] + (c - r - 1) * nnz[r], b_rows[r] + ends[c] - ends[r + 1]
-
-        def gather(s: int, e: int, block, ptrs, gathered) -> tuple[np.ndarray, np.ndarray]:
-            k = e - s
-            rows, cols = tri.pairs(s, e, block)
-            nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
-            np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
-            csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
-            return rows, cols
 
     else:
         first, second = _rows(first, n), _rows(second, n)
@@ -357,13 +345,10 @@ def pair_distances(
         def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return a_end[before], b_end[before]
 
-        def gather(s: int, e: int, block, ptrs, gathered) -> tuple[np.ndarray, np.ndarray]:
-            k, split = e - s, int(a_end[e] - a_end[s])
-            np.subtract(a_end[s : e + 1], a_end[s], out=ptrs[: k + 1])
-            np.subtract(b_end[s : e + 1], b_end[s] - split, out=ptrs[k : 2 * k + 1])
-            csr_row_index(k, first[s:e], *layout, *gathered)
-            csr_row_index(k, second[s:e], *layout, *(g[split:] for g in gathered))
-            return first[s:e], second[s:e]
+        def pairs(s: int, e: int, out: np.ndarray) -> np.ndarray:
+            out = out[: 2 * (e - s)].reshape(2, e - s)
+            out[0], out[1] = first[s:e], second[s:e]
+            return out
 
     if into is None:
         into = np.zeros(size)
@@ -386,6 +371,7 @@ def pair_distances(
         reached = sum(entries(mid + 1)) >= targets
         lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
     bounds = np.unique(np.concatenate([[0], lo, [size]]))
+    layout = table.indptr, table.edge_ids, table.values
 
     def buffers(starts: np.ndarray, stops: np.ndarray) -> tuple:
         (a0, b0), (a1, b1) = entries(starts), entries(stops)
@@ -403,7 +389,10 @@ def pair_distances(
         block, ptrs, gathered, *merged = scratch
         for start, stop in zip(starts.tolist(), stops.tolist()):
             k = stop - start
-            rows, cols = gather(start, stop, block, ptrs, gathered)
+            rows, cols = pairs(start, stop, block)
+            nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
+            np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
+            csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
             # csr_minus_csr reads row i of a side at [ptr[i], ptr[i + 1]), so
             # the second rows' pointers may go on from where the first rows end
             values = _merge_reduce(
