@@ -202,20 +202,33 @@ def _peak_rss() -> str:
     return f", peak RSS {peak / per_mb:.1f} MB"
 
 
-# The most bytes of n^2-sized arrays a command may hold at once: gram's D, K
-# and eigvalsh's copy of K, or the running sum of distance --pairs all.  It
-# admits gram up to 13,377 measures and all pairs up to 32,768.
-_SQUARE_BYTES_BUDGET = 4 << 30
+# The most bytes a command may hold in one kind of array: gram's D, K and
+# eigvalsh's copy of K, the running sum of distance --pairs all, or the point
+# cloud or the measures that synth and bench draw.  It admits gram up to
+# 13,377 measures and all pairs up to 32,768.
+_BYTES_BUDGET = 4 << 30
 
 
-def _check_square_budget(command: str, n: int, nbytes: int) -> None:
-    """Refuse ``command`` on ``n`` measures before it allocates, when its
-    n^2-sized arrays would take more than ``_SQUARE_BYTES_BUDGET`` bytes."""
-    if nbytes > _SQUARE_BYTES_BUDGET:
+def _check_budget(doing: str, nbytes: int, what: str) -> None:
+    """Refuse ``doing`` before it allocates, when its ``what`` would take
+    more than ``_BYTES_BUDGET`` bytes."""
+    if nbytes > _BYTES_BUDGET:
         raise SizeLimitExceeded(
-            f"{command} on {n:,} measures would hold {nbytes:,} bytes of n^2-sized "
-            f"arrays, above the budget of {_SQUARE_BYTES_BUDGET:,} bytes"
+            f"{doing} would hold {nbytes:,} bytes of {what}, "
+            f"above the budget of {_BYTES_BUDGET:,} bytes"
         )
+
+
+def _check_instance_budget(
+    command: str, points: int, dim: int, count: int, support_size: int
+) -> None:
+    """Refuse ``command`` before it draws a point cloud of ``points`` ×
+    ``dim`` float64s or ``count`` measures of ``support_size`` nodes and
+    masses above the budget."""
+    _check_budget(f"{command} on {points:,} points of dimension {dim:,}",
+                  points * dim * 8, "point cloud")
+    _check_budget(f"{command} on {count:,} measures of {support_size:,} points",
+                  count * support_size * 16, "measures")
 
 
 def _root_mean(
@@ -268,7 +281,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
     n = len(measures)
     first = second = None
     if args.pairs == "all":
-        _check_square_budget("distance --pairs all", n, n * (n - 1) // 2 * 8)
+        _check_budget(f"distance --pairs all on {n:,} measures", n * (n - 1) // 2 * 8,
+                      "n^2-sized arrays")
     else:
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
@@ -298,7 +312,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _require_out_path(args.out + ".json")
     g, measures, roots = _load_inputs(args)
     n = len(measures)
-    _check_square_budget("gram", n, 3 * n * n * 8)
+    _check_budget(f"gram on {n:,} measures", 3 * n * n * 8, "n^2-sized arrays")
     D, prep_ms, eval_ms = _root_mean(
         g, measures, roots, None, None, p, VARIANT_SOBOLEV_IPM, np.zeros((n, n))
     )
@@ -407,6 +421,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if math.isinf(p):
         raise CliError("bench needs a finite order p")
     _require_out_path(args.out)
+    _check_instance_budget("bench", 4 * max(sizes), 2, args.count, args.support_size)
     rng = np.random.default_rng(args.seed)
     rows = []
     for m in sizes:
@@ -493,6 +508,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"unknown family {args.family!r}; pick from {FAMILIES}")
     for suffix in (".graph", ".measures", ".points"):
         _require_out_path(args.out_prefix + suffix)
+    _check_instance_budget("synth", args.points, args.dim, args.count, args.support_size)
     rng = np.random.default_rng(args.seed)
     pts = PointCloud(rng.random((args.points, args.dim)))
     centroids, _ = farthest_point_clustering(pts, args.m, seed=args.seed)

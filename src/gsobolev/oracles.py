@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, lil_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
@@ -56,7 +55,11 @@ def transport_plan_lp(
     Ground costs are shortest-path distances from the source supports,
     computed independently of any rooted structure.  Marginal feasibility of
     the returned plan is verified to 1e-9 before the objective is trusted.
+    ``scipy.optimize`` is imported here, on the first solve, so that the
+    commands that never solve an LP do not load it.
     """
+    from scipy.optimize import linprog
+
     if g.node_count > max_nodes:
         raise SizeLimitExceeded(
             f"graph has {g.node_count} nodes, LP oracle capped at {max_nodes}"

@@ -470,7 +470,7 @@ class TestRootStreaming:
     def test_square_budget_refusal_exits_three(self, files, monkeypatch, capsys, command, nbytes):
         argv = [*command, "--graph", files["graph"], "--measures", files["measures"],
                 "--p", "1", "--out", str(files["dir"] / "o.csv")]
-        monkeypatch.setattr("gsobolev.cli._SQUARE_BYTES_BUDGET", nbytes - 1)
+        monkeypatch.setattr("gsobolev.cli._BYTES_BUDGET", nbytes - 1)
         monkeypatch.setattr("gsobolev.cli._root_mean", None)  # refused before any evaluation
         assert main(argv) == 3
         assert capsys.readouterr().err == (
@@ -479,7 +479,7 @@ class TestRootStreaming:
         )
         assert sorted(f.name for f in files["dir"].iterdir()) == ["g.txt", "m.txt"]
         monkeypatch.undo()
-        monkeypatch.setattr("gsobolev.cli._SQUARE_BYTES_BUDGET", nbytes)
+        monkeypatch.setattr("gsobolev.cli._BYTES_BUDGET", nbytes)
         assert main(argv) == 0
 
 
@@ -774,6 +774,44 @@ class TestBenchCommand:
         assert code == 2
 
 
+class TestInstanceBudget:
+    """``synth`` and ``bench`` refuse a point cloud or measures above the byte
+    budget before drawing anything: exit 3, no traceback, no output file."""
+
+    @pytest.mark.parametrize(
+        "command, nbytes, refusal",
+        [
+            (["synth", "--points", "40", "--m", "10", "--dim", "3", "--count", "2",
+              "--support-size", "2"], 40 * 3 * 8,
+             "synth on 40 points of dimension 3 would hold 960 bytes of point cloud"),
+            (["synth", "--points", "40", "--m", "10", "--dim", "1", "--count", "30",
+              "--support-size", "5"], 30 * 5 * 16,
+             "synth on 30 measures of 5 points would hold 2,400 bytes of measures"),
+            (["bench", "--sizes", "10,30", "--families", "log", "--count", "3",
+              "--support-size", "2", "--max-pairs", "2"], 4 * 30 * 2 * 8,
+             "bench on 120 points of dimension 2 would hold 1,920 bytes of point cloud"),
+            (["bench", "--sizes", "10", "--families", "log", "--count", "40",
+              "--support-size", "5", "--max-pairs", "2"], 40 * 5 * 16,
+             "bench on 40 measures of 5 points would hold 3,200 bytes of measures"),
+        ],
+        ids=["synth-points", "synth-measures", "bench-points", "bench-measures"],
+    )
+    def test_refusal_exits_three(self, tmp_path, monkeypatch, capsys, command, nbytes, refusal):
+        out = ["--out-prefix", str(tmp_path / "x")] if command[0] == "synth" else [
+            "--out", str(tmp_path / "b.csv")]
+        argv = [*command, *out]
+        monkeypatch.setattr("gsobolev.cli._BYTES_BUDGET", nbytes - 1)
+        monkeypatch.setattr("gsobolev.cli.farthest_point_clustering", None)  # nothing drawn
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {refusal}, above the budget of {nbytes - 1:,} bytes\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        monkeypatch.setattr("gsobolev.cli._BYTES_BUDGET", nbytes)
+        assert main(argv) == 0
+
+
 class TestSynthCommand:
     def test_generates_consistent_files(self, tmp_path):
         prefix = str(tmp_path / "inst")
@@ -820,6 +858,61 @@ class TestSynthCommand:
     def test_negative_dim(self, tmp_path):
         code = main(["synth", "--dim", "-1", "--out-prefix", str(tmp_path / "x")])
         assert code == 2
+
+
+class TestSolverImport:
+    """``scipy.optimize``, and the ``scipy.special`` and ``scipy.fft`` it
+    pulls in, load on the first LP solve: never on import, ``distance`` or
+    ``gram``, and still where ``verify`` and ``bench`` solve one."""
+
+    SOLVER = ("scipy.fft", "scipy.optimize", "scipy.special")
+    SCRIPT = (
+        "import importlib, json, sys\n"
+        "module = importlib.import_module(sys.argv[1])\n"
+        "codes = [module.main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "solver = [m for m in json.loads(sys.argv[3]) if m in sys.modules]\n"
+        "print(json.dumps([codes, solver]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "module, commands, loaded",
+        [
+            ("gsobolev", [], False),
+            ("gsobolev.cli", [], False),
+            ("gsobolev.cli", ["distance-all", "distance-pairs", "gram"], False),
+            ("gsobolev.cli", ["verify"], True),
+            ("gsobolev.cli", ["bench"], True),
+        ],
+        ids=["import", "import-cli", "distance-and-gram", "verify", "bench"],
+    )
+    def test_fresh_interpreter(self, files, module, commands, loaded):
+        tmp = files["dir"]
+        (tmp / "pairs.txt").write_text("0 2\n1 2\n")
+        inputs = ["--graph", files["graph"], "--measures", files["measures"]]
+        argvs = {
+            "distance-all": ["distance", *inputs, "--p", "2", "--out", str(tmp / "all.csv")],
+            "distance-pairs": ["distance", *inputs, "--root", "sliced:2:0", "--p", "inf",
+                               "--pairs", str(tmp / "pairs.txt"), "--out", str(tmp / "l.csv")],
+            "gram": ["gram", *inputs, "--p", "1.5", "--kernel", "exp-pow",
+                     "--out", str(tmp / "k.csv")],
+            "verify": ["verify", "--suite", "tree", "--seed", "0"],
+            "bench": ["bench", "--sizes", "30", "--count", "3", "--max-pairs", "2",
+                      "--families", "log", "--out", str(tmp / "bench.csv")],
+        }
+        src = str(Path(gsobolev.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, module,
+             json.dumps([argvs[c] for c in commands]), json.dumps(self.SOLVER)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, solver = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands)
+        assert solver == (list(self.SOLVER) if loaded else [])
+        if "bench" in commands:
+            header, row = (tmp / "bench.csv").read_text().splitlines()
+            assert float(dict(zip(header.split(","), row.split(",")))["per_pair_ms_lp"]) > 0.0
 
 
 class TestEntryPoint:
