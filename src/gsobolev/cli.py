@@ -208,6 +208,12 @@ def _peak_rss() -> str:
 # 13,377 measures and all pairs up to 32,768.
 _BYTES_BUDGET = 4 << 30
 
+# Bytes a drawn measure keeps, as traced: per measure its object, its two
+# tuples and its hash; per support point a node int, a mass float and their
+# two tuple slots (node ids above 256 are ints of their own).
+_MEASURE_BYTES = 272
+_POINT_BYTES = 72
+
 
 def _check_budget(doing: str, nbytes: int, what: str) -> None:
     """Refuse ``doing`` before it allocates, when its ``what`` would take
@@ -228,7 +234,7 @@ def _check_instance_budget(
     _check_budget(f"{command} on {points:,} points of dimension {dim:,}",
                   points * dim * 8, "point cloud")
     _check_budget(f"{command} on {count:,} measures of {support_size:,} points",
-                  count * support_size * 16, "measures")
+                  count * (_MEASURE_BYTES + support_size * _POINT_BYTES), "measures")
 
 
 def _root_mean(

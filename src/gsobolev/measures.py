@@ -131,17 +131,19 @@ class GammaTable:
 
 
 # Cells of the (support points x steps) root-path table built per pass of
-# gamma_masses; bounds its scratch memory.
-_PASS_CELLS = 1 << 20
+# gamma_masses (the run length of graph._EDGE_CHUNK); bounds its scratch
+# memory.
+_PASS_CELLS = 1 << 16
 
 # Most entries a Γ table may be predicted to hold (the support points' root
 # path lengths summed; equal (measure, edge) entries merge, so the table
 # holds at most that many).  A stored entry costs 16 bytes (an int64 edge id
-# and a float64 value), and up to _GAMMA_ENTRY_BYTES = 40 while the passes'
-# pieces are joined, so the budget caps a table near 1 GiB and its build
-# near 2.5 GiB.  Above it, gamma_masses refuses before it allocates.
+# and a float64 value), and up to _GAMMA_ENTRY_BYTES = 24 while the passes'
+# pieces are joined (all pieces plus one joined array), so the budget caps a
+# table near 1 GiB and its build near 1.5 GiB.  Above it, gamma_masses
+# refuses before it allocates.
 _GAMMA_ENTRY_BUDGET = 1 << 26
-_GAMMA_ENTRY_BYTES = 40
+_GAMMA_ENTRY_BYTES = 24
 
 
 def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> GammaTable:
@@ -180,13 +182,21 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
     ends = np.cumsum(sizes)
     deepest = np.maximum.reduceat(depth, ends - sizes)
     owner = np.repeat(np.arange(sizes.size) * m, sizes)
-    pieces = [(np.zeros(0, np.int64), np.zeros(0))]
+    # Each pass leaves its rows' entry counts, its edge ids and its values;
+    # the edge ids are joined (and their pieces dropped) before the values,
+    # so the build holds all pieces plus one joined array at most.
+    counts, edge_ids, values = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for start, stop, steps in _passes(sizes, deepest):
         pts = slice(ends[start] - sizes[start], ends[stop - 1])
-        pieces.append(_root_path_sums(rs, owner[pts], nodes[pts], masses[pts], steps))
-    key, values = (np.concatenate(parts) for parts in zip(*pieces))
-    indptr = np.searchsorted(key, np.arange(len(measures) + 1) * m)
-    return GammaTable(rs.root, indptr, key % m, values)
+        key, sums = _root_path_sums(rs, owner[pts], nodes[pts], masses[pts], steps)
+        counts.append(np.diff(np.searchsorted(key, np.arange(start, stop + 1) * m)))
+        edge_ids.append(np.remainder(key, m, out=key))
+        values.append(sums)
+        del key, sums
+    indptr = np.cumsum(np.concatenate(counts))
+    edge_ids = np.concatenate(edge_ids)
+    values = np.concatenate(values)
+    return GammaTable(rs.root, indptr, edge_ids, values)
 
 
 def _passes(sizes: np.ndarray, deepest: np.ndarray) -> Iterator[tuple[int, int, int]]:

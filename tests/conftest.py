@@ -84,6 +84,23 @@ def random_weighted_graph(seed: int, n_lo: int = 8, n_hi: int = 40) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def path_of(n, seed=0):
+    """Path 0 - 1 - ... - (n-1) with generic lengths."""
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, n - 1)
+    return Graph(n, np.arange(n - 1), np.arange(1, n), w)
+
+
+def grid_of(side, length=0.1):
+    """Grid of ``side`` x ``side`` nodes, node ``r * side + c``, every edge
+    ``length`` long: most nodes have several shortest root paths, and at
+    0.1 siblings share their distance and sums of the shares round, so the
+    order in which a parent adds its children shows in the bits."""
+    ids = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()])
+    return Graph(side * side, u, v, np.full(u.size, length))
+
+
 def traced_peak(fn):
     """``fn()`` under ``tracemalloc``: its result, the traced peak during the
     call and the traced bytes still held when it returns."""

@@ -18,6 +18,7 @@ import pytest
 
 import gsobolev
 from gsobolev import (
+    Graph,
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
@@ -38,7 +39,10 @@ from gsobolev import (
     VARIANT_SOBOLEV_IPM,
 )
 from gsobolev import measures as measures_module
-from gsobolev.cli import VARIANT_FLAGS, _parse_p, _parse_root, _sample_pairs, CliError, main
+from gsobolev.cli import (
+    VARIANT_FLAGS, _MEASURE_BYTES, _POINT_BYTES, _parse_p, _parse_root, _sample_pairs, CliError,
+    main,
+)
 from gsobolev.kernels import quadratic_form_violations
 from gsobolev.synth import PointCloud, build_random_graph
 from gsobolev.verify import SuiteReport, SuiteCheck
@@ -453,7 +457,7 @@ class TestRootStreaming:
         ]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: the cumulative edge vectors of 3 measures under root 0")
-        assert "up to 3 entries (120 bytes to build), above the budget of 2 entries" in err
+        assert "up to 3 entries (72 bytes to build), above the budget of 2 entries" in err
         assert not out.exists() and not Path(str(out) + ".json").exists()
         monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", 3)
         assert main([
@@ -785,14 +789,14 @@ class TestInstanceBudget:
               "--support-size", "2"], 40 * 3 * 8,
              "synth on 40 points of dimension 3 would hold 960 bytes of point cloud"),
             (["synth", "--points", "40", "--m", "10", "--dim", "1", "--count", "30",
-              "--support-size", "5"], 30 * 5 * 16,
-             "synth on 30 measures of 5 points would hold 2,400 bytes of measures"),
+              "--support-size", "5"], 30 * (272 + 5 * 72),
+             "synth on 30 measures of 5 points would hold 18,960 bytes of measures"),
             (["bench", "--sizes", "10,30", "--families", "log", "--count", "3",
               "--support-size", "2", "--max-pairs", "2"], 4 * 30 * 2 * 8,
              "bench on 120 points of dimension 2 would hold 1,920 bytes of point cloud"),
             (["bench", "--sizes", "10", "--families", "log", "--count", "40",
-              "--support-size", "5", "--max-pairs", "2"], 40 * 5 * 16,
-             "bench on 40 measures of 5 points would hold 3,200 bytes of measures"),
+              "--support-size", "5", "--max-pairs", "2"], 40 * (272 + 5 * 72),
+             "bench on 40 measures of 5 points would hold 25,280 bytes of measures"),
         ],
         ids=["synth-points", "synth-measures", "bench-points", "bench-measures"],
     )
@@ -810,6 +814,18 @@ class TestInstanceBudget:
         monkeypatch.undo()
         monkeypatch.setattr("gsobolev.cli._BYTES_BUDGET", nbytes)
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("support_size", [1, 5, 50])
+    def test_measure_charge_covers_what_measures_hold(self, support_size):
+        # node ids drawn from 1e5 nodes are nearly all ints of their own;
+        # 5000 measures outnumber the interpreter's free lists of small
+        # tuples and floats, which a draw may reuse untraced
+        n, count = 100_000, 5000
+        g = Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+        drawn, _, held = traced_peak(lambda: random_measures(g, count, support_size, seed=0))
+        assert len(drawn) == count
+        charged = count * (_MEASURE_BYTES + support_size * _POINT_BYTES)
+        assert held <= charged <= 1.25 * held, (held, charged)
 
 
 class TestSynthCommand:

@@ -23,7 +23,7 @@ from gsobolev import (
 )
 from gsobolev import graph as graph_module
 from gsobolev.graph import TIE_RTOL
-from conftest import random_weighted_graph, traced_peak
+from conftest import grid_of, path_of, random_weighted_graph, traced_peak
 
 
 def write(tmp_path, text):
@@ -41,12 +41,6 @@ def chain_to_root(rs, x):
     return out
 
 
-def path_of(n, seed=0):
-    """Path 0 - 1 - ... - (n-1) with generic lengths."""
-    w = np.random.default_rng(seed).uniform(0.5, 2.0, n - 1)
-    return Graph(n, np.arange(n - 1), np.arange(1, n), w)
-
-
 def star_of(leaves, seed=0):
     """Star centred on node 0, plus a few leaf-to-leaf chords."""
     rng = np.random.default_rng(seed)
@@ -54,17 +48,6 @@ def star_of(leaves, seed=0):
     chords = {(i, i + 1) for i in rng.choice(np.arange(1, leaves), size=leaves // 4)}
     edges += [(int(a), int(b), float(rng.uniform(0.5, 2.0))) for a, b in sorted(chords)]
     return Graph.from_edges(leaves + 1, edges)
-
-
-def grid_of(side):
-    """Grid of ``side`` x ``side`` nodes, node ``r * side + c``, every edge
-    0.1 long: most nodes have several shortest root paths, siblings share
-    their distance, and sums of the shares round, so the order in which a
-    parent adds its children shows in the bits."""
-    ids = np.arange(side * side).reshape(side, side)
-    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
-    v = np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()])
-    return Graph(side * side, u, v, np.full(u.size, 0.1))
 
 
 def lambda_by_scan(g, rs):

@@ -22,7 +22,7 @@ from gsobolev import (
     shortest_path_tree,
 )
 from gsobolev import measures as measures_module
-from conftest import random_weighted_graph
+from conftest import grid_of, path_of, random_weighted_graph, traced_peak
 
 
 def walk_sums(rs, mu):
@@ -219,34 +219,54 @@ class TestGammaMasses:
         assert table.row(-4).edge_ids.size == 0
         assert table.row(-1).edge_ids.size > 0 and not table.row(-1).values.any()
 
-    def test_passes_do_not_change_bits(self, monkeypatch):
-        g = random_weighted_graph(3, n_lo=60, n_hi=80)
+    @pytest.mark.parametrize(
+        "g, root",
+        [(random_weighted_graph(3, n_lo=60, n_hi=80), 0),
+         (random_weighted_graph(4, n_lo=60, n_hi=80), 17),
+         (path_of(3000), 0), (path_of(3000), 1234), (grid_of(60, 1.0), 0), (grid_of(60, 1.0), 1830)],
+        ids=["random-3", "random-4", "path-0", "path-1234", "grid-0", "grid-1830"],
+    )
+    def test_passes_do_not_change_bits(self, monkeypatch, g, root):
         rng = np.random.default_rng(3)
         pool = [random_measure(rng, g.node_count, 5) for _ in range(20)]
         # a Dirac at the root (an empty row) and a repeated measure, each
         # landing on a pass boundary below
-        pool[7] = DiscreteMeasure.dirac(0)
+        pool[7] = DiscreteMeasure.dirac(root)
         pool[12] = pool[4]
-        whole = gamma_masses(shortest_path_tree(g, 0), pool)
-        # a table budget below any one measure's: one measure per pass
-        monkeypatch.setattr(measures_module, "_PASS_CELLS", 3)
+        rs = shortest_path_tree(g, root)
+        whole_cells = 5 * len(pool) * int(rs.depth.max())
+        # a budget above the whole table's cells: one pass
+        monkeypatch.setattr(measures_module, "_PASS_CELLS", whole_cells)
+        whole = gamma_masses(rs, pool)
+        assert_table_rows(whole, rs, pool)
+        assert whole.row(7).edge_ids.size == 0
+        # budgets below any one measure's cells (one measure a pass), and of
+        # about seven measures' cells (several measures a pass)
+        for cells in (1, 7, whole_cells * 7 // len(pool)):
+            monkeypatch.setattr(measures_module, "_PASS_CELLS", cells)
+            split = gamma_masses(rs, pool)
+            for name in ("indptr", "edge_ids", "values"):
+                a, b = getattr(whole, name), getattr(split, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_build_peak_per_entry(self):
+        # a deep table of 3.4M entries: its build holds the passes' edge ids
+        # and values plus one joined array, 24 bytes an entry, and one pass's
+        # scratch
+        n = 20_000
+        g = Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+        rng = np.random.default_rng(0)
+        pool = [random_measure(rng, n, 5) for _ in range(200)]
         rs = shortest_path_tree(g, 0)
-        split = gamma_masses(rs, pool)
-        for name in ("indptr", "edge_ids", "values"):
-            assert getattr(whole, name).tobytes() == getattr(split, name).tobytes()
-        assert_table_rows(split, rs, pool)
-        assert split.row(7).edge_ids.size == 0
-        # a budget of a few measures: passes of several measures each
-        monkeypatch.setattr(measures_module, "_PASS_CELLS", 60)
-        assert_table_rows(gamma_masses(rs, pool), rs, pool)
+        table, peak, _ = traced_peak(lambda: gamma_masses(rs, pool))
+        assert table.edge_ids.size > 3_000_000
+        assert peak / table.edge_ids.size <= 26.0, peak / table.edge_ids.size
 
     def test_deep_path(self):
         # root paths thousands of edges long that overlap almost entirely
-        n = 3000
-        w = np.random.default_rng(1).uniform(0.5, 2.0, n - 1)
-        g = Graph(n, np.arange(n - 1), np.arange(1, n), w)
+        g = path_of(3000, seed=1)
         rng = np.random.default_rng(2)
-        pool = [random_measure(rng, n, 6) for _ in range(8)]
+        pool = [random_measure(rng, g.node_count, 6) for _ in range(8)]
         for root in (0, 1234):
             rs = shortest_path_tree(g, root)
             table = gamma_masses(rs, pool)
@@ -267,7 +287,7 @@ class TestGammaMasses:
         monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", predicted - 1)
         monkeypatch.setattr(measures_module, "_passes", None)  # never reached
         with pytest.raises(SizeLimitExceeded, match=f"up to {predicted:,} entries "
-                           f"\\({40 * predicted:,} bytes to build\\), above the budget"):
+                           f"\\({24 * predicted:,} bytes to build\\), above the budget"):
             gamma_masses(rs, pool)
 
     def test_empty_batch(self, path_graph):
