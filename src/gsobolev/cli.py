@@ -25,7 +25,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from .errors import GSobolevError, ParseError, SizeLimitExceeded
+from .errors import GSobolevError, InvalidBandwidth, InvalidExponent, ParseError, SizeLimitExceeded
 from .graph import Graph, lambda_gamma, load_graph, save_graph, shortest_path_tree
 from .kernels import (
     GramSpec,
@@ -40,6 +40,7 @@ from .measures import DiscreteMeasure, gamma_masses, load_measures, save_measure
 from .metrics import (
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
+    _check_order,
     _Triangle,
     beta_weights,
     pair_distances,
@@ -80,15 +81,11 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_p(text: str) -> float:
-    if text.strip().lower() in {"inf", "infinity"}:
-        return math.inf
+    """``--p`` as a float; each command checks its range with the library."""
     try:
-        p = float(text)
+        return float(text)
     except ValueError:
         raise CliError(f"cannot parse order p from {text!r}")
-    if math.isnan(p) or p < 1.0:
-        raise CliError(f"order p must be >= 1, got {text!r}")
-    return p
 
 
 def _parse_root(text: str) -> tuple:
@@ -278,10 +275,8 @@ def _root_mean(
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
-    p = _parse_p(args.p)
     variant = VARIANT_FLAGS[args.variant]
-    if math.isinf(p) and variant == VARIANT_SOBOLEV_TRANSPORT:
-        raise CliError("the transport variant needs a finite order p")
+    p = _check_order(_parse_p(args.p), allow_inf=variant == VARIANT_SOBOLEV_IPM)
     _require_out_path(args.out)
     g, measures, roots = _load_inputs(args)
     n = len(measures)
@@ -304,30 +299,20 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
-    p = _parse_p(args.p)
-    if math.isinf(p):
-        raise CliError("gram needs a finite order p")
-    if not (1.0 <= p <= 2.0) and not args.allow_outside_range:
-        raise CliError(
-            f"p={p} is outside [1, 2], where positive definiteness is guaranteed; "
-            f"pass --allow-outside-range to proceed"
-        )
-    if not (math.isfinite(args.t) and args.t > 0.0):
-        raise CliError(f"bandwidth --t must be positive and finite, got {args.t}")
+    spec = GramSpec(
+        p=_parse_p(args.p), t=args.t, form=KERNEL_FLAGS[args.kernel],
+        allow_outside_range=args.allow_outside_range,
+    )
     _require_out_path(args.out)
     _require_out_path(args.out + ".json")
     g, measures, roots = _load_inputs(args)
     n = len(measures)
     _check_budget(f"gram on {n:,} measures", 3 * n * n * 8, "n^2-sized arrays")
     D, prep_ms, eval_ms = _root_mean(
-        g, measures, roots, None, None, p, VARIANT_SOBOLEV_IPM, np.zeros((n, n))
+        g, measures, roots, None, None, spec.p, VARIANT_SOBOLEV_IPM, np.zeros((n, n))
     )
 
     t0 = time.perf_counter()
-    spec = GramSpec(
-        p=p, t=args.t, form=KERNEL_FLAGS[args.kernel],
-        allow_outside_range=args.allow_outside_range,
-    )
     K = gram_matrix(D, spec)
     gram_ms = eval_ms + (time.perf_counter() - t0) * 1e3
 
@@ -423,9 +408,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for fam in families:
         if fam not in FAMILIES:
             raise CliError(f"unknown family {fam!r}; pick from {FAMILIES}")
-    p = _parse_p(args.p)
-    if math.isinf(p):
-        raise CliError("bench needs a finite order p")
+    p = _check_order(_parse_p(args.p))
     _require_out_path(args.out)
     _check_instance_budget("bench", 4 * max(sizes), 2, args.count, args.support_size)
     rng = np.random.default_rng(args.seed)
@@ -594,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, InvalidExponent, InvalidBandwidth) as exc:  # a bad flag value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GSobolevError as exc:

@@ -43,7 +43,8 @@ class NegativeMass(GSobolevError):
 
 
 class InvalidExponent(GSobolevError):
-    """The order ``p`` is below one, NaN, or infinite where finiteness is required."""
+    """The order ``p`` is below one, NaN, infinite where it must be finite,
+    or outside ``[1, 2]`` for a kernel: in the CLI, a bad ``--p`` value."""
 
 
 class RootMismatch(GSobolevError):
@@ -51,7 +52,7 @@ class RootMismatch(GSobolevError):
 
 
 class InvalidBandwidth(GSobolevError):
-    """A kernel bandwidth ``t`` is not strictly positive."""
+    """A kernel bandwidth ``t`` is not positive and finite: in the CLI, a bad ``--t`` value."""
 
 
 class NonConvergence(GSobolevError):
@@ -67,10 +68,10 @@ class InfeasibleMass(GSobolevError):
 
 
 class SizeLimitExceeded(GSobolevError):
-    """An instance is above a size cap: an exact oracle's, the entry budget
-    of a cumulative edge vector table, or the byte budget of a command's
-    n^2-sized arrays; the last two are refused before they are built rather
-    than exhausting memory."""
+    """An instance is above a size cap: an exact oracle's, a graph's node
+    count for int64 pair keys, the entry budget of a cumulative edge vector
+    table, or the byte budget of a command's n^2-sized arrays; the last two
+    are refused before they are built rather than exhausting memory."""
 
 
 class EmptyCloud(GSobolevError):

@@ -24,13 +24,14 @@ from scipy.sparse._sparsetools import csr_plus_csr, csr_tocsc
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .errors import Disconnected, DuplicateEdge, NonPositiveWeight, ParseError
+from .errors import Disconnected, DuplicateEdge, NonPositiveWeight, ParseError, SizeLimitExceeded
 from .textio import read_table, row_line, significant_lines, utf8_input, write_rows
 
 # Two root-path lengths within this relative tolerance count as tied.
 TIE_RTOL = 1e-12
 
-# The most nodes whose pair keys lo * n + hi all fit in int64.
+# The most nodes whose pair keys lo * n + hi all fit in int64; a graph with
+# more (so over 3e9 edges, some 73 GB of edge arrays) is refused.
 _KEYED_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 # Edges per pass of the tree's candidate test and of lambda's shares, so
@@ -86,32 +87,6 @@ class Graph:
             i = int(np.flatnonzero(loops)[0])
             raise DuplicateEdge(f"edge {i} is a self-loop at node {u[i]}")
         del bad, loops
-        # One sort of the node pairs: equal neighbours are repeats, and the
-        # sorted pairs (lo, hi) are the adjacency's upper triangle, row by row.
-        # While n * n fits in int64 the key lo * n + hi sorts them in one
-        # pass and holds both ends; past that np.lexsort sorts the two
-        # columns.  Each scratch array is dropped once used, so scratch peaks
-        # near 24 bytes an edge beside the inputs and the adjacency.
-        if n <= _KEYED_NODES:
-            key = np.minimum(u, v)
-            key *= n
-            key += np.maximum(u, v)
-            order = np.argsort(key)
-            key = key[order]
-            dup = np.flatnonzero(key[1:] == key[:-1])[:1]
-            named = divmod(key[dup], n)
-        else:
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))[:1]
-            named = lo[dup], hi[dup]
-        if dup.size:
-            a, b = (int(x[0]) for x in named)
-            raise DuplicateEdge(f"node pair ({a}, {b}) appears more than once")
-        object.__setattr__(self, "edge_u", _freeze(u))
-        object.__setattr__(self, "edge_v", _freeze(v))
-        object.__setattr__(self, "edge_w", _freeze(w))
         if u.size < n - 1:
             # Too few edges to connect n nodes: count the components among the
             # touched nodes alone, so no n-sized array is built.
@@ -121,17 +96,33 @@ class Graph:
             parts, _ = connected_components(adj, directed=False)
             n_comp = parts + n - touched.size
             raise Disconnected(f"graph has {n_comp} components, expected 1")
+        if n > _KEYED_NODES:
+            raise SizeLimitExceeded(
+                f"graph has {n:,} nodes, above the {_KEYED_NODES:,} whose node "
+                f"pair keys fit in int64"
+            )
+        # One sort of the node pairs by the key lo * n + hi: equal neighbours
+        # are repeats, and the sorted keys are the adjacency's upper triangle,
+        # row by row.  Each scratch array is dropped once used, so scratch
+        # peaks near 24 bytes an edge beside the inputs and the adjacency.
+        key = np.minimum(u, v)
+        key *= n
+        key += np.maximum(u, v)
+        order = np.argsort(key)
+        key = key[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            a, b = divmod(int(key[dup[0]]), n)
+            raise DuplicateEdge(f"node pair ({a}, {b}) appears more than once")
+        object.__setattr__(self, "edge_u", _freeze(u))
+        object.__setattr__(self, "edge_v", _freeze(v))
+        object.__setattr__(self, "edge_w", _freeze(w))
         idx = np.int32 if max(n, 2 * u.size) <= np.iinfo(np.int32).max else np.int64
         data = w[order]
         del order
-        if n <= _KEYED_NODES:
-            indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
-            indices = np.remainder(key, n, out=key).astype(idx, copy=False)
-            del key
-        else:
-            indptr = np.searchsorted(lo, np.arange(n + 1)).astype(idx)
-            indices = hi.astype(idx, copy=False)
-            del lo, hi
+        indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
+        indices = np.remainder(key, n, out=key).astype(idx, copy=False)
+        del key
         csr = _symmetric_csr(n, indptr, indices, data)
         del indptr, indices, data
         object.__setattr__(self, "_csr", csr)

@@ -67,13 +67,13 @@ class GramSpec:
     def __post_init__(self) -> None:
         _check_order(self.p)
         if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise InvalidBandwidth(f"bandwidth t must be positive, got {self.t!r}")
+            raise InvalidBandwidth(f"bandwidth t must be positive and finite, got {self.t!r}")
         if self.form not in KERNEL_FORMS:
             raise ValueError(f"unknown kernel form {self.form!r}")
         if not self.allow_outside_range and not 1.0 <= self.p <= 2.0:
             raise InvalidExponent(
                 f"positive definiteness is only guaranteed for 1 <= p <= 2, got "
-                f"{self.p}; pass allow_outside_range to proceed"
+                f"{self.p}; set allow_outside_range (--allow-outside-range) to proceed"
             )
 
 
@@ -106,7 +106,6 @@ class DefinitenessReport:
     worst: float
     spectral_min: float
     spectral_passed: bool
-    outside_guaranteed_range: bool
 
     @property
     def passed(self) -> bool:
@@ -142,19 +141,17 @@ def quadratic_form_violations(
 
 
 def check_negative_definite(
-    d: np.ndarray, p: float, trials: int = 200, seed: int = 0
+    d: np.ndarray, trials: int = 200, seed: int = 0
 ) -> DefinitenessReport:
     """Test that ``d`` behaves as a negative definite matrix.
 
     Randomized part: :func:`quadratic_form_violations`.  Spectral part: the
     doubly centered matrix ``-J d J`` must be positive semidefinite within an
-    eigenvalue tolerance of ``-1e-8``.  Orders outside ``[1, 2]`` are still
-    checked but flagged, since the guarantee only covers that range.
+    eigenvalue tolerance of ``-1e-8``.
     """
-    _check_order(p, allow_inf=True)
     D = _square(d)
     if len(D) == 0:
-        return DefinitenessReport(0, 0, 0.0, 0.0, True, not 1.0 <= p <= 2.0)
+        return DefinitenessReport(0, 0, 0.0, 0.0, True)
     violations, worst = quadratic_form_violations(D, trials, seed)
     # -J D J with J = I - 11'/n, by subtracting row and column means and
     # adding back the grand mean
@@ -168,7 +165,6 @@ def check_negative_definite(
         worst=worst,
         spectral_min=spectral_min,
         spectral_passed=spectral_min >= -EIG_TOL,
-        outside_guaranteed_range=not 1.0 <= p <= 2.0,
     )
 
 

@@ -202,16 +202,21 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
 def _passes(sizes: np.ndarray, deepest: np.ndarray) -> Iterator[tuple[int, int, int]]:
     """Split measures with ``sizes`` support points and ``deepest`` longest
     root paths into runs ``[start, stop)`` whose table (points x ``steps``)
-    holds at most ``_PASS_CELLS`` cells, or holds one measure.  Looking at
-    most ``_PASS_CELLS + 1`` measures ahead keeps a run's cost near its table's."""
-    start = 0
+    holds at most ``_PASS_CELLS`` cells, or holds one measure.  A run looks
+    one past the last run's length ahead, twice as far while it fills that,
+    and never past ``_PASS_CELLS + 1`` measures."""
+    start, width = 0, 1
     while start < sizes.size:
-        ahead = slice(start, start + _PASS_CELLS + 1)
-        steps = np.maximum.accumulate(deepest[ahead])
-        cells = np.cumsum(sizes[ahead]) * steps
-        count = 1 + int(np.searchsorted(cells[1:], _PASS_CELLS, side="right"))
+        while True:
+            ahead = slice(start, start + min(width, _PASS_CELLS) + 1)
+            steps = np.maximum.accumulate(deepest[ahead])
+            cells = np.cumsum(sizes[ahead]) * steps
+            count = 1 + int(np.searchsorted(cells[1:], _PASS_CELLS, side="right"))
+            if count < cells.size or ahead.stop >= sizes.size or width >= _PASS_CELLS:
+                break
+            width *= 2
         yield start, start + count, int(steps[count - 1])
-        start += count
+        start, width = start + count, count
 
 
 def _root_path_sums(

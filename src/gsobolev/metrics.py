@@ -39,7 +39,7 @@ def _check_order(p: float, *, allow_inf: bool = False) -> float:
     if math.isnan(p) or p < 1.0:
         raise InvalidExponent(f"order p must satisfy p >= 1, got {p!r}")
     if math.isinf(p) and not allow_inf:
-        raise InvalidExponent("order p must be finite here; use the max-form variant")
+        raise InvalidExponent(f"order p must be finite here, got {p!r}")
     return p
 
 

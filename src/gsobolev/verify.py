@@ -337,7 +337,7 @@ def definiteness_suite(seed: int = 0) -> SuiteReport:
         table = gamma_masses(rs, _pool_measures(rng, g, 30))
         for p in KERNEL_ORDERS:
             D = distance_matrix(prep, table, p)
-            rep = check_negative_definite(D, p, seed=_child_seed(rng))
+            rep = check_negative_definite(D, seed=_child_seed(rng))
             nd.add(max(-rep.spectral_min, rep.worst), not rep.passed)
             for t in (0.1, 1.0, 10.0):
                 for form in (KERNEL_EXP, KERNEL_EXP_POW):

@@ -34,6 +34,7 @@ from gsobolev import (
     random_tree,
     sample_roots,
     save_graph,
+    SizeLimitExceeded,
     save_measures,
     sliced_distance,
     VARIANT_SOBOLEV_IPM,
@@ -78,9 +79,8 @@ class TestParsers:
         assert _parse_p("1.5") == 1.5
         assert _parse_p("inf") == math.inf
         assert _parse_p("Infinity") == math.inf
-        for bad in ("0.5", "nan", "zero"):
-            with pytest.raises(CliError):
-                _parse_p(bad)
+        with pytest.raises(CliError):
+            _parse_p("zero")
 
     def test_parse_root(self):
         assert _parse_root("3") == (3,)
@@ -109,6 +109,38 @@ class TestParsers:
             code = exc.code
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--p", "0.5"],
+            ["distance", "--p", "nan"],
+            ["distance", "--variant", "st", "--p", "inf"],
+            ["gram", "--p", "inf"],
+            ["gram", "--p", "3"],
+            ["gram", "--t", "0"],
+            ["gram", "--t", "inf"],
+            ["gram", "--t=-inf"],
+            ["gram", "--t", "nan"],
+            ["bench", "--p", "inf"],
+            ["bench", "--p", "0.5"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_order_and_bandwidth_rules_exit_two(self, files, monkeypatch, capsys, argv):
+        # the library's own validators refuse these flag values, before any
+        # file is read
+        def unread(path):
+            raise AssertionError(f"{path} read before the flags were checked")
+
+        monkeypatch.setattr(gsobolev.cli, "load_graph", unread)
+        before = sorted(os.listdir(files["dir"]))
+        inputs = ["--graph", files["graph"], "--measures", files["measures"]]
+        out = ["--out", str(files["dir"] / "o")]
+        assert main(argv[:1] + (inputs if argv[0] != "bench" else []) + argv[1:] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(os.listdir(files["dir"])) == before
 
     @pytest.mark.parametrize(
         "argv",
@@ -293,13 +325,6 @@ class TestDistanceCommand:
             ])
             assert code == 2, command
 
-    def test_transport_needs_finite_order(self, files):
-        code = main([
-            "distance", "--graph", files["graph"], "--measures", files["measures"],
-            "--variant", "st", "--p", "inf", "--out", str(files["dir"] / "d.csv"),
-        ])
-        assert code == 2
-
     def test_missing_graph_file(self, files):
         code = main([
             "distance", "--graph", str(files["dir"] / "nope.txt"),
@@ -365,6 +390,21 @@ class TestImpossibleHeader:
         assert err == "data error: graph has 10000000000000 components, expected 1\n"
         assert "Traceback" not in err
         assert peak < 1 << 20
+        assert not out.exists()
+
+    def test_nodes_past_int64_keys_exit_three(self, files, monkeypatch, capsys):
+        # a connected graph whose pair keys would overflow int64 is refused
+        monkeypatch.setattr(gsobolev.graph, "_KEYED_NODES", 2)
+        with pytest.raises(SizeLimitExceeded, match="graph has 3 nodes, above the 2 "):
+            load_graph(files["graph"])
+        out = files["dir"] / "d.csv"
+        code = main([
+            "distance", "--graph", files["graph"], "--measures", files["measures"],
+            "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: graph has 3 nodes") and "Traceback" not in err
         assert not out.exists()
 
 
@@ -657,28 +697,6 @@ class TestGramCommand:
         ]
         assert main(args) == 2
         assert main(args + ["--allow-outside-range"]) == 0
-
-    def test_bad_bandwidth(self, files):
-        code = main([
-            "gram", "--graph", files["graph"], "--measures", files["measures"],
-            "--p", "2", "--t", "0", "--out", str(files["dir"] / "k.csv"),
-        ])
-        assert code == 2
-
-    def test_non_finite_bandwidth(self, files):
-        for t in ("inf", "-inf", "nan"):
-            code = main([
-                "gram", "--graph", files["graph"], "--measures", files["measures"],
-                "--p", "2", f"--t={t}", "--out", str(files["dir"] / "k.csv"),
-            ])
-            assert code == 2, t
-
-    def test_infinite_order_refused(self, files):
-        code = main([
-            "gram", "--graph", files["graph"], "--measures", files["measures"],
-            "--p", "inf", "--out", str(files["dir"] / "k.csv"),
-        ])
-        assert code == 2
 
 
 class TestVerifyCommand:

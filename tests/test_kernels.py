@@ -218,24 +218,17 @@ class TestDefiniteness:
     def test_clean_instance(self, path_triple):
         _, prep, table = path_triple
         D = distance_matrix(prep, table, 2.0)
-        rep = check_negative_definite(D, 2.0, trials=200, seed=0)
+        rep = check_negative_definite(D, trials=200, seed=0)
         assert rep.passed
         assert rep.violations == 0
         assert rep.spectral_passed
         assert rep.spectral_min >= -1e-8
-        assert not rep.outside_guaranteed_range
-
-    def test_flags_orders_outside_range(self, path_triple):
-        _, prep, table = path_triple
-        D = distance_matrix(prep, table, 1.0)
-        rep = check_negative_definite(D, 3.0, trials=10, seed=0)
-        assert rep.outside_guaranteed_range
 
     def test_detects_violation(self):
         # cube of the line metric on four points: the doubly centered
         # negation has an eigenvalue near -5, far past any tolerance
         D = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))) ** 3
-        rep = check_negative_definite(D, 1.0, trials=200, seed=0)
+        rep = check_negative_definite(D, trials=200, seed=0)
         assert not rep.passed
         assert not rep.spectral_passed
         assert rep.spectral_min == pytest.approx(-5.0, rel=1e-9)
@@ -243,7 +236,7 @@ class TestDefiniteness:
         assert rep.worst > 0.0
 
     def test_empty_matrix(self):
-        rep = check_negative_definite(np.zeros((0, 0)), 1.0)
+        rep = check_negative_definite(np.zeros((0, 0)))
         assert rep.passed
         assert quadratic_form_violations(np.zeros((0, 0))) == (0, 0.0)
 
@@ -275,7 +268,7 @@ class TestDefiniteness:
     def test_non_square_rejected(self):
         rect = np.ones((2, 3))
         for check in (
-            lambda: check_negative_definite(rect, 1.0),
+            lambda: check_negative_definite(rect),
             lambda: min_eigenvalue(rect),
             lambda: divisibility_check(rect, 2),
             lambda: gram_matrix(rect, GramSpec(p=1.0, t=1.0)),

@@ -249,6 +249,32 @@ class TestGammaMasses:
                 a, b = getattr(whole, name), getattr(split, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("cells", [1, 7, 1000, 1 << 16])
+    def test_pass_plans_match_a_full_window(self, monkeypatch, cells):
+        # the growing look-ahead plans the runs a look at _PASS_CELLS + 1
+        # measures plans; all-zero depths fill even that look
+        def full_window(sizes, deepest):
+            start = 0
+            while start < sizes.size:
+                ahead = slice(start, start + cells + 1)
+                steps = np.maximum.accumulate(deepest[ahead])
+                total = np.cumsum(sizes[ahead]) * steps
+                count = 1 + int(np.searchsorted(total[1:], cells, side="right"))
+                yield start, start + count, int(steps[count - 1])
+                start += count
+
+        monkeypatch.setattr(measures_module, "_PASS_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for trial in range(20):
+            k = int(rng.integers(1, 3000))
+            sizes = rng.integers(1, 12, k)
+            deepest = rng.integers(0, int(rng.choice([1, 3, 50, 800])), k)
+            if trial % 5 == 0:
+                deepest[:] = 0
+            assert list(measures_module._passes(sizes, deepest)) == list(
+                full_window(sizes, deepest)
+            )
+
     def test_build_peak_per_entry(self):
         # a deep table of 3.4M entries: its build holds the passes' edge ids
         # and values plus one joined array, 24 bytes an entry, and one pass's
