@@ -27,7 +27,6 @@ from .graph import (
     RootedStructure,
     lambda_gamma,
     load_graph,
-    root_path_edges,
     save_graph,
     shortest_path_tree,
 )
@@ -52,16 +51,15 @@ from .measures import (
     save_measures,
 )
 from .metrics import (
-    EquivalenceConstants,
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
     beta_weights,
-    equivalence_constants,
     measure_distance,
     pair_distances,
     prepare_root,
     sample_roots,
     sliced_distance,
+    sliced_pair_distances,
     sobolev_ipm_distance,
     sobolev_transport_distance,
 )
@@ -80,7 +78,6 @@ from .synth import (
     farthest_point_clustering,
     random_measures,
     random_tree,
-    save_point_cloud,
 )
 from .verify import SUITES, SuiteReport, run_suites
 

@@ -43,9 +43,8 @@ from .metrics import (
     _check_order,
     _Triangle,
     beta_weights,
-    pair_distances,
-    prepare_root,
     sample_roots,
+    sliced_pair_distances,
     sobolev_ipm_distance,
     sobolev_transport_distance,
 )
@@ -56,7 +55,6 @@ from .synth import (
     build_random_graph,
     farthest_point_clustering,
     random_measures,
-    save_point_cloud,
 )
 from .textio import CELL_BLOCK, read_table, row_line, utf8_input, write_rows
 from .verify import SUITES, run_suites
@@ -234,46 +232,6 @@ def _check_instance_budget(
                   count * (_MEASURE_BYTES + support_size * _POINT_BYTES), "measures")
 
 
-def _root_mean(
-    g: Graph, measures: list[DiscreteMeasure], roots: list[int],
-    first: np.ndarray | None, second: np.ndarray | None, p: float, variant: str,
-    into: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Distances between ``measures[first[k]]`` and ``measures[second[k]]``
-    averaged over ``roots`` as ``sliced_distance`` averages them (a sum in
-    root order from 0.0, then one division), with the set-up time (trees
-    and λ) and the evaluation time (Γ and distances) in ms, each summed
-    over the roots.  With ``first`` and ``second`` ``None``, the pairs are
-    all ``i < j``.  The sum is kept in ``into`` (see
-    :func:`metrics.pair_distances`), zeros if not given.  The roots stream:
-    one root's tree, λ and Γ (for the measures the pairs use) are built,
-    used and dropped before the next root's, so memory does not grow with
-    the root count."""
-    t0 = time.perf_counter()
-    n = len(measures)
-    if first is None:
-        pool, size = measures, n * (n - 1) // 2
-    else:
-        # Row slot[k] of each table holds measure k, for the measures in use.
-        used = np.bincount(np.concatenate([first, second]), minlength=n) > 0
-        slot = np.cumsum(used) - 1
-        pool, size = [measures[k] for k in np.flatnonzero(used)], first.size
-    acc = np.zeros(size) if into is None else into
-    prep_s, eval_s = 0.0, time.perf_counter() - t0
-    for root in roots:
-        t0 = time.perf_counter()
-        rs, prep = prepare_root(g, root)
-        t1 = time.perf_counter()
-        table = gamma_masses(rs, pool)
-        rows = (None, None) if first is None else (slot[first], slot[second])
-        pair_distances(prep, table, *rows, p, variant, into=acc)
-        del rs, prep, table, rows  # before the next root's are built
-        prep_s += t1 - t0
-        eval_s += time.perf_counter() - t1
-    acc /= len(roots)
-    return acc, prep_s * 1e3, eval_s * 1e3
-
-
 def cmd_distance(args: argparse.Namespace) -> int:
     variant = VARIANT_FLAGS[args.variant]
     p = _check_order(_parse_p(args.p), allow_inf=variant == VARIANT_SOBOLEV_IPM)
@@ -287,7 +245,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     else:
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
-    values, prep_ms, eval_ms = _root_mean(g, measures, roots, first, second, p, variant)
+    values, prep_ms, eval_ms = sliced_pair_distances(g, measures, roots, first, second, p, variant)
     slow = _write_distance_csv(args.out, n, first, second, values)
     print(
         f"distance: {values.size} pairs, {len(roots)} root(s), "
@@ -308,8 +266,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
     g, measures, roots = _load_inputs(args)
     n = len(measures)
     _check_budget(f"gram on {n:,} measures", 3 * n * n * 8, "n^2-sized arrays")
-    D, prep_ms, eval_ms = _root_mean(
-        g, measures, roots, None, None, spec.p, VARIANT_SOBOLEV_IPM, np.zeros((n, n))
+    D, prep_ms, eval_ms = sliced_pair_distances(
+        g, measures, roots, None, None, spec.p, into=np.zeros((n, n))
     )
 
     t0 = time.perf_counter()
@@ -495,7 +453,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError(f"--dim must be at least 1, got {args.dim}")
     if args.family not in FAMILIES:
         raise CliError(f"unknown family {args.family!r}; pick from {FAMILIES}")
-    for suffix in (".graph", ".measures", ".points"):
+    for suffix in (".graph", ".measures"):
         _require_out_path(args.out_prefix + suffix)
     _check_instance_budget("synth", args.points, args.dim, args.count, args.support_size)
     rng = np.random.default_rng(args.seed)
@@ -505,10 +463,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     measures = random_measures(g, args.count, args.support_size, seed=args.seed)
     save_graph(g, args.out_prefix + ".graph")
     save_measures(measures, args.out_prefix + ".measures")
-    save_point_cloud(centroids, args.out_prefix + ".points")
     print(
         f"synth: {g.node_count} nodes, {g.edge_count} edges, {len(measures)} measures "
-        f"-> {args.out_prefix}.graph/.measures/.points",
+        f"-> {args.out_prefix}.graph/.measures",
         file=sys.stderr,
     )
     return 0

@@ -19,7 +19,8 @@ class ParseError(GSobolevError):
 
 
 class NonPositiveWeight(GSobolevError):
-    """An edge length is zero, negative, or not finite."""
+    """An edge length is zero, negative, or not finite, or lengths overflow
+    or round away in a root path's or a downstream length's sum."""
 
 
 class Disconnected(GSobolevError):

@@ -80,7 +80,8 @@ class Graph:
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise NonPositiveWeight(
-                f"edge {i} ({u[i]}-{v[i]}) has non-positive length {w[i]!r}"
+                f"edge {i} ({u[i]}-{v[i]}) has length {float(w[i])}; "
+                f"lengths must be positive and finite"
             )
         loops = u == v
         if loops.any():
@@ -147,16 +148,6 @@ class Graph:
         v = np.array([e[1] for e in triples], dtype=np.int64)
         w = np.array([e[2] for e in triples], dtype=np.float64)
         return cls(node_count, u, v, w)
-
-    def edge_id(self, a: int, b: int) -> int:
-        """Id of the edge joining ``a`` and ``b`` (order-insensitive)."""
-        hit = ((self.edge_u == a) & (self.edge_v == b)) | (
-            (self.edge_u == b) & (self.edge_v == a)
-        )
-        ids = np.flatnonzero(hit)
-        if ids.size != 1:
-            raise KeyError(f"no edge joins nodes {a} and {b}")
-        return int(ids[0])
 
 
 def _symmetric_csr(
@@ -250,6 +241,7 @@ class RootedStructure:
     _gamma_cache: dict = field(default_factory=dict, repr=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a node left without a parent is refused below
 def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     """Grow the shortest-path tree of ``g`` from ``root``.
 
@@ -259,13 +251,14 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     ``TIE_RTOL * max(1, dist[v])``; the smallest candidate id is kept, and
     the nodes with more than one candidate are recorded as ``ties``.  This
     makes the recorded tree a pure function of the graph and the root,
-    independent of heap order.
+    independent of heap order.  A node left without a candidate (lengths
+    that overflow or round away) raises :class:`NonPositiveWeight`.
     """
     n = g.node_count
     if not 0 <= root < n:
         raise ValueError(f"root {root} outside [0, {n})")
     dist = _sp_dijkstra(g._csr, directed=True, indices=root)
-    # Connectivity is a Graph invariant, so every distance is finite.
+    # Connectivity is a Graph invariant, so a distance is inf only by overflow.
     tol = TIE_RTOL * np.maximum(1.0, dist)
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     fwd, bwd = [], []  # edges whose u parents v, and whose v parents u
@@ -279,8 +272,13 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     child = np.concatenate([ev[fwd], eu[bwd]])
     cand = np.concatenate([eu[fwd], ev[bwd]])
     counts = np.bincount(child, minlength=n)
-    if n > 1 and np.count_nonzero(counts) != n - 1:
-        raise AssertionError("some node has no shortest-path predecessor")
+    orphans = np.flatnonzero(counts == 0)
+    if orphans.size > 1:  # the root is always one
+        x = int(orphans[orphans != root][0])
+        raise NonPositiveWeight(
+            f"root {root}: node {x} at distance {float(dist[x])} has no shortest-path "
+            f"parent; the edge lengths overflow or round away"
+        )
     parent = np.full(n, n, dtype=np.int64)
     np.minimum.at(parent, child, cand)
     won = cand == parent[child]
@@ -312,19 +310,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     )
 
 
-def root_path_edges(rs: RootedStructure, x: int) -> list[int]:
-    """Edge ids of the recorded root path to ``x``, ordered root first."""
-    if not 0 <= x < rs.graph.node_count:
-        raise ValueError(f"node {x} outside [0, {rs.graph.node_count})")
-    out: list[int] = []
-    v = x
-    while v != rs.root:
-        out.append(int(rs.parent_edge[v]))
-        v = int(rs.parent[v])
-    out.reverse()
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class EdgePrep:
     """Per-edge preprocessing for closed-form distances under one root.
@@ -344,6 +329,7 @@ class EdgePrep:
     beta_cache: dict = field(default_factory=dict, repr=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows is refused below
 def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     """Compute every edge's downstream length in ``O(|E| + |V|)`` work,
     with one vectorized step per tree level.
@@ -353,7 +339,8 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     ``(u, v)`` has length ``w * clamp((dist[v] - dist[u] + w) / (2w), 0, 1)``.
     Summing the shares attached to each node and accumulating them up the
     tree, level by level from the deepest, yields at node ``x`` the
-    downstream length of the tree edge entering ``x``.
+    downstream length of the tree edge entering ``x``; one that overflows
+    raises :class:`NonPositiveWeight`.
     """
     if rs.graph is not g:
         raise ValueError("rooted structure was built for a different graph")
@@ -380,8 +367,15 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     for level in np.split(order, np.cumsum(np.bincount(rs.depth)[:0:-1]))[:-1]:
         np.add.at(sub, rs.parent[level], sub[level])
 
-    lam = np.zeros(m, dtype=np.float64)
     below = rs.parent_edge >= 0
+    over = np.flatnonzero(below & ~np.isfinite(sub))
+    if over.size:
+        x, e = int(over[0]), int(rs.parent_edge[over[0]])
+        raise NonPositiveWeight(
+            f"root {rs.root}: edge {e} ({eu[e]}-{ev[e]}) has downstream length "
+            f"{float(sub[x])}; the edge lengths overflow in its sum"
+        )
+    lam = np.zeros(m, dtype=np.float64)
     lam[rs.parent_edge[below]] = sub[below]
     return EdgePrep(
         root=rs.root,

@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+import time
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec, csr_minus_csr, csr_row_index
 
 from .errors import InvalidExponent, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
-from .measures import DiscreteMeasure, GammaTable, gamma_mass
+from .measures import DiscreteMeasure, GammaTable, gamma_mass, gamma_masses
 
 VARIANT_SOBOLEV_IPM = "regularized_sobolev_ipm"
 VARIANT_SOBOLEV_TRANSPORT = "sobolev_transport"
@@ -41,30 +41,6 @@ def _check_order(p: float, *, allow_inf: bool = False) -> float:
     if math.isinf(p) and not allow_inf:
         raise InvalidExponent(f"order p must be finite here, got {p!r}")
     return p
-
-
-@dataclass(frozen=True)
-class EquivalenceConstants:
-    """Tight two-sided comparison constants against the unregularized norm.
-
-    ``c1 * ||f'||_Lp <= ||f||_(weighted W1,p) <= c2 * ||f'||_Lp`` for the
-    graph's total length ``L``; ``degenerate`` flags ``L == 0`` (single-node
-    graph), where the lower constant collapses to zero.
-    """
-
-    c1: float
-    c2: float
-    degenerate: bool
-
-
-def equivalence_constants(total_length: float, p: float) -> EquivalenceConstants:
-    p = _check_order(p)
-    L = float(total_length)
-    if L < 0.0:
-        raise ValueError(f"total length must be nonnegative, got {L!r}")
-    c1 = (min(1.0, L ** (p - 1.0)) / (1.0 + L**p)) ** (1.0 / p)
-    c2 = max(1.0, L ** (p - 1.0)) ** (1.0 / p)
-    return EquivalenceConstants(c1=c1, c2=c2, degenerate=(L == 0.0))
 
 
 def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
@@ -461,7 +437,7 @@ def sliced_distance(
     prepared: dict | None = None,
 ) -> float:
     """Arithmetic mean of per-root distances over a root list, summed in
-    root order from 0.0 as ``distance`` and ``gram`` sum them: the same bits.
+    root order from 0.0 as :func:`sliced_pair_distances` sums them: the same bits.
 
     An average of metrics is again a metric.  ``prepared`` may carry a
     ``root -> (RootedStructure, EdgePrep)`` cache reused across calls, so the
@@ -480,3 +456,45 @@ def sliced_distance(
         rs, prep = hit
         total += measure_distance(rs, prep, mu, nu, p, variant)
     return total / len(roots)
+
+
+def sliced_pair_distances(
+    g: Graph, measures: list[DiscreteMeasure], roots: list[int] | tuple[int, ...],
+    first: np.ndarray | None, second: np.ndarray | None, p: float,
+    variant: str = VARIANT_SOBOLEV_IPM, *, into: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, float]:
+    """Distances between ``measures[first[k]]`` and ``measures[second[k]]``
+    averaged over ``roots`` as :func:`sliced_distance` averages them, with
+    the set-up time (trees and λ) and the evaluation time (Γ and distances)
+    in ms, each summed over the roots.  With ``first`` and ``second`` both
+    ``None``, the pairs are all ``i < j``.  The sum is kept in ``into`` (see
+    :func:`pair_distances`), zeros if not given.  The roots stream: one
+    root's tree, λ and Γ (for the measures the pairs use) are built, used
+    and dropped before the next root's, so memory does not grow with the
+    root count.
+    """
+    t0 = time.perf_counter()
+    if not roots:
+        raise ValueError("need at least one root")
+    n = len(measures)
+    if first is None:
+        pool, size = measures, n * (n - 1) // 2
+    else:
+        # Row slot[k] of each table holds measure k, for the measures in use.
+        used = np.bincount(np.concatenate([first, second]), minlength=n) > 0
+        slot = np.cumsum(used) - 1
+        pool, size = [measures[k] for k in np.flatnonzero(used)], first.size
+    acc = np.zeros(size) if into is None else into
+    prep_s, eval_s = 0.0, time.perf_counter() - t0
+    for root in roots:
+        t0 = time.perf_counter()
+        rs, prep = prepare_root(g, int(root))
+        t1 = time.perf_counter()
+        table = gamma_masses(rs, pool)
+        rows = (None, None) if first is None else (slot[first], slot[second])
+        pair_distances(prep, table, *rows, p, variant, into=acc)
+        del rs, prep, table, rows  # before the next root's are built
+        prep_s += t1 - t0
+        eval_s += time.perf_counter() - t1
+    acc /= len(roots)
+    return acc, prep_s * 1e3, eval_s * 1e3

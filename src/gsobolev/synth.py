@@ -20,7 +20,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DegenerateGeometryWarning, EmptyCloud, SupportTooLarge
 from .graph import Graph
 from .measures import DiscreteMeasure
-from .textio import write_rows
 
 FAMILY_LOG = "log"
 FAMILY_SQRT = "sqrt"
@@ -49,18 +48,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
-
-
-def save_point_cloud(pc: PointCloud, path: str) -> None:
-    """Write a ``count dim`` header, then one line of coordinates per point,
-    each at 17 significant digits."""
-    n, d = pc.points.shape
-    with open(path, "wb") as fh:
-        fh.write(b"%d %d\n" % (n, d))
-        if d:
-            write_rows(fh, (pc.points,), " ")
-        else:
-            fh.write(b"\n" * n)
 
 
 def farthest_point_clustering(

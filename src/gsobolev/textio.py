@@ -6,9 +6,9 @@ Every reader skips blank lines and whole-line ``#`` comments
 trailing ``# ...`` after the fields is an error.  Graph bodies and pair
 files are tables of whitespace-separated numbers, read by
 :func:`read_table` with numpy's parser on every path.  Graph files,
-distance CSVs, Gram CSVs and point files are written by
-:func:`write_rows`, which formats whole blocks of numbers with array
-operations, byte-identical to ``'%d'`` and ``'%.17g'``.
+distance CSVs and Gram CSVs are written by :func:`write_rows`, which
+formats whole blocks of numbers with array operations, byte-identical to
+``'%d'`` and ``'%.17g'``.
 """
 
 from __future__ import annotations

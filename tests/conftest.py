@@ -101,6 +101,29 @@ def grid_of(side, length=0.1):
     return Graph(side * side, u, v, np.full(u.size, length))
 
 
+def edge_id(g: Graph, a: int, b: int) -> int:
+    """Id of the edge of ``g`` joining ``a`` and ``b`` (order-insensitive)."""
+    hit = ((g.edge_u == a) & (g.edge_v == b)) | ((g.edge_u == b) & (g.edge_v == a))
+    ids = np.flatnonzero(hit)
+    if ids.size != 1:
+        raise KeyError(f"no edge joins nodes {a} and {b}")
+    return int(ids[0])
+
+
+def root_path_edges(rs, x: int) -> list[int]:
+    """Edge ids of the recorded root path to ``x``, root first, by a naive
+    walk up ``rs.parent``: a reference for the tree and the Γ tables."""
+    if not 0 <= x < rs.graph.node_count:
+        raise ValueError(f"node {x} outside [0, {rs.graph.node_count})")
+    out: list[int] = []
+    v = x
+    while v != rs.root:
+        out.append(int(rs.parent_edge[v]))
+        v = int(rs.parent[v])
+    out.reverse()
+    return out
+
+
 def traced_peak(fn):
     """``fn()`` under ``tracemalloc``: its result, the traced peak during the
     call and the traced bytes still held when it returns."""

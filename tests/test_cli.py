@@ -169,7 +169,6 @@ class TestParsers:
             (["verify", "--suite", "tree", "--out", "X/v.json"], "X/v.json"),
             (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.graph"),
             (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.measures"),
-            (["synth", "--m", "10", "--points", "20", "--out-prefix", "X/i"], "X/i.points"),
         ],
     )
     def test_output_in_missing_directory_exits_two(self, files, capsys, argv, written):
@@ -408,6 +407,39 @@ class TestImpossibleHeader:
         assert not out.exists()
 
 
+class TestNumericRefusals:
+    """Lengths that pass the graph's own checks but overflow, or round away,
+    in the root-path or downstream sums exit 3 before any output is opened."""
+
+    LEAVES = "".join(f"1 {k} 1e307\n" for k in range(2, 22))
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("3 2\n0 1 1e308\n1 2 1e308\n",
+             "root 0: node 2 at distance inf has no shortest-path parent"),
+            ("3 2\n0 1 1\n1 2 1e-17\n",
+             "root 0: node 2 at distance 1.0 has no shortest-path parent"),
+            ("22 21\n0 1 1\n" + LEAVES,
+             "root 0: edge 0 (0-1) has downstream length inf"),
+        ],
+        ids=["distance-overflow", "step-rounds-away", "lambda-overflow"],
+    )
+    @pytest.mark.parametrize("command", [["distance", "--pairs", "all"], ["gram"]])
+    def test_exits_three_without_output(self, tmp_path, capsys, graph, message, command):
+        (tmp_path / "g.txt").write_text(graph)
+        (tmp_path / "m.txt").write_text("a 0 1\nb 2 1\n")
+        out = tmp_path / "o.csv"
+        assert main([
+            *command, "--graph", str(tmp_path / "g.txt"), "--measures", str(tmp_path / "m.txt"),
+            "--p", "1.5", "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["g.txt", "m.txt"]
+
+
 class TestBatchPath:
     @pytest.mark.parametrize(
         "argv",
@@ -515,7 +547,8 @@ class TestRootStreaming:
         argv = [*command, "--graph", files["graph"], "--measures", files["measures"],
                 "--p", "1", "--out", str(files["dir"] / "o.csv")]
         monkeypatch.setattr("gsobolev.cli._BYTES_BUDGET", nbytes - 1)
-        monkeypatch.setattr("gsobolev.cli._root_mean", None)  # refused before any evaluation
+        # refused before any evaluation
+        monkeypatch.setattr("gsobolev.cli.sliced_pair_distances", None)
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             f"data error: {' '.join(command)} on 3 measures would hold {nbytes} bytes of "
@@ -855,6 +888,7 @@ class TestSynthCommand:
             "--out-prefix", prefix,
         ])
         assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["inst.graph", "inst.measures"]
         g = load_graph(prefix + ".graph")
         assert g.node_count == 40
         measures = load_measures(prefix + ".measures", g)

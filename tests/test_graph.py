@@ -17,13 +17,14 @@ from gsobolev import (
     ParseError,
     lambda_gamma,
     load_graph,
-    root_path_edges,
     save_graph,
     shortest_path_tree,
 )
 from gsobolev import graph as graph_module
 from gsobolev.graph import TIE_RTOL
-from conftest import grid_of, path_of, random_weighted_graph, traced_peak
+from conftest import (
+    edge_id, grid_of, path_of, random_weighted_graph, root_path_edges, traced_peak,
+)
 
 
 def write(tmp_path, text):
@@ -96,6 +97,14 @@ class TestLoadGraph:
     def test_negative_weight(self, tmp_path):
         with pytest.raises(NonPositiveWeight):
             load_graph(write(tmp_path, "2 1\n0 1 -1\n"))
+
+    @pytest.mark.parametrize("text, length", [("-1", "-1.0"), ("inf", "inf"), ("nan", "nan")])
+    def test_bad_weight_names_the_length(self, tmp_path, text, length):
+        with pytest.raises(NonPositiveWeight) as info:
+            load_graph(write(tmp_path, f"2 1\n0 1 {text}\n"))
+        assert str(info.value) == (
+            f"edge 0 (0-1) has length {length}; lengths must be positive and finite"
+        )
 
     def test_zero_weight(self, tmp_path):
         with pytest.raises(NonPositiveWeight):
@@ -199,10 +208,10 @@ class TestGraphInvariants:
             path_graph.edge_w[0] = 3.0
 
     def test_edge_id_lookup(self, path_graph):
-        assert path_graph.edge_id(1, 0) == 0
-        assert path_graph.edge_id(1, 2) == 1
+        assert edge_id(path_graph, 1, 0) == 0
+        assert edge_id(path_graph, 1, 2) == 1
         with pytest.raises(KeyError):
-            path_graph.edge_id(0, 2)
+            edge_id(path_graph, 0, 2)
 
     @pytest.mark.parametrize(
         "g",
@@ -431,7 +440,7 @@ class TestRootPathEdges:
         # the recorded path to node 4 is edge (0,1) then edge (1,4)
         rs = shortest_path_tree(figure_graph, 0)
         path = root_path_edges(rs, 4)
-        assert path == [figure_graph.edge_id(0, 1), figure_graph.edge_id(1, 4)]
+        assert path == [edge_id(figure_graph, 0, 1), edge_id(figure_graph, 1, 4)]
 
 
 class TestLambdaGamma:
@@ -445,7 +454,7 @@ class TestLambdaGamma:
     def test_figure_pinned_value(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
         prep = lambda_gamma(figure_graph, rs)
-        e5 = figure_graph.edge_id(1, 4)
+        e5 = edge_id(figure_graph, 1, 4)
         # two unit edges hang below node 4 and nothing else reaches in
         assert prep.lambda_gamma[e5] == pytest.approx(2.0, abs=1e-12)
         kids = [v for v in range(10) if rs.parent[v] == 4]
@@ -457,16 +466,16 @@ class TestLambdaGamma:
         # full unit sits beyond edge (0,1).
         rs = shortest_path_tree(square_cycle, 0)
         prep = lambda_gamma(square_cycle, rs)
-        assert prep.lambda_gamma[square_cycle.edge_id(0, 1)] == pytest.approx(1.0)
-        assert prep.lambda_gamma[square_cycle.edge_id(0, 3)] == pytest.approx(1.0)
+        assert prep.lambda_gamma[edge_id(square_cycle, 0, 1)] == pytest.approx(1.0)
+        assert prep.lambda_gamma[edge_id(square_cycle, 0, 3)] == pytest.approx(1.0)
 
     def test_triangle_breakpoint_half(self, triangle):
         # the far edge's interior splits evenly between both root paths
         rs = shortest_path_tree(triangle, 0)
         prep = lambda_gamma(triangle, rs)
-        assert prep.lambda_gamma[triangle.edge_id(0, 1)] == pytest.approx(0.5)
-        assert prep.lambda_gamma[triangle.edge_id(0, 2)] == pytest.approx(0.5)
-        assert prep.lambda_gamma[triangle.edge_id(1, 2)] == 0.0
+        assert prep.lambda_gamma[edge_id(triangle, 0, 1)] == pytest.approx(0.5)
+        assert prep.lambda_gamma[edge_id(triangle, 0, 2)] == pytest.approx(0.5)
+        assert prep.lambda_gamma[edge_id(triangle, 1, 2)] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tree_case_equals_subtree_weight(self, seed):

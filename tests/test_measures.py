@@ -17,12 +17,13 @@ from gsobolev import (
     gamma_mass,
     gamma_masses,
     load_measures,
-    root_path_edges,
     save_measures,
     shortest_path_tree,
 )
 from gsobolev import measures as measures_module
-from conftest import grid_of, path_of, random_weighted_graph, traced_peak
+from conftest import (
+    edge_id, grid_of, path_of, random_weighted_graph, root_path_edges, traced_peak,
+)
 
 
 def walk_sums(rs, mu):
@@ -119,7 +120,7 @@ class TestGammaMass:
     def test_figure_dirac_crosses_two_edges(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
         vec = gamma_mass(rs, DiscreteMeasure.dirac(4))
-        assert vec.edge_ids.tolist() == [figure_graph.edge_id(0, 1), figure_graph.edge_id(1, 4)]
+        assert vec.edge_ids.tolist() == [edge_id(figure_graph, 0, 1), edge_id(figure_graph, 1, 4)]
         assert vec.values.tolist() == [1.0, 1.0]
 
     def test_cache_returns_same_object(self, path_graph):

@@ -21,7 +21,6 @@ from gsobolev import (
     VARIANT_SOBOLEV_TRANSPORT,
     beta_quadrature,
     beta_weights,
-    equivalence_constants,
     gamma_mass,
     gamma_masses,
     measure_distance,
@@ -30,6 +29,7 @@ from gsobolev import (
     random_measures,
     sample_roots,
     sliced_distance,
+    sliced_pair_distances,
     sobolev_ipm_distance,
     sobolev_transport_distance,
 )
@@ -244,29 +244,6 @@ class TestOrderAndVariantValidation:
         # the max form's weights are made per entry: nothing edge-sized is kept
         assert prep.beta_cache == {}
         assert _edge_weights(prep, math.inf, VARIANT_SOBOLEV_IPM) is prep.lambda_gamma
-
-
-class TestEquivalenceConstants:
-    def test_unit_length_order_two(self):
-        c = equivalence_constants(1.0, 2.0)
-        assert c.c1 == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert c.c2 == 1.0
-        assert not c.degenerate
-
-    def test_point_graph_degenerates(self):
-        c = equivalence_constants(0.0, 2.0)
-        assert c.degenerate
-        assert c.c1 == 0.0
-
-    def test_lower_never_exceeds_upper(self):
-        for L in (0.1, 1.0, 2.5, 40.0):
-            for p in (1.0, 1.5, 2.0, 3.0):
-                c = equivalence_constants(L, p)
-                assert 0.0 < c.c1 <= c.c2
-
-    def test_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            equivalence_constants(-1.0, 2.0)
 
 
 class TestMetricBehavior:
@@ -774,6 +751,43 @@ class TestSlicedDistance:
     def test_empty_roots_rejected(self, path_graph):
         with pytest.raises(ValueError):
             sliced_distance(path_graph, [], DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1), 1.0)
+        with pytest.raises(ValueError):
+            sliced_pair_distances(path_graph, [DiscreteMeasure.dirac(0)] * 2, [], None, None, 1.0)
+
+    @pytest.mark.parametrize("roots", [[3], [3, 0, 11]])
+    @pytest.mark.parametrize(
+        "p, variant",
+        [(p, VARIANT_SOBOLEV_IPM) for p in (1.0, 1.5, 2.0, math.inf)]
+        + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0)],
+    )
+    def test_pair_batch_is_bit_equal(self, roots, p, variant):
+        # the batch over roots adds the per-root values as sliced_distance
+        # does, for listed pairs, for all pairs, and into an n x n matrix
+        g = random_weighted_graph(7, n_lo=14, n_hi=14)
+        ms = random_measures(g, 6, 3, seed=2)
+        n = len(ms)
+
+        def one(i, j):
+            return sliced_distance(g, roots, ms[i], ms[j], p, variant)
+
+        # reversed, repeated and self pairs, and measure 5 never used
+        first, second = np.array([0, 3, 1, 2, 0, 4, 2]), np.array([1, 1, 3, 2, 1, 0, 4])
+        got, prep_ms, eval_ms = sliced_pair_distances(g, ms, roots, first, second, p, variant)
+        assert got.tolist() == [one(i, j) for i, j in zip(first.tolist(), second.tolist())]
+        assert prep_ms >= 0.0 and eval_ms >= 0.0
+
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        want = [one(i, j) for i, j in pairs]
+        got, _, _ = sliced_pair_distances(g, ms, roots, None, None, p, variant)
+        assert got.tolist() == want
+
+        D, _, _ = sliced_pair_distances(
+            g, ms, roots, None, None, p, variant, into=np.zeros((n, n))
+        )
+        expected = np.zeros((n, n))
+        for (i, j), d in zip(pairs, want):
+            expected[i, j] = expected[j, i] = d
+        assert D.tobytes() == expected.tobytes()
 
 
 class TestSampleRoots:

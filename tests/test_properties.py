@@ -12,7 +12,6 @@ from gsobolev import (
     EdgePrep,
     beta_quadrature,
     beta_weights,
-    equivalence_constants,
     gamma_mass,
     measure_distance,
     prepare_root,
@@ -164,15 +163,3 @@ class TestMetricProperties:
         sq = sobolev_ipm_distance(PREP, u, v, q)
         fac = (TOTAL * (1.0 + TOTAL)) ** (1.0 / p - 1.0 / q)
         assert sp <= fac * sq + 1e-9 * max(sp, fac * sq, 1.0)
-
-
-class TestEquivalenceConstants:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        L=st.floats(1e-6, 1e4, allow_nan=False),
-        p=st.floats(1.0, 6.0, allow_nan=False),
-    )
-    def test_ordering(self, L, p):
-        c = equivalence_constants(L, p)
-        assert 0.0 < c.c1 < 1.0 <= c.c2
-        assert not c.degenerate

@@ -18,7 +18,6 @@ from gsobolev import (
     farthest_point_clustering,
     random_measures,
     random_tree,
-    save_point_cloud,
 )
 
 
@@ -43,15 +42,6 @@ class TestPointCloud:
         pc = PointCloud(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             pc.points[0, 0] = 1.0
-
-    def test_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        pc = PointCloud(rng.random((7, 3)))
-        path = str(tmp_path / "c.txt")
-        save_point_cloud(pc, path)
-        header = np.loadtxt(path, max_rows=1, dtype=np.int64)
-        np.testing.assert_array_equal(header, [7, 3])
-        np.testing.assert_array_equal(np.loadtxt(path, skiprows=1), pc.points)
 
 
 class TestFarthestPointClustering:
