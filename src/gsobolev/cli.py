@@ -274,14 +274,16 @@ def cmd_gram(args: argparse.Namespace) -> int:
     K = gram_matrix(D, spec)
     gram_ms = eval_ms + (time.perf_counter() - t0) * 1e3
 
-    slow = write_matrix_csv(K, args.out)
-    nd_violations, _ = quadratic_form_violations(D, trials=200, seed=args.seed)
+    # The diagnostics run before either file is opened, so one that raises
+    # leaves no output behind.
+    nd_violations, _ = quadratic_form_violations(D, seed=args.seed)
     sidecar = {
         "min_eigenvalue": min_eigenvalue(K),
         "nd_violations": nd_violations,
         "preprocessing_ms": prep_ms,
         "gram_ms": gram_ms,
     }
+    slow = write_matrix_csv(K, args.out)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")

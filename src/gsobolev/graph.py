@@ -351,9 +351,13 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     for near in (eu, ev):
         for e in _edge_chunks(m):
             gap = rs.dist[ev[e]] - rs.dist[eu[e]]  # w - gap is (du - dv) + w to the bit
-            share = np.add(gap, w[e], out=gap) if near is eu else np.subtract(w[e], gap, out=gap)
+            # (gap + w) / 2w formed from halves, which do not overflow; halving
+            # is exact above 2**-1021, so the quotient is the same to the bit
+            gap *= 0.5
+            half = w[e] * 0.5
+            share = np.add(gap, half, out=gap) if near is eu else np.subtract(half, gap, out=gap)
             # clip((dv - du + w) / 2w, 0, 1) * w, in place
-            np.clip(np.divide(share, 2.0 * w[e], out=share), 0.0, 1.0, out=share)
+            np.clip(np.divide(share, w[e], out=share), 0.0, 1.0, out=share)
             share *= w[e]
             np.add.at(portion, near[e], share)
 

@@ -34,6 +34,9 @@ KERNEL_FORMS = (KERNEL_EXP, KERNEL_EXP_POW)
 ND_QUAD_RTOL = 1e-8
 EIG_TOL = 1e-8
 
+# Centered random coefficient vectors per randomized definiteness test.
+ND_TRIALS = 200
+
 
 def _square(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
@@ -112,13 +115,11 @@ class DefinitenessReport:
         return self.violations == 0 and self.spectral_passed
 
 
-def quadratic_form_violations(
-    d: np.ndarray, trials: int = 200, seed: int = 0
-) -> tuple[int, float]:
+def quadratic_form_violations(d: np.ndarray, seed: int = 0) -> tuple[int, float]:
     """Randomized negative-definiteness test of ``d``: the number of
     violations and the largest quadratic form seen (0.0 for an empty matrix).
 
-    For ``trials`` centered coefficient vectors ``c`` (zero sum) drawn from
+    For ``ND_TRIALS`` centered coefficient vectors ``c`` (zero sum) drawn from
     ``default_rng(seed)``, the quadratic form ``c' d c`` must stay below
     ``1e-8 * ||c||^2 * max(d)``; each form above that is a violation.
     """
@@ -130,7 +131,7 @@ def quadratic_form_violations(
     scale = float(D.max())
     violations = 0
     worst = -math.inf
-    for _ in range(trials):
+    for _ in range(ND_TRIALS):
         c = rng.standard_normal(n)
         c -= c.mean()
         q = float(c @ D @ c)
@@ -140,9 +141,7 @@ def quadratic_form_violations(
     return violations, worst
 
 
-def check_negative_definite(
-    d: np.ndarray, trials: int = 200, seed: int = 0
-) -> DefinitenessReport:
+def check_negative_definite(d: np.ndarray, seed: int = 0) -> DefinitenessReport:
     """Test that ``d`` behaves as a negative definite matrix.
 
     Randomized part: :func:`quadratic_form_violations`.  Spectral part: the
@@ -152,7 +151,7 @@ def check_negative_definite(
     D = _square(d)
     if len(D) == 0:
         return DefinitenessReport(0, 0, 0.0, 0.0, True)
-    violations, worst = quadratic_form_violations(D, trials, seed)
+    violations, worst = quadratic_form_violations(D, seed)
     # -J D J with J = I - 11'/n, by subtracting row and column means and
     # adding back the grand mean
     rows = D.mean(axis=1, keepdims=True)
@@ -160,7 +159,7 @@ def check_negative_definite(
     M = rows + cols - D - rows.mean()
     spectral_min = min_eigenvalue((M + M.T) / 2.0)
     return DefinitenessReport(
-        trials=trials,
+        trials=ND_TRIALS,
         violations=violations,
         worst=worst,
         spectral_min=spectral_min,

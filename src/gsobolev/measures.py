@@ -21,6 +21,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_has_canonical_format
 
 from .errors import (
+    GSobolevError,
     MassNotNormalized,
     NegativeMass,
     NodeOutOfRange,
@@ -47,8 +48,8 @@ class DiscreteMeasure:
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        nodes = tuple(int(x) for x in self.nodes)
-        masses = tuple(float(m) for m in self.masses)
+        nodes = tuple(map(int, self.nodes))
+        masses = tuple(map(float, self.masses))
         if len(nodes) != len(masses):
             raise ValueError("nodes and masses must pair up")
         if not nodes:
@@ -63,22 +64,9 @@ class DiscreteMeasure:
         total = math.fsum(masses)
         if abs(total - 1.0) > MASS_TOL:
             raise MassNotNormalized(f"masses sum to {total!r}, expected 1")
-        self._settle(nodes, masses)
-
-    def _settle(self, nodes: tuple[int, ...], masses: tuple[float, ...]) -> None:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_hash", hash((nodes, masses)))
-
-    @classmethod
-    def _trusted(
-        cls, nodes: tuple[int, ...], masses: tuple[float, ...]
-    ) -> "DiscreteMeasure":
-        """A measure from an ``int`` and a ``float`` tuple that pass every
-        check of ``__post_init__``, built without running them again."""
-        mu = object.__new__(cls)
-        mu._settle(nodes, masses)
-        return mu
 
     def __hash__(self) -> int:
         return self._hash
@@ -269,8 +257,12 @@ def load_measures(path: str, g: Graph) -> list[DiscreteMeasure]:
 
     One measure per significant line: an id token followed by alternating
     ``node mass`` tokens (tab- or space-separated).  Lines starting with
-    ``#`` and blank lines are ignored.  A total mass off one by more than
-    ``MASS_TOL`` raises :class:`MassNotNormalized`.
+    ``#`` and blank lines are ignored.  The tokens go to the
+    :class:`DiscreteMeasure` constructor, which holds the measure rules;
+    this loader adds only the bound ``node < g.node_count``.  A refusal is
+    raised again as ``"{path}:{line}: measure '{id}': {message}"``, with its
+    class kept, except that a plain ``ValueError`` (a token that does not
+    parse, a repeated node) becomes :class:`ParseError`.
     """
     n = g.node_count
     out: list[DiscreteMeasure] = []
@@ -281,26 +273,12 @@ def load_measures(path: str, g: Graph) -> list[DiscreteMeasure]:
                 raise ParseError(
                     f"{path}:{lineno}: expected 'id node mass [node mass ...]'"
                 )
-            label = tok[0]
             try:
-                nodes = tuple(map(int, tok[1::2]))
-                masses = tuple(map(float, tok[2::2]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: cannot parse measure {label!r}") from exc
-            if len(set(nodes)) != len(nodes):
-                raise ParseError(f"{path}:{lineno}: measure {label!r} repeats a node")
-            for node in nodes:
-                if not 0 <= node < n:
-                    raise NodeOutOfRange(f"{path}:{lineno}: node {node} outside [0, {n})")
-            for node, m in zip(nodes, masses):
-                if not math.isfinite(m) or m < 0.0:
-                    raise NegativeMass(
-                        f"{path}:{lineno}: node {node} carries invalid mass {m!r}"
-                    )
-            total = math.fsum(masses)
-            if abs(total - 1.0) > MASS_TOL:
-                raise MassNotNormalized(
-                    f"{path}:{lineno}: measure {label!r} sums to {total!r}"
-                )
-            out.append(DiscreteMeasure._trusted(nodes, masses))
+                mu = DiscreteMeasure(tok[1::2], tok[2::2])
+                if max(mu.nodes) >= n:
+                    raise NodeOutOfRange(f"node {max(mu.nodes)} outside [0, {n})")
+            except (ValueError, GSobolevError) as exc:
+                kind = type(exc) if isinstance(exc, GSobolevError) else ParseError
+                raise kind(f"{path}:{lineno}: measure {tok[0]!r}: {exc}") from exc
+            out.append(mu)
     return out

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec, csr_minus_csr, csr_row_index
@@ -197,32 +197,21 @@ def _in_lanes(bounds: np.ndarray, buffers, run_lane) -> None:
     blocks and the ``scratch = buffers(starts, stops)`` made for them.
     Every lane's scratch is allocated here, in the calling thread, before
     any thread starts, so none of it comes from a helper thread's own malloc
-    arena.  The calling thread runs lane 0; one thread per other lane is
-    started and joined before this returns, also when a lane raises.  The
-    first exception of any lane is raised here."""
+    arena.  The calling thread runs lane 0 and a thread pool the others;
+    one lane starts no pool.  The pool's threads are joined before this
+    returns, also when a lane raises, and a lane's exception is raised
+    here."""
     lanes = min(_lane_count(), bounds.size - 1)
     spans = [(bounds[:-1][lane::lanes], bounds[1:][lane::lanes]) for lane in range(lanes)]
     work = [(*span, buffers(*span)) for span in spans]
-    errors: list[BaseException] = []
-
-    def helper(*args) -> None:
-        try:
-            run_lane(*args)
-        except BaseException as exc:  # raised by the calling thread below
-            errors.append(exc)
-
-    started = []
-    try:
-        for args in work[1:]:
-            thread = threading.Thread(target=helper, args=args)
-            thread.start()
-            started.append(thread)
+    if lanes == 1:
         run_lane(*work[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+        return
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        helpers = [pool.submit(run_lane, *args) for args in work[1:]]
+        run_lane(*work[0])
+    for helper in helpers:
+        helper.result()
 
 
 class _Triangle:

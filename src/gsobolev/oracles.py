@@ -43,13 +43,7 @@ class TransportPlanLP:
     objective: float
 
 
-def transport_plan_lp(
-    g: Graph,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    max_nodes: int = LP_MAX_NODES,
-    max_support: int = LP_MAX_SUPPORT,
-) -> TransportPlanLP:
+def transport_plan_lp(g: Graph, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlanLP:
     """Solve the transportation LP between ``mu`` and ``nu`` exactly.
 
     Ground costs are shortest-path distances from the source supports,
@@ -60,14 +54,14 @@ def transport_plan_lp(
     """
     from scipy.optimize import linprog
 
-    if g.node_count > max_nodes:
+    if g.node_count > LP_MAX_NODES:
         raise SizeLimitExceeded(
-            f"graph has {g.node_count} nodes, LP oracle capped at {max_nodes}"
+            f"graph has {g.node_count} nodes, LP oracle capped at {LP_MAX_NODES}"
         )
-    if mu.support_size > max_support or nu.support_size > max_support:
+    if mu.support_size > LP_MAX_SUPPORT or nu.support_size > LP_MAX_SUPPORT:
         raise SizeLimitExceeded(
             f"support sizes {mu.support_size}/{nu.support_size} exceed "
-            f"LP oracle cap {max_support}"
+            f"LP oracle cap {LP_MAX_SUPPORT}"
         )
     a = np.array(mu.masses, dtype=np.float64)
     b = np.array(nu.masses, dtype=np.float64)
@@ -112,15 +106,9 @@ def transport_plan_lp(
     )
 
 
-def wasserstein1_lp(
-    g: Graph,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    max_nodes: int = LP_MAX_NODES,
-    max_support: int = LP_MAX_SUPPORT,
-) -> float:
+def wasserstein1_lp(g: Graph, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact 1-Wasserstein distance via the transportation LP."""
-    return transport_plan_lp(g, mu, nu, max_nodes, max_support).objective
+    return transport_plan_lp(g, mu, nu).objective
 
 
 def beta_quadrature(lam: float, w: float, p: float, steps: int = 10_000) -> float:

@@ -163,16 +163,15 @@ def build_random_graph(centroids: PointCloud, family: str, seed: int = 0) -> Gra
     return Graph(m, eu, ev, ew)
 
 
-def random_tree(n: int, seed: int = 0, weight_range: tuple[float, float] = (0.2, 2.0)) -> Graph:
+def random_tree(n: int, seed: int = 0) -> Graph:
     """Random tree: node ``i`` attaches to a uniform earlier node with a
-    uniform length from ``weight_range``.  Instance pool helper for the
+    uniform length from ``[0.2, 2.0)``.  Instance pool helper for the
     verification suites."""
     if n < 2:
         raise ValueError(f"need at least two nodes, got {n}")
     rng = np.random.default_rng(seed)
     parents = np.array([int(rng.integers(0, i)) for i in range(1, n)], dtype=np.int64)
-    lo, hi = weight_range
-    w = rng.uniform(lo, hi, size=n - 1)
+    w = rng.uniform(0.2, 2.0, size=n - 1)
     return Graph(n, np.arange(1, n, dtype=np.int64), parents, w)
 
 

@@ -19,6 +19,7 @@ import pytest
 import gsobolev
 from gsobolev import (
     Graph,
+    NonConvergence,
     GramSpec,
     KERNEL_EXP,
     KERNEL_EXP_POW,
@@ -39,6 +40,7 @@ from gsobolev import (
     sliced_distance,
     VARIANT_SOBOLEV_IPM,
 )
+from gsobolev import cli as cli_module
 from gsobolev import measures as measures_module
 from gsobolev.cli import (
     VARIANT_FLAGS, _MEASURE_BYTES, _POINT_BYTES, _parse_p, _parse_root, _sample_pairs, CliError,
@@ -364,6 +366,39 @@ class TestDistanceCommand:
         line = text.count(b"\n") + 1
         assert capsys.readouterr().err == f"data error: {paths[kind]}:{line}: not UTF-8 text\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("m0 7 1.0", "node 7 outside [0, 3)"),
+            ("m0 -1 1.0", "negative node id -1"),
+            ("m0 0 0.5 0 0.5", "support nodes must be distinct"),
+            ("m0 0 one", "could not convert string to float: 'one'"),
+            ("m0 0 -0.5 1 1.5", "node 0 carries invalid mass -0.5"),
+            ("m0 0 0.7 1 0.7", "masses sum to 1.4, expected 1"),
+        ],
+    )
+    def test_measure_refusal_names_file_line_and_label(self, files, capsys, line, message):
+        bad = files["dir"] / "bad.txt"
+        bad.write_text(f"# two measures\nm1 1 1.0\n{line}\n")
+        code = main([
+            "distance", "--graph", files["graph"], "--measures", str(bad),
+            "--out", str(files["dir"] / "d.csv"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {bad}:3: measure 'm0': {message}\n"
+
+    @pytest.mark.parametrize("command", ["distance", "gram"])
+    def test_no_measures_is_a_configuration_error(self, files, capsys, command):
+        empty = files["dir"] / "empty.txt"
+        empty.write_text("# no measures\n\n")
+        out = files["dir"] / "o.csv"
+        code = main([
+            command, "--graph", files["graph"], "--measures", str(empty), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no measures in {empty}\n"
+        assert not out.exists()
+
     def test_unnormalized_measure_data(self, files):
         bad = files["dir"] / "bad.txt"
         bad.write_text("m0 0 0.7 1 0.7\n")
@@ -438,6 +473,19 @@ class TestNumericRefusals:
         assert err.startswith(f"data error: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["g.txt", "m.txt"]
+
+    @pytest.mark.parametrize("p", ["1", "1.5", "2", "3", "inf"])
+    def test_lengths_near_float_max_are_accepted_when_lambda_is_finite(self, tmp_path, p):
+        # the long edge's shares do not overflow: lambda is [1e308, 0]
+        (tmp_path / "g.txt").write_text("3 2\n0 1 1\n1 2 1e308\n")
+        (tmp_path / "m.txt").write_text("a 0 1\nb 2 1\nc 1 0.5 2 0.5\nd 1 1\n")
+        out = tmp_path / "o.csv"
+        assert main([
+            "distance", "--pairs", "all", "--graph", str(tmp_path / "g.txt"),
+            "--measures", str(tmp_path / "m.txt"), "--p", p, "--out", str(out),
+        ]) == 0
+        values = list(read_distance_csv(out).values())
+        assert len(values) == 6 and all(map(math.isfinite, values))
 
 
 class TestBatchPath:
@@ -630,7 +678,7 @@ class TestAllPairsRowBlocks:
             assert out.read_text() == want
             sidecar = json.loads(Path(str(out) + ".json").read_text())
             assert sidecar["min_eigenvalue"] == min_eigenvalue(K)
-            assert sidecar["nd_violations"] == quadratic_form_violations(D, 200, seed=3)[0]
+            assert sidecar["nd_violations"] == quadratic_form_violations(D, seed=3)[0]
 
         self.in_blocks_and_lanes(monkeypatch, run)
 
@@ -721,6 +769,19 @@ class TestGramCommand:
         K = read_matrix_csv(out)
         # exp(-d^2) with d^2 = log 1.5 on the nearest pair
         assert K[0, 1] == pytest.approx(1.0 / 1.5, rel=1e-12)
+
+    def test_diagnostic_failure_leaves_no_output(self, files, monkeypatch, capsys):
+        def fail(K):
+            raise NonConvergence("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli_module, "min_eigenvalue", fail)
+        out = files["dir"] / "k.csv"
+        assert main([
+            "gram", "--graph", files["graph"], "--measures", files["measures"],
+            "--out", str(out),
+        ]) == 3
+        assert capsys.readouterr().err == "data error: Eigenvalues did not converge\n"
+        assert not out.exists() and not Path(str(out) + ".json").exists()
 
     def test_order_outside_guarantee_refused_then_allowed(self, files):
         out = str(files["dir"] / "k.csv")

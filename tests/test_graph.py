@@ -90,6 +90,23 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(write(tmp_path, "3\n"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "g.txt: no data lines"),
+            ("# only a comment\n\n", "g.txt: no data lines"),
+            ("# n m\n3 x\n", "g.txt:2: header must hold two integers"),
+            ("3 1.5\n", "g.txt:1: header must hold two integers"),
+            ("0 0\n", "g.txt:1: need n >= 1 and m >= 0"),
+            ("3 -1\n", "g.txt:1: need n >= 1 and m >= 0"),
+        ],
+    )
+    def test_bad_header(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as err:
+            load_graph(path)
+        assert str(err.value) == f"{tmp_path}/{message}"
+
     def test_edge_count_mismatch(self, tmp_path):
         with pytest.raises(ParseError):
             load_graph(write(tmp_path, "3 2\n0 1 1.0\n"))
@@ -136,6 +153,8 @@ class TestLoadGraph:
             ("4 2\n0 1 1.0\n2 3 1.0\n", 2),
             ("3 1\n1 2 1.0\n", 2),  # node 0 alone
             ("6 3\n0 1 1.0\n2 3 1.0\n4 2 1.0\n", 3),  # node 5 alone
+            # n - 1 edges or more: the breadth-first search finds node 3 alone
+            ("4 3\n0 1 1\n1 2 1\n0 2 1\n", 2),
         ]:
             with pytest.raises(Disconnected) as err:
                 load_graph(write(tmp_path, text))
@@ -528,6 +547,13 @@ class TestLambdaGamma:
         rs = shortest_path_tree(g, root % g.node_count)
         prep = lambda_gamma(g, rs)
         np.testing.assert_array_equal(prep.lambda_gamma, lambda_by_scan(g, rs))
+
+    def test_lengths_near_float_max(self):
+        # (gap + w) / 2w would overflow to inf / inf = nan on the long edge;
+        # the shares are formed from halves instead
+        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e308)])
+        prep = lambda_gamma(g, shortest_path_tree(g, 0))
+        assert prep.lambda_gamma.tolist() == [1e308, 0.0]
 
     def test_rejects_foreign_structure(self, path_graph, triangle):
         rs = shortest_path_tree(triangle, 0)

@@ -3,7 +3,7 @@
 `load_graph` and the pair-file parser read their tables through one
 reader, ``textio.read_table`` (one ``np.loadtxt`` call, then one that
 drops whole-line comments, then line by line to name a bad one); `load_measures`
-checks each line once and builds its measures without checking them again;
+hands each line's tokens to the measure constructor, which holds the rules;
 the distance CSV, graph files and the Gram CSV are written by one array
 formatter, ``textio.write_rows``.  Each is checked here against the
 simplest per-line reading or writing of the same grammar, on generated
@@ -277,22 +277,24 @@ def reference_measures(path: str, n: int):
             tok = text.split()
             if len(tok) < 3 or len(tok) % 2 == 0:
                 return ParseError, f"{path}:{k}: expected 'id node mass [node mass ...]'"
+            where = f"{path}:{k}: measure {tok[0]!r}: "
             try:
                 nodes = [int(t) for t in tok[1::2]]
                 masses = [float(t) for t in tok[2::2]]
-            except ValueError:
-                return ParseError, f"{path}:{k}: cannot parse measure {tok[0]!r}"
+            except ValueError as exc:
+                return ParseError, where + str(exc)
             if len(set(nodes)) != len(nodes):
-                return ParseError, f"{path}:{k}: measure {tok[0]!r} repeats a node"
-            for x in nodes:
-                if not 0 <= x < n:
-                    return NodeOutOfRange, f"{path}:{k}: node {x} outside [0, {n})"
+                return ParseError, where + "support nodes must be distinct"
+            if min(nodes) < 0:
+                return NodeOutOfRange, where + f"negative node id {min(nodes)}"
             for x, m in zip(nodes, masses):
                 if not math.isfinite(m) or m < 0.0:
-                    return NegativeMass, f"{path}:{k}: node {x} carries invalid mass {m!r}"
+                    return NegativeMass, where + f"node {x} carries invalid mass {m!r}"
             total = math.fsum(masses)
             if abs(total - 1.0) > 1e-9:
-                return MassNotNormalized, f"{path}:{k}: measure {tok[0]!r} sums to {total!r}"
+                return MassNotNormalized, where + f"masses sum to {total!r}, expected 1"
+            if max(nodes) >= n:
+                return NodeOutOfRange, where + f"node {max(nodes)} outside [0, {n})"
             out.append((tuple(nodes), tuple(masses)))
     return out
 

@@ -16,6 +16,7 @@ from gsobolev import (
     InvalidExponent,
     KERNEL_EXP,
     KERNEL_EXP_POW,
+    NonConvergence,
     NonPositiveEntry,
     RootMismatch,
     VARIANT_SOBOLEV_IPM,
@@ -218,7 +219,7 @@ class TestDefiniteness:
     def test_clean_instance(self, path_triple):
         _, prep, table = path_triple
         D = distance_matrix(prep, table, 2.0)
-        rep = check_negative_definite(D, trials=200, seed=0)
+        rep = check_negative_definite(D, seed=0)
         assert rep.passed
         assert rep.violations == 0
         assert rep.spectral_passed
@@ -228,7 +229,7 @@ class TestDefiniteness:
         # cube of the line metric on four points: the doubly centered
         # negation has an eigenvalue near -5, far past any tolerance
         D = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))) ** 3
-        rep = check_negative_definite(D, trials=200, seed=0)
+        rep = check_negative_definite(D, seed=0)
         assert not rep.passed
         assert not rep.spectral_passed
         assert rep.spectral_min == pytest.approx(-5.0, rel=1e-9)
@@ -260,10 +261,18 @@ class TestDefiniteness:
         euclid = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
         noise = rng.random((25, 25))
         for D in (euclid, euclid**3, noise + noise.T):
-            got = quadratic_form_violations(D, trials=200, seed=seed)
+            got = quadratic_form_violations(D, seed=seed)
             assert got == inline(D, 200, seed)
-        assert quadratic_form_violations(euclid, 200, seed)[0] == 0
-        assert quadratic_form_violations(euclid**3, 200, seed)[0] > 0
+        assert quadratic_form_violations(euclid, seed)[0] == 0
+        assert quadratic_form_violations(euclid**3, seed)[0] > 0
+
+    def test_eigenvalue_failure_is_non_convergence(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NonConvergence, match="Eigenvalues did not converge"):
+            min_eigenvalue(np.eye(3))
 
     def test_non_square_rejected(self):
         rect = np.ones((2, 3))

@@ -21,6 +21,7 @@ from gsobolev import (
     transport_plan_lp,
     wasserstein1_lp,
 )
+from gsobolev import oracles
 from conftest import random_weighted_graph
 
 
@@ -56,19 +57,16 @@ class TestTransportLP:
         mu = DiscreteMeasure((2, 6), (0.5, 0.5))
         assert wasserstein1_lp(figure_graph, mu, mu) == pytest.approx(0.0, abs=1e-12)
 
-    def test_node_cap(self, figure_graph):
+    def test_node_cap(self, figure_graph, monkeypatch):
+        monkeypatch.setattr(oracles, "LP_MAX_NODES", 5)
         with pytest.raises(SizeLimitExceeded):
-            wasserstein1_lp(
-                figure_graph,
-                DiscreteMeasure.dirac(0),
-                DiscreteMeasure.dirac(1),
-                max_nodes=5,
-            )
+            wasserstein1_lp(figure_graph, DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1))
 
-    def test_support_cap(self, figure_graph):
+    def test_support_cap(self, figure_graph, monkeypatch):
+        monkeypatch.setattr(oracles, "LP_MAX_SUPPORT", 1)
         mu = DiscreteMeasure((0, 1), (0.5, 0.5))
         with pytest.raises(SizeLimitExceeded):
-            wasserstein1_lp(figure_graph, mu, DiscreteMeasure.dirac(0), max_support=1)
+            wasserstein1_lp(figure_graph, mu, DiscreteMeasure.dirac(0))
 
     def test_total_mass_guard(self, path_graph):
         # both pass measure validation yet differ by more than the LP allows
