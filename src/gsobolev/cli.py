@@ -10,13 +10,16 @@ generation).  Exit codes: 0 on success, 1 when a verification suite fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
+from typing import Iterator
 
 import numpy as np
 
@@ -187,6 +190,56 @@ def _write_distance_csv(
     return slow
 
 
+def _new_file_beside(path: str) -> str:
+    """The name of a new empty file, created in ``path``'s folder with the
+    mode 0o666 less the umask."""
+    folder, name = os.path.split(path)
+    while True:
+        tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return tmp
+
+
+@contextlib.contextmanager
+def _replacing(*paths: str) -> Iterator[list[str]]:
+    """Files for the block to write in place of ``paths``, one each.  A path
+    that names a regular file, or nothing, gets a new empty file beside it,
+    renamed onto it when the block ends and removed if the block raises, so
+    a failed command creates or changes no such file.  Any other path (a
+    device such as ``/dev/null``, a pipe, a terminal) is handed to the block
+    as it is, to be written in place as ``open`` would.
+
+    A new file gets the mode ``open(path, "w")`` would give it (0o666 less
+    the umask), or the mode of the file it replaces; a symbolic link's
+    target is replaced, as ``open`` would write through it.
+    """
+    staged: list[tuple[str, str | None]] = []  # (file written, path it replaces)
+    try:
+        for path in paths:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                staged.append((path, None))
+                continue
+            target = os.path.realpath(path)
+            staged.append((_new_file_beside(target), target))
+            if mode is not None:
+                os.chmod(staged[-1][0], stat.S_IMODE(mode))
+        yield [written for written, _ in staged]
+        for tmp, target in staged:
+            if target is not None:
+                os.replace(tmp, target)
+    except BaseException:
+        for tmp, target in staged:
+            if target is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)
+        raise
+
+
 def _peak_rss() -> str:
     """``", peak RSS <MB>"`` of this process so far, or ``""`` where the
     ``resource`` module is missing."""
@@ -197,10 +250,10 @@ def _peak_rss() -> str:
     return f", peak RSS {peak / per_mb:.1f} MB"
 
 
-# The most bytes a command may hold in one kind of array: gram's D, K and
-# eigvalsh's copy of K, the running sum of distance --pairs all, or the point
-# cloud or the measures that synth and bench draw.  It admits gram up to
-# 13,377 measures and all pairs up to 32,768.
+# The most bytes a command may hold in one kind of array: two of gram's n x n
+# arrays (D and K, then K and eigvalsh's copy of it), the running sum of
+# distance --pairs all, or the point cloud or the measures that synth and
+# bench draw.  It admits gram up to 16,384 measures and all pairs up to 32,768.
 _BYTES_BUDGET = 4 << 30
 
 # Bytes a drawn measure keeps, as traced: per measure its object, its two
@@ -246,7 +299,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
         first, second = _parse_pairs(_require_file(args.pairs, "pairs"), n)
 
     values, prep_ms, eval_ms = sliced_pair_distances(g, measures, roots, first, second, p, variant)
-    slow = _write_distance_csv(args.out, n, first, second, values)
+    with _replacing(args.out) as (csv_path,):
+        slow = _write_distance_csv(csv_path, n, first, second, values)
     print(
         f"distance: {values.size} pairs, {len(roots)} root(s), "
         f"prep {prep_ms:.1f} ms, eval {eval_ms:.1f} ms{_peak_rss()}, "
@@ -265,7 +319,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _require_out_path(args.out + ".json")
     g, measures, roots = _load_inputs(args)
     n = len(measures)
-    _check_budget(f"gram on {n:,} measures", 3 * n * n * 8, "n^2-sized arrays")
+    _check_budget(f"gram on {n:,} measures", 2 * n * n * 8, "n^2-sized arrays")
     D, prep_ms, eval_ms = sliced_pair_distances(
         g, measures, roots, None, None, spec.p, into=np.zeros((n, n))
     )
@@ -274,19 +328,22 @@ def cmd_gram(args: argparse.Namespace) -> int:
     K = gram_matrix(D, spec)
     gram_ms = eval_ms + (time.perf_counter() - t0) * 1e3
 
-    # The diagnostics run before either file is opened, so one that raises
-    # leaves no output behind.
-    nd_violations, _ = quadratic_form_violations(D, seed=args.seed)
-    sidecar = {
-        "min_eigenvalue": min_eigenvalue(K),
-        "nd_violations": nd_violations,
-        "preprocessing_ms": prep_ms,
-        "gram_ms": gram_ms,
-    }
-    slow = write_matrix_csv(K, args.out)
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    # K is written before the diagnostics load their BLAS buffers, and D is
+    # dropped before eigvalsh copies K, so no more than two n x n arrays are
+    # ever alive.  Both files are renamed into place after the last check.
+    with _replacing(args.out, args.out + ".json") as (csv_path, json_path):
+        slow = write_matrix_csv(K, csv_path)
+        nd_violations, _ = quadratic_form_violations(D, seed=args.seed)
+        del D
+        sidecar = {
+            "min_eigenvalue": min_eigenvalue(K),
+            "nd_violations": nd_violations,
+            "preprocessing_ms": prep_ms,
+            "gram_ms": gram_ms,
+        }
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, indent=2)
+            fh.write("\n")
     print(
         f"gram: {n} measures, min eigenvalue {sidecar['min_eigenvalue']:.3e}"
         f"{_peak_rss()}, {slow} number(s) formatted by Python -> {args.out} (+.json)",

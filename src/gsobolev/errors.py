@@ -20,7 +20,8 @@ class ParseError(GSobolevError):
 
 class NonPositiveWeight(GSobolevError):
     """An edge length is zero, negative, or not finite, or lengths overflow
-    or round away in a root path's or a downstream length's sum."""
+    or round away in a root path's or a downstream length's sum, or
+    overflow in a distance's weighted sum over edges or roots."""
 
 
 class Disconnected(GSobolevError):

@@ -17,6 +17,7 @@ root-path depths, not the ambient graph size.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import time
@@ -25,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec, csr_minus_csr, csr_row_index
 
-from .errors import InvalidExponent, RootMismatch
+from .errors import InvalidExponent, NonPositiveWeight, RootMismatch
 from .graph import EdgePrep, Graph, RootedStructure, lambda_gamma, shortest_path_tree
 from .measures import DiscreteMeasure, GammaTable, gamma_mass, gamma_masses
 
@@ -197,10 +198,11 @@ def _in_lanes(bounds: np.ndarray, buffers, run_lane) -> None:
     blocks and the ``scratch = buffers(starts, stops)`` made for them.
     Every lane's scratch is allocated here, in the calling thread, before
     any thread starts, so none of it comes from a helper thread's own malloc
-    arena.  The calling thread runs lane 0 and a thread pool the others;
-    one lane starts no pool.  The pool's threads are joined before this
-    returns, also when a lane raises, and a lane's exception is raised
-    here."""
+    arena.  The calling thread runs lane 0 and a thread pool the others,
+    each in a copy of the caller's context, so every lane keeps the
+    caller's ``np.errstate``; one lane starts no pool.  The pool's threads
+    are joined before this returns, also when a lane raises, and a lane's
+    exception is raised here."""
     lanes = min(_lane_count(), bounds.size - 1)
     spans = [(bounds[:-1][lane::lanes], bounds[1:][lane::lanes]) for lane in range(lanes)]
     work = [(*span, buffers(*span)) for span in spans]
@@ -208,7 +210,9 @@ def _in_lanes(bounds: np.ndarray, buffers, run_lane) -> None:
         run_lane(*work[0])
         return
     with ThreadPoolExecutor(lanes - 1) as pool:
-        helpers = [pool.submit(run_lane, *args) for args in work[1:]]
+        helpers = [
+            pool.submit(contextvars.copy_context().run, run_lane, *args) for args in work[1:]
+        ]
         run_lane(*work[0])
     for helper in helpers:
         helper.result()
@@ -460,7 +464,8 @@ def sliced_pair_distances(
     :func:`pair_distances`), zeros if not given.  The roots stream: one
     root's tree, λ and Γ (for the measures the pairs use) are built, used
     and dropped before the next root's, so memory does not grow with the
-    root count.
+    root count.  A distance whose weighted sum, over edges or over roots,
+    overflows is refused with :class:`NonPositiveWeight` naming its pair.
     """
     t0 = time.perf_counter()
     if not roots:
@@ -481,9 +486,22 @@ def sliced_pair_distances(
         t1 = time.perf_counter()
         table = gamma_masses(rs, pool)
         rows = (None, None) if first is None else (slot[first], slot[second])
-        pair_distances(prep, table, *rows, p, variant, into=acc)
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf, refused below
+            pair_distances(prep, table, *rows, p, variant, into=acc)
         del rs, prep, table, rows  # before the next root's are built
         prep_s += t1 - t0
         eval_s += time.perf_counter() - t1
     acc /= len(roots)
+    if acc.size and not math.isfinite(acc.max()):
+        k = int(np.flatnonzero(~np.isfinite(acc))[0])
+        if acc.ndim == 2:
+            i, j = divmod(k, n)
+        elif first is None:
+            i, j = (int(x) for x in _Triangle(n).locate(k))
+        else:
+            i, j = int(first[k]), int(second[k])
+        raise NonPositiveWeight(
+            f"the distance of measures {i} and {j} is {float(acc.flat[k])} at p = {p}: "
+            "its sum overflows"
+        )
     return acc, prep_s * 1e3, eval_s * 1e3

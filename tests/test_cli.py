@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 import gsobolev
 from gsobolev import (
     Graph,
+    GSobolevError,
     NonConvergence,
     GramSpec,
     KERNEL_EXP,
@@ -197,6 +201,63 @@ class TestDistanceCommand:
         assert code == 0
         rows = read_distance_csv(out)
         assert rows == {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 1.0}
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "beside-old-output"])
+    def test_failed_write_changes_no_file(self, files, monkeypatch, existing):
+        # the CSV goes out one pair a block; the disk fills after the first
+        real = cli_module.write_rows
+        calls = []
+
+        def fill_up(fh, columns, sep):
+            calls.append(real(fh, columns, sep))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return calls[-1]
+
+        monkeypatch.setattr(cli_module, "CELL_BLOCK", 1)
+        monkeypatch.setattr(cli_module, "write_rows", fill_up)
+        out = files["dir"] / "d.csv"
+        if existing:
+            out.write_text("an earlier run's output\n")
+        before = {f.name: f.read_bytes() for f in files["dir"].iterdir()}
+        with pytest.raises(OSError):
+            main(["distance", "--graph", files["graph"], "--measures", files["measures"],
+                  "--out", str(out)])
+        assert len(calls) == 2
+        assert {f.name: f.read_bytes() for f in files["dir"].iterdir()} == before
+
+    def test_output_mode_is_that_of_open(self, files):
+        # a new file gets 0o666 less the umask; a replaced one keeps its mode
+        out = files["dir"] / "d.csv"
+        argv = ["distance", "--graph", files["graph"], "--measures", files["measures"],
+                "--out", str(out)]
+        mask = os.umask(0o027)
+        try:
+            assert main(argv) == 0
+        finally:
+            os.umask(mask)
+        assert out.stat().st_mode & 0o777 == 0o640
+        out.chmod(0o604)
+        assert main(argv) == 0
+        assert out.stat().st_mode & 0o777 == 0o604
+        assert sorted(f.name for f in files["dir"].iterdir()) == ["d.csv", "g.txt", "m.txt"]
+
+    def test_output_through_a_link_replaces_its_target(self, files):
+        target = files["dir"] / "target.csv"
+        target.write_text("old\n")
+        link = files["dir"] / "link.csv"
+        link.symlink_to(target)
+        assert main(["distance", "--graph", files["graph"], "--measures", files["measures"],
+                     "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith("i,j,distance\n")
+
+    def test_output_to_a_device_is_written_in_place(self, files):
+        # a path that is no regular file is opened as it is, never replaced
+        folder, name = os.path.split(os.devnull)
+        assert main(["distance", "--graph", files["graph"], "--measures", files["measures"],
+                     "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert not [f for f in os.listdir(folder) if f.startswith(f".{name}.")]
 
     def test_summary_counts_numbers_formatted_by_python(self, files, capsys):
         # 1e-12 is below the array formatter's range; the other two are in it.
@@ -488,6 +549,31 @@ class TestNumericRefusals:
         assert len(values) == 6 and all(map(math.isfinite, values))
 
 
+    @pytest.mark.parametrize(
+        "graph, root, message",
+        [
+            # two leaves 1e308 away from the root: one root's sum overflows
+            ("3 2\n0 1 1e308\n0 2 1e308\n", "0",
+             "the distance of measures 1 and 2 is inf at p = 1.0: its sum overflows"),
+            # each root's value is below the float maximum, their sum is not
+            ("4 3\n0 1 1e308\n1 2 1.0\n1 3 1.0\n", "sliced:2:0",
+             "the distance of measures 0 and 1 is inf at p = 1.0: its sum overflows"),
+        ],
+        ids=["over-edges", "over-roots"],
+    )
+    @pytest.mark.parametrize("command", [["distance", "--pairs", "all"], ["gram"]])
+    def test_overflowing_distance_exits_three(self, tmp_path, capsys, graph, root, message,
+                                              command):
+        (tmp_path / "g.txt").write_text(graph)
+        (tmp_path / "m.txt").write_text("a 0 1\nb 1 1\nc 2 1\n")
+        assert main([
+            *command, "--graph", str(tmp_path / "g.txt"), "--measures", str(tmp_path / "m.txt"),
+            "--root", root, "--p", "1", "--out", str(tmp_path / "o.csv"),
+        ]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["g.txt", "m.txt"]
+
+
 class TestBatchPath:
     @pytest.mark.parametrize(
         "argv",
@@ -587,8 +673,9 @@ class TestRootStreaming:
 
     @pytest.mark.parametrize(
         "command, nbytes",
-        # gram: D, K and eigvalsh's copy, 3 x 3 each; all pairs: 3 values
-        [(["gram"], 3 * 9 * 8), (["distance", "--pairs", "all"], 3 * 8)],
+        # gram: two 3 x 3 arrays (D and K, then K and eigvalsh's copy); all
+        # pairs: 3 values
+        [(["gram"], 2 * 9 * 8), (["distance", "--pairs", "all"], 3 * 8)],
         ids=["gram", "all-pairs"],
     )
     def test_square_budget_refusal_exits_three(self, files, monkeypatch, capsys, command, nbytes):
@@ -770,18 +857,56 @@ class TestGramCommand:
         # exp(-d^2) with d^2 = log 1.5 on the nearest pair
         assert K[0, 1] == pytest.approx(1.0 / 1.5, rel=1e-12)
 
-    def test_diagnostic_failure_leaves_no_output(self, files, monkeypatch, capsys):
-        def fail(K):
-            raise NonConvergence("Eigenvalues did not converge")
-
-        monkeypatch.setattr(cli_module, "min_eigenvalue", fail)
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "beside-old-output"])
+    @pytest.mark.parametrize("step", ["write", "quadratic_form_violations", "min_eigenvalue"])
+    def test_failure_changes_no_file(self, files, monkeypatch, capsys, step, existing):
         out = files["dir"] / "k.csv"
+        if existing:
+            out.write_text("an earlier Gram matrix\n")
+            Path(str(out) + ".json").write_text("{}\n")
+        before = {f.name: f.read_bytes() for f in files["dir"].iterdir()}
+        if step == "write":  # after the first row's block
+            real = gsobolev.kernels.write_rows
+
+            def write_rows(fh, columns, sep):
+                real(fh, tuple(c[:1] for c in columns), sep)
+                raise GSobolevError("write failed")
+
+            monkeypatch.setattr(gsobolev.kernels, "write_rows", write_rows)
+        else:
+            def diagnostic(*args, **kwargs):
+                raise NonConvergence(f"{step} failed")
+
+            monkeypatch.setattr(cli_module, step, diagnostic)
         assert main([
             "gram", "--graph", files["graph"], "--measures", files["measures"],
             "--out", str(out),
         ]) == 3
-        assert capsys.readouterr().err == "data error: Eigenvalues did not converge\n"
-        assert not out.exists() and not Path(str(out) + ".json").exists()
+        assert capsys.readouterr().err == f"data error: {step} failed\n"
+        assert {f.name: f.read_bytes() for f in files["dir"].iterdir()} == before
+
+    def test_two_square_arrays_at_most(self, files, monkeypatch):
+        # K is written, the forms read D, and D is gone before eigvalsh
+        # copies K
+        steps, distances = [], []
+        for name in ("sliced_pair_distances", "write_matrix_csv", "quadratic_form_violations",
+                     "min_eigenvalue"):
+            def step(*args, _real=getattr(cli_module, name), _name=name, **kwargs):
+                steps.append((_name, [ref() is not None for ref in distances]))
+                result = _real(*args, **kwargs)
+                if _name == "sliced_pair_distances":
+                    distances.append(weakref.ref(result[0]))
+                return result
+
+            monkeypatch.setattr(cli_module, name, step)
+        assert main([
+            "gram", "--graph", files["graph"], "--measures", files["measures"],
+            "--out", str(files["dir"] / "k.csv"),
+        ]) == 0
+        assert steps == [
+            ("sliced_pair_distances", []), ("write_matrix_csv", [True]),
+            ("quadratic_form_violations", [True]), ("min_eigenvalue", [False]),
+        ]
 
     def test_order_outside_guarantee_refused_then_allowed(self, files):
         out = str(files["dir"] / "k.csv")

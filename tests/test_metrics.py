@@ -15,7 +15,9 @@ import pytest
 from gsobolev import (
     DiscreteMeasure,
     EdgePrep,
+    Graph,
     InvalidExponent,
+    NonPositiveWeight,
     RootMismatch,
     VARIANT_SOBOLEV_IPM,
     VARIANT_SOBOLEV_TRANSPORT,
@@ -615,6 +617,16 @@ class TestLanes:
         assert sorted(starts for starts, _ in ran) == sorted(made)
         assert len({id(scratch) for _, scratch in ran}) == 3
 
+    def test_every_lane_keeps_the_callers_errstate(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(metrics, "_lane_count", lambda: 3)
+        with np.errstate(over="ignore"):
+            metrics._in_lanes(
+                np.arange(0, 80, 10), lambda *_: None,
+                lambda *_: seen.append(np.geterr()["over"]),
+            )
+        assert seen == ["ignore"] * 3
+
     def test_import_starts_no_thread(self):
         src = str(Path(metrics.__file__).resolve().parents[1])
         code = "import threading, gsobolev.cli; print(threading.active_count())"
@@ -788,6 +800,27 @@ class TestSlicedDistance:
         for (i, j), d in zip(pairs, want):
             expected[i, j] = expected[j, i] = d
         assert D.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")  # the refusal is the only report
+    @pytest.mark.parametrize(
+        "edges, roots, pair",
+        [
+            # two leaves 1e308 from the root: one root's sum over edges overflows
+            ([(0, 1, 1e308), (0, 2, 1e308)], [0], (1, 2)),
+            # each root's value is below the float maximum, their sum is not
+            ([(0, 1, 1e308), (1, 2, 1.0), (1, 3, 1.0)], [2, 3], (0, 1)),
+        ],
+        ids=["over-edges", "over-roots"],
+    )
+    def test_overflowing_sum_refused(self, edges, roots, pair):
+        g = Graph.from_edges(len(edges) + 1, edges)
+        ms = [DiscreteMeasure.dirac(v) for v in range(3)]
+        message = f"the distance of measures {pair[0]} and {pair[1]} is inf at p = 1.0"
+        listed = (np.array([pair[0], 0]), np.array([pair[1], 0]))
+        for first, second, into in [(*listed, None), (None, None, None),
+                                    (None, None, np.zeros((3, 3)))]:
+            with pytest.raises(NonPositiveWeight, match=message):
+                sliced_pair_distances(g, ms, roots, first, second, 1.0, into=into)
 
 
 class TestSampleRoots:
