@@ -4,7 +4,8 @@ Subcommands: ``distance`` (pairwise distances to CSV), ``gram`` (kernel
 matrix plus JSON diagnostics), ``verify`` (seeded property suites),
 ``bench`` (timing table on synthetic instances), ``synth`` (instance file
 generation).  Exit codes: 0 on success, 1 when a verification suite fails,
-2 on configuration errors, 3 on data errors.
+2 on configuration errors and files that cannot be read or written, 3 on
+data errors.
 """
 
 from __future__ import annotations
@@ -212,7 +213,9 @@ def _replacing(*paths: str) -> Iterator[list[str]]:
 
     A new file gets the mode ``open(path, "w")`` would give it (0o666 less
     the umask), or the mode of the file it replaces; a symbolic link's
-    target is replaced, as ``open`` would write through it.
+    target is replaced, as ``open`` would write through it.  An ``OSError``
+    that names no path, or a temporary file, is raised again naming
+    ``paths``.
     """
     staged: list[tuple[str, str | None]] = []  # (file written, path it replaces)
     try:
@@ -232,11 +235,13 @@ def _replacing(*paths: str) -> Iterator[list[str]]:
         for tmp, target in staged:
             if target is not None:
                 os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         for tmp, target in staged:
             if target is not None:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename not in paths:
+            raise OSError(exc.errno, exc.strerror, ", ".join(paths)) from exc
         raise
 
 
@@ -358,7 +363,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suites([args.suite], seed=args.seed)
     payload = [r.as_dict() for r in reports]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _replacing(args.out) as (json_path,), open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     ok = True
@@ -491,7 +496,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     header = list(rows[0].keys())
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _replacing(args.out) as (csv_path,), open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(row[k]) for k in header) + "\n")
@@ -520,8 +525,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     centroids, _ = farthest_point_clustering(pts, args.m, seed=args.seed)
     g = build_random_graph(centroids, args.family, seed=args.seed)
     measures = random_measures(g, args.count, args.support_size, seed=args.seed)
-    save_graph(g, args.out_prefix + ".graph")
-    save_measures(measures, args.out_prefix + ".measures")
+    with _replacing(args.out_prefix + ".graph", args.out_prefix + ".measures") as written:
+        save_graph(g, written[0])
+        save_measures(measures, written[1])
     print(
         f"synth: {g.node_count} nodes, {g.edge_count} edges, {len(measures)} measures "
         f"-> {args.out_prefix}.graph/.measures",
@@ -599,6 +605,9 @@ def main(argv: list[str] | None = None) -> int:
     except GSobolevError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_has_canonical_format
@@ -118,10 +118,9 @@ class GammaTable:
         return GammaTable(self.root, ptr, self.edge_ids[a:b], self.values[a:b])
 
 
-# Cells of the (support points x steps) root-path table built per pass of
-# gamma_masses (the run length of graph._EDGE_CHUNK); bounds its scratch
-# memory.
-_PASS_CELLS = 1 << 16
+# Root-path entries a pass of gamma_masses walks beyond its first measure;
+# bounds its scratch memory.
+_PASS_ENTRIES = 1 << 15
 
 # Most entries a Γ table may be predicted to hold (the support points' root
 # path lengths summed; equal (measure, edge) entries merge, so the table
@@ -146,10 +145,10 @@ def gamma_mass(rs: RootedStructure, mu: DiscreteMeasure) -> GammaTable:
 
 def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> GammaTable:
     """Cumulative edge vectors of ``measures`` under the root of ``rs``, row
-    ``k`` for ``measures[k]``, computed together in passes whose root-path
-    tables hold about ``_PASS_CELLS`` cells.  A table predicted to hold more
-    than ``_GAMMA_ENTRY_BUDGET`` entries raises :class:`SizeLimitExceeded`
-    before it is built."""
+    ``k`` for ``measures[k]``, computed together in passes of whole measures
+    whose root paths hold about ``_PASS_ENTRIES`` entries.  A table predicted
+    to hold more than ``_GAMMA_ENTRY_BUDGET`` entries raises
+    :class:`SizeLimitExceeded` before it is built."""
     n, m = rs.graph.node_count, rs.graph.edge_count
     supports = list(map(attrgetter("nodes"), measures))
     sizes = np.fromiter(map(len, supports), np.int64, len(supports))
@@ -168,15 +167,18 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
         )
     masses = np.fromiter(chain.from_iterable(map(attrgetter("masses"), measures)), np.float64)
     ends = np.cumsum(sizes)
-    deepest = np.maximum.reduceat(depth, ends - sizes)
     owner = np.repeat(np.arange(sizes.size) * m, sizes)
+    # Measure k joins pass ceil(entries through k / _PASS_ENTRIES), so a pass
+    # holds its first measure and at most _PASS_ENTRIES entries more.
+    group = -(-np.cumsum(depth)[ends - 1] // _PASS_ENTRIES)
+    bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), sizes.size)
     # Each pass leaves its rows' entry counts, its edge ids and its values;
     # the edge ids are joined (and their pieces dropped) before the values,
     # so the build holds all pieces plus one joined array at most.
     counts, edge_ids, values = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for start, stop, steps in _passes(sizes, deepest):
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         pts = slice(ends[start] - sizes[start], ends[stop - 1])
-        key, sums = _root_path_sums(rs, owner[pts], nodes[pts], masses[pts], steps)
+        key, sums = _root_path_sums(rs, owner[pts], nodes[pts], masses[pts])
         counts.append(np.diff(np.searchsorted(key, np.arange(start, stop + 1) * m)))
         edge_ids.append(np.remainder(key, m, out=key))
         values.append(sums)
@@ -187,55 +189,33 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
     return GammaTable(rs.root, indptr, edge_ids, values)
 
 
-def _passes(sizes: np.ndarray, deepest: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """Split measures with ``sizes`` support points and ``deepest`` longest
-    root paths into runs ``[start, stop)`` whose table (points x ``steps``)
-    holds at most ``_PASS_CELLS`` cells, or holds one measure.  A run looks
-    one past the last run's length ahead, twice as far while it fills that,
-    and never past ``_PASS_CELLS + 1`` measures."""
-    start, width = 0, 1
-    while start < sizes.size:
-        while True:
-            ahead = slice(start, start + min(width, _PASS_CELLS) + 1)
-            steps = np.maximum.accumulate(deepest[ahead])
-            cells = np.cumsum(sizes[ahead]) * steps
-            count = 1 + int(np.searchsorted(cells[1:], _PASS_CELLS, side="right"))
-            if count < cells.size or ahead.stop >= sizes.size or width >= _PASS_CELLS:
-                break
-            width *= 2
-        yield start, start + count, int(steps[count - 1])
-        start, width = start + count, count
-
-
 def _root_path_sums(
-    rs: RootedStructure,
-    owner: np.ndarray,
-    nodes: np.ndarray,
-    masses: np.ndarray,
-    steps: int,
+    rs: RootedStructure, owner: np.ndarray, nodes: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted keys ``k * edge_count + edge`` and the summed masses of the
     cumulative vectors of measures ``k``, from support points
-    ``nodes``/``masses`` of measure ``owner // edge_count`` (non-decreasing)
-    whose root paths are at most ``steps`` edges long.
+    ``nodes``/``masses`` of measure ``owner // edge_count`` (non-decreasing).
 
-    Row ``p`` of the table ``up`` lists the nodes ``0, 1, ...`` tree steps
-    above ``nodes[p]``, filled by doubling: ``rs.lift[k]`` maps the first
-    ``2**k`` columns to the next ``2**k``.  Each (measure, edge) entry then
-    sums its points' masses with ``np.bincount``, which adds in table order,
-    point by point: the order a point-by-point walk adds them.
+    Point ``p``'s root path is its run of ``depth[p]`` slots in ``up``, one
+    run after another: slot ``j`` of a run holds the node ``j`` tree steps
+    above the point, filled by doubling, as ``rs.lift[k]`` maps each run's
+    slots ``[0, 2**k)`` to its slots ``[2**k, 2**(k+1))``.  Each (measure,
+    edge) entry then sums its points' masses with ``np.bincount``, which adds
+    in slot order, point by point: the order a point-by-point walk adds them.
     """
     depth = rs.depth[nodes]
-    up = np.empty((nodes.size, steps), dtype=np.int64)
-    up[:, :1] = nodes[:, None]
+    start = np.cumsum(depth) - depth
+    up = np.repeat(nodes, depth)
     for k, lift in enumerate(rs.lift):
         span = 1 << k
-        if span >= steps:
+        live = np.flatnonzero(depth > span)
+        if not live.size:
             break
-        width = min(span, steps - span)
-        up[:, span : span + width] = lift[up[:, :width]]
-    path = up[np.arange(steps) < depth[:, None]]
-    key = np.repeat(owner, depth) + rs.parent_edge[path]
+        width = np.minimum(depth[live] - span, span)
+        src = np.repeat(start[live] - (np.cumsum(width) - width), width)
+        src += np.arange(src.size)
+        up[src + span] = lift[up[src]]
+    key = np.repeat(owner, depth) + rs.parent_edge[up]
     uniq, entry = np.unique(key, return_inverse=True)
     return uniq, np.bincount(entry, weights=np.repeat(masses, depth))
 

@@ -165,7 +165,15 @@ def _pair_distance(
         1, (u.indptr, u.edge_ids, u.values), (v.indptr, v.edge_ids, v.values), weights, p,
         np.empty(2, np.int64), np.empty(size, np.int64), np.empty(size),
     )
-    return float(d[0])
+    return _refuse_overflow(float(d[0]), p)
+
+
+def _refuse_overflow(d: float, p: float) -> float:
+    """``d``, or :class:`NonPositiveWeight` if it is not finite: the per-pair
+    form of :func:`sliced_pair_distances`' refusal."""
+    if not math.isfinite(d):
+        raise NonPositiveWeight(f"the distance is {d} at p = {p}: its sum overflows")
+    return d
 
 
 # Stored entries of Gamma[first] plus Gamma[second] per block of a batch:
@@ -448,7 +456,7 @@ def sliced_distance(
             cache[root] = hit
         rs, prep = hit
         total += measure_distance(rs, prep, mu, nu, p, variant)
-    return total / len(roots)
+    return _refuse_overflow(total / len(roots), p)
 
 
 def sliced_pair_distances(

@@ -203,7 +203,7 @@ class TestDistanceCommand:
         assert rows == {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 1.0}
 
     @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "beside-old-output"])
-    def test_failed_write_changes_no_file(self, files, monkeypatch, existing):
+    def test_failed_write_changes_no_file(self, files, monkeypatch, capsys, existing):
         # the CSV goes out one pair a block; the disk fills after the first
         real = cli_module.write_rows
         calls = []
@@ -220,11 +220,11 @@ class TestDistanceCommand:
         if existing:
             out.write_text("an earlier run's output\n")
         before = {f.name: f.read_bytes() for f in files["dir"].iterdir()}
-        with pytest.raises(OSError):
-            main(["distance", "--graph", files["graph"], "--measures", files["measures"],
-                  "--out", str(out)])
+        assert main(["distance", "--graph", files["graph"], "--measures", files["measures"],
+                     "--out", str(out)]) == 2
         assert len(calls) == 2
         assert {f.name: f.read_bytes() for f in files["dir"].iterdir()} == before
+        assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: {str(out)!r}\n"
 
     def test_output_mode_is_that_of_open(self, files):
         # a new file gets 0o666 less the umask; a replaced one keeps its mode
@@ -918,6 +918,31 @@ class TestGramCommand:
         assert main(args + ["--allow-outside-range"]) == 0
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["distance", "gram", "verify", "bench", "synth"])
+    def test_overlong_name(self, files, capsys, command):
+        # the name passes the flag checks (its folder exists), and its stat
+        # fails with ENAMETOOLONG only once the command has run
+        out = str(files["dir"] / ("x" * 300 + ".csv"))
+        inputs = ["--graph", files["graph"], "--measures", files["measures"]]
+        argv = {
+            "distance": ["distance", *inputs, "--out", out],
+            "gram": ["gram", *inputs, "--out", out],
+            "verify": ["verify", "--suite", "tree", "--out", out],
+            "bench": ["bench", "--sizes", "30", "--families", "log", "--count", "3",
+                      "--support-size", "2", "--max-pairs", "2", "--out", out],
+            "synth": ["synth", "--points", "50", "--m", "20", "--count", "2",
+                      "--out-prefix", out],
+        }[command]
+        before = sorted(os.listdir(files["dir"]))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error: ")]
+        assert len(errors) == 1 and "File name too long" in errors[0] and "x" * 300 in errors[0]
+        assert not any("Traceback" in line for line in err)
+        assert sorted(os.listdir(files["dir"])) == before
+
+
 class TestVerifyCommand:
     def test_tree_suite_passes(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
@@ -1087,6 +1112,28 @@ class TestSynthCommand:
             "--measures", prefix + ".measures", "--p", "2", "--out", out,
         ]) == 0
         assert len(read_distance_csv(out)) == 15
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "over-old-files"])
+    def test_failed_write_changes_no_file(self, tmp_path, monkeypatch, capsys, existing):
+        # the disk fills while the measures are written, after the graph
+        prefix = str(tmp_path / "inst")
+        argv = ["synth", "--points", "60", "--m", "20", "--count", "3", "--out-prefix", prefix]
+        if existing:
+            assert main([*argv, "--seed", "1"]) == 0
+            capsys.readouterr()
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def disk_full(measures, path):
+            with open(path, "w") as fh:
+                fh.write("m0")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli_module, "save_measures", disk_full)
+        assert main(argv) == 2
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        assert capsys.readouterr().err == (
+            f"error: [Errno 28] No space left on device: '{prefix}.graph, {prefix}.measures'\n"
+        )
 
     def test_no_measures(self, tmp_path):
         code = main(["synth", "--count", "0", "--out-prefix", str(tmp_path / "x")])

@@ -37,6 +37,28 @@ def walk_sums(rs, mu):
     return ids, [acc[e] for e in ids]
 
 
+def caterpillar_of(spine, legs):
+    """A unit-length spine of ``spine`` nodes, each with ``legs`` leaves."""
+    leaves = spine + np.arange(spine * legs)
+    u = np.concatenate([np.arange(spine - 1), np.repeat(np.arange(spine), legs)])
+    v = np.concatenate([np.arange(1, spine), leaves])
+    return Graph(spine * (legs + 1), u, v, np.ones(u.size))
+
+
+def broom_of(handle, bristles):
+    """A unit-length path of ``handle`` nodes whose last node has ``bristles``
+    leaves."""
+    u = np.concatenate([np.arange(handle - 1), np.full(bristles, handle - 1)])
+    v = np.arange(1, handle + bristles)
+    return Graph(handle + bristles, u, v, np.ones(u.size))
+
+
+def star_of(leaves):
+    """Node 0 joined to each of ``leaves`` leaves, at generic lengths."""
+    w = np.random.default_rng(leaves).uniform(0.5, 2.0, leaves)
+    return Graph(leaves + 1, np.zeros(leaves, np.int64), np.arange(1, leaves + 1), w)
+
+
 def random_measure(rng, n, size):
     nodes = rng.choice(n, size=size, replace=False)
     masses = rng.dirichlet(np.ones(size))
@@ -235,46 +257,44 @@ class TestGammaMasses:
         pool[7] = DiscreteMeasure.dirac(root)
         pool[12] = pool[4]
         rs = shortest_path_tree(g, root)
-        whole_cells = 5 * len(pool) * int(rs.depth.max())
-        # a budget above the whole table's cells: one pass
-        monkeypatch.setattr(measures_module, "_PASS_CELLS", whole_cells)
+        whole_entries = int(sum(rs.depth[list(mu.nodes)].sum() for mu in pool))
+        # a budget of the whole table's entries: one pass
+        monkeypatch.setattr(measures_module, "_PASS_ENTRIES", whole_entries)
         whole = gamma_masses(rs, pool)
         assert_table_rows(whole, rs, pool)
         assert whole.row(7).edge_ids.size == 0
-        # budgets below any one measure's cells (one measure a pass), and of
-        # about seven measures' cells (several measures a pass)
-        for cells in (1, 7, whole_cells * 7 // len(pool)):
-            monkeypatch.setattr(measures_module, "_PASS_CELLS", cells)
+        # budgets below any one measure's entries (one measure a pass), and
+        # of about seven measures' entries (several measures a pass)
+        for entries in (1, 7, whole_entries * 7 // len(pool)):
+            monkeypatch.setattr(measures_module, "_PASS_ENTRIES", entries)
             split = gamma_masses(rs, pool)
             for name in ("indptr", "edge_ids", "values"):
                 a, b = getattr(whole, name), getattr(split, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("cells", [1, 7, 1000, 1 << 16])
-    def test_pass_plans_match_a_full_window(self, monkeypatch, cells):
-        # the growing look-ahead plans the runs a look at _PASS_CELLS + 1
-        # measures plans; all-zero depths fill even that look
-        def full_window(sizes, deepest):
-            start = 0
-            while start < sizes.size:
-                ahead = slice(start, start + cells + 1)
-                steps = np.maximum.accumulate(deepest[ahead])
-                total = np.cumsum(sizes[ahead]) * steps
-                count = 1 + int(np.searchsorted(total[1:], cells, side="right"))
-                yield start, start + count, int(steps[count - 1])
-                start += count
-
-        monkeypatch.setattr(measures_module, "_PASS_CELLS", cells)
-        rng = np.random.default_rng(cells)
-        for trial in range(20):
-            k = int(rng.integers(1, 3000))
-            sizes = rng.integers(1, 12, k)
-            deepest = rng.integers(0, int(rng.choice([1, 3, 50, 800])), k)
-            if trial % 5 == 0:
-                deepest[:] = 0
-            assert list(measures_module._passes(sizes, deepest)) == list(
-                full_window(sizes, deepest)
-            )
+    @pytest.mark.parametrize("entries", [1, measures_module._PASS_ENTRIES], ids=["one", "default"])
+    @pytest.mark.parametrize(
+        "g, roots",
+        [(path_of(3000, seed=1), (0, 1234)), (caterpillar_of(300, 2), (0, 450)),
+         (broom_of(400, 300), (0, 650)), (star_of(500), (0, 3)), (grid_of(60, 1.0), (0, 1830))],
+        ids=["path", "caterpillar", "broom", "star", "grid"],
+    )
+    def test_shapes_match_the_walk(self, monkeypatch, g, roots, entries):
+        # each point's root path is a run of its own length, whether it is
+        # thousands of edges long and shared (path, broom handle), short and
+        # shared (star, caterpillar legs) or one of many shortest paths (grid)
+        monkeypatch.setattr(measures_module, "_PASS_ENTRIES", entries)
+        rng = np.random.default_rng(g.node_count)
+        pool = [random_measure(rng, g.node_count, int(rng.integers(1, 9))) for _ in range(12)]
+        for root in roots:
+            pool.append(DiscreteMeasure.dirac(root))
+            rs = shortest_path_tree(g, root)
+            table = gamma_masses(rs, pool)
+            assert table.indptr.dtype == table.edge_ids.dtype == np.int64
+            for k, mu in enumerate(pool):
+                ids, vals = walk_sums(rs, mu)
+                assert table.row(k).edge_ids.tobytes() == np.array(ids, np.int64).tobytes()
+                assert table.row(k).values.tobytes() == np.array(vals, np.float64).tobytes()
 
     def test_build_peak_per_entry(self):
         # a deep table of 3.4M entries: its build holds the passes' edge ids
@@ -289,19 +309,6 @@ class TestGammaMasses:
         assert table.edge_ids.size > 3_000_000
         assert peak / table.edge_ids.size <= 26.0, peak / table.edge_ids.size
 
-    def test_deep_path(self):
-        # root paths thousands of edges long that overlap almost entirely
-        g = path_of(3000, seed=1)
-        rng = np.random.default_rng(2)
-        pool = [random_measure(rng, g.node_count, 6) for _ in range(8)]
-        for root in (0, 1234):
-            rs = shortest_path_tree(g, root)
-            table = gamma_masses(rs, pool)
-            for k, mu in enumerate(pool):
-                ids, vals = walk_sums(rs, mu)
-                assert table.row(k).edge_ids.tolist() == ids
-                assert table.row(k).values.tolist() == vals
-
     def test_entry_budget_refused_before_the_build(self, monkeypatch):
         g = random_weighted_graph(5, n_lo=40, n_hi=60)
         rng = np.random.default_rng(5)
@@ -312,7 +319,7 @@ class TestGammaMasses:
         table = gamma_masses(rs, pool)
         assert table.edge_ids.size <= predicted
         monkeypatch.setattr(measures_module, "_GAMMA_ENTRY_BUDGET", predicted - 1)
-        monkeypatch.setattr(measures_module, "_passes", None)  # never reached
+        monkeypatch.setattr(measures_module, "_PASS_ENTRIES", None)  # never reached
         with pytest.raises(SizeLimitExceeded, match=f"up to {predicted:,} entries "
                            f"\\({24 * predicted:,} bytes to build\\), above the budget"):
             gamma_masses(rs, pool)

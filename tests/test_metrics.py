@@ -821,6 +821,18 @@ class TestSlicedDistance:
                                     (None, None, np.zeros((3, 3)))]:
             with pytest.raises(NonPositiveWeight, match=message):
                 sliced_pair_distances(g, ms, roots, first, second, 1.0, into=into)
+        # the per-pair functions refuse it too, with no pair to name
+        mu, nu = ms[pair[0]], ms[pair[1]]
+        with pytest.raises(NonPositiveWeight, match="the distance is inf at p = 1.0: "):
+            sliced_distance(g, roots, mu, nu, 1.0)
+        if len(roots) == 1:
+            rs, prep = prepare_root(g, roots[0])
+            u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
+            for call in (lambda: measure_distance(rs, prep, mu, nu, 1.0),
+                         lambda: sobolev_ipm_distance(prep, u, v, 1.0),
+                         lambda: sobolev_transport_distance(prep, u, v, 1.0)):
+                with pytest.raises(NonPositiveWeight, match="the distance is inf at p = 1.0: "):
+                    call()
 
 
 class TestSampleRoots:
