@@ -191,10 +191,18 @@ def _write_distance_csv(
     return slow
 
 
+# The most bytes in a file name on common file systems (NAME_MAX).
+_NAME_MAX = 255
+
+
 def _new_file_beside(path: str) -> str:
     """The name of a new empty file, created in ``path``'s folder with the
-    mode 0o666 less the umask."""
+    mode 0o666 less the umask: ``.NAME.XXXXXXXX.tmp``, NAME cut by whole
+    characters so the name takes at most ``_NAME_MAX`` bytes, so that an
+    output name that fits there can be staged."""
     folder, name = os.path.split(path)
+    while len(os.fsencode(name)) > _NAME_MAX - 14:  # the 14 bytes NAME is wrapped in
+        name = name[:-1]
     while True:
         tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
         with contextlib.suppress(FileExistsError):

@@ -44,6 +44,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _index_dtype(n: int, m: int) -> type:
+    """The dtype of a graph's node and edge ids and of its trees' index
+    arrays: int32 while ``n`` nodes and ``2 * m`` arcs fit it, else int64."""
+    return np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+
+
 def _edge_chunks(m: int) -> list[slice]:
     """Consecutive runs of ``_EDGE_CHUNK`` edge ids covering ``[0, m)``; one
     empty run when there are no edges."""
@@ -58,6 +64,11 @@ class Graph:
     Edge ids are construction order and never change, so they are stable cache
     keys.  Self-loops and repeated unordered pairs are rejected (both violate
     the simple-graph invariant and raise :class:`DuplicateEdge`).
+
+    ``edge_u``, ``edge_v`` and the adjacency's index arrays hold node and
+    edge ids in one dtype: int32 while the node count and twice the edge
+    count fit it, int64 otherwise.  Endpoints of any integer dtype are
+    taken; anything else is converted to int64 first.
     """
 
     node_count: int
@@ -69,13 +80,18 @@ class Graph:
         n = self.node_count
         if n < 1:
             raise ValueError("graph needs at least one node")
-        u = np.asarray(self.edge_u, dtype=np.int64).reshape(-1)
-        v = np.asarray(self.edge_v, dtype=np.int64).reshape(-1)
+        u, v = (
+            x.reshape(-1) if isinstance(x, np.ndarray) and x.dtype.kind == "i"
+            else np.asarray(x, dtype=np.int64).reshape(-1)
+            for x in (self.edge_u, self.edge_v)
+        )
         w = np.asarray(self.edge_w, dtype=np.float64).reshape(-1)
         if not (u.size == v.size == w.size):
             raise ValueError("edge arrays must share one length")
         if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
             raise ValueError("edge endpoint outside [0, node_count)")
+        idx = _index_dtype(n, u.size)
+        u, v = u.astype(idx, copy=False), v.astype(idx, copy=False)
         bad = ~(np.isfinite(w) & (w > 0.0))
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
@@ -102,30 +118,10 @@ class Graph:
                 f"graph has {n:,} nodes, above the {_KEYED_NODES:,} whose node "
                 f"pair keys fit in int64"
             )
-        # One sort of the node pairs by the key lo * n + hi: equal neighbours
-        # are repeats, and the sorted keys are the adjacency's upper triangle,
-        # row by row.  Each scratch array is dropped once used, so scratch
-        # peaks near 24 bytes an edge beside the inputs and the adjacency.
-        key = np.minimum(u, v)
-        key *= n
-        key += np.maximum(u, v)
-        order = np.argsort(key)
-        key = key[order]
-        dup = np.flatnonzero(key[1:] == key[:-1])
-        if dup.size:
-            a, b = divmod(int(key[dup[0]]), n)
-            raise DuplicateEdge(f"node pair ({a}, {b}) appears more than once")
         object.__setattr__(self, "edge_u", _freeze(u))
         object.__setattr__(self, "edge_v", _freeze(v))
         object.__setattr__(self, "edge_w", _freeze(w))
-        idx = np.int32 if max(n, 2 * u.size) <= np.iinfo(np.int32).max else np.int64
-        data = w[order]
-        del order
-        indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
-        indices = np.remainder(key, n, out=key).astype(idx, copy=False)
-        del key
-        csr = _symmetric_csr(n, indptr, indices, data)
-        del indptr, indices, data
+        csr = _adjacency(n, u, v, w)
         object.__setattr__(self, "_csr", csr)
         if breadth_first_order(csr, 0, return_predecessors=False).size < n:
             n_comp, _ = connected_components(csr, directed=False)
@@ -150,22 +146,48 @@ class Graph:
         return cls(node_count, u, v, w)
 
 
-def _symmetric_csr(
-    n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
-) -> csr_matrix:
-    """The symmetric ``n x n`` adjacency whose strict upper triangle is the
-    CSR ``(indptr, indices, data)``, each row's columns increasing.  scipy's
-    ``csr_tocsc`` lays out its transpose, the strict lower triangle, rows
-    sorted too, and ``csr_plus_csr`` merges the two row by row: each row
-    holds its lower arcs, then its upper ones, as scipy's own COO build
-    gives them.  Lengths are positive, so the merge drops none.
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_matrix:
+    """The symmetric ``n x n`` CSR adjacency of the edges ``(u, v, w)``,
+    each row's columns increasing; a repeated node pair raises
+    :class:`DuplicateEdge`.
+
+    One sort of the node pairs by the int64 key ``lo * n + hi``, made with no
+    int64 copy of the endpoints: equal neighbours are repeats, and the sorted
+    keys are the strict upper triangle, row by row.  scipy's ``csr_tocsc``
+    lays out its transpose, the strict lower triangle, rows sorted too, and
+    ``csr_plus_csr`` merges the two row by row: each row holds its lower
+    arcs, then its upper ones, as scipy's own COO build gives them.  Both
+    carry edge id + 1 in the index dtype, which is never 0, so the merge
+    drops no arc; each arc's length is gathered once, at the end, in runs
+    of ``_EDGE_CHUNK`` arcs.
     """
-    m = indices.size
-    lower = np.empty(n + 1, indices.dtype), np.empty(m, indices.dtype), np.empty(m)
-    csr_tocsc(n, n, indptr, indices, data, *lower)
-    out = np.empty(n + 1, indices.dtype), np.empty(2 * m, indices.dtype), np.empty(2 * m)
-    csr_plus_csr(n, n, indptr, indices, data, *lower, *out)
-    return csr_matrix((out[2], out[1], out[0]), shape=(n, n))
+    key = np.minimum(u, v, dtype=np.int64)
+    key *= n
+    key += np.maximum(u, v)
+    order = np.argsort(key)
+    key = key[order]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        a, b = divmod(int(key[dup[0]]), n)
+        raise DuplicateEdge(f"node pair ({a}, {b}) appears more than once")
+    m, idx = u.size, u.dtype
+    ids = np.add(order, 1, dtype=idx)
+    del order
+    upper = (
+        np.searchsorted(key, np.arange(n + 1) * n).astype(idx),
+        np.remainder(key, n, out=key).astype(idx, copy=False),
+        ids,
+    )
+    del key, ids
+    lower = np.empty(n + 1, idx), np.empty(m, idx), np.empty(m, idx)
+    csr_tocsc(n, n, *upper, *lower)
+    indptr, indices, arcs = np.empty(n + 1, idx), np.empty(2 * m, idx), np.empty(2 * m, idx)
+    csr_plus_csr(n, n, *upper, *lower, indptr, indices, arcs)
+    del upper, lower
+    data = np.empty(2 * m)
+    for e in _edge_chunks(2 * m):  # each run's ids made intp once, not all at once
+        data[e] = w[np.subtract(arcs[e], 1, dtype=np.intp)]
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @utf8_input
@@ -196,12 +218,16 @@ def load_graph(path: str) -> Graph:
     edges = read_table(path, _EDGE_LINE, path, errors, start=lineno + 1)
     if edges.size != m:
         raise ParseError(f"{path}: header promises {m} edges, found {edges.size}")
-    u, v, w = (np.ascontiguousarray(edges[name]) for name in _EDGE_LINE.names)
-    del edges  # the rows are in u, v and w now; free them before the CSR is built
+    u, v = edges["u"], edges["v"]
     outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
     if outside.size:
         bad = row_line(path, int(outside[0]), start=lineno + 1)
         raise ParseError(f"{path}:{bad}: node id outside [0, {n})")
+    # The ids are in range, so the index dtype holds them; the rows are
+    # freed before the adjacency is built.
+    idx = _index_dtype(n, m)
+    u, v, w = u.astype(idx), v.astype(idx), np.ascontiguousarray(edges["w"])
+    del edges
     return Graph(n, u, v, w)
 
 
@@ -227,7 +253,9 @@ class RootedStructure:
     ``depth`` counts the tree edges on each node's root path, and
     ``lift[k][x]`` is the node ``2**k`` tree steps above ``x`` (the root once
     the path ends), kept for every ``k`` with ``2**k`` below the largest
-    depth.
+    depth.  ``parent``, ``parent_edge``, ``depth`` and ``lift`` hold ids in
+    the graph's index dtype, that of ``graph.edge_u``: int32 while the node
+    count and twice the edge count fit it, int64 otherwise.
     """
 
     graph: Graph
@@ -263,7 +291,8 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     fwd, bwd = [], []  # edges whose u parents v, and whose v parents u
     for e in _edge_chunks(g.edge_count):
-        u, v = eu[e], ev[e]
+        # as intp once: numpy converts any other index dtype on every use
+        u, v = eu[e].astype(np.intp, copy=False), ev[e].astype(np.intp, copy=False)
         du, dv = dist[u], dist[v]
         fwd.append(np.flatnonzero((du < dv) & (np.abs(du + w[e] - dv) <= tol[v])) + e.start)
         bwd.append(np.flatnonzero((dv < du) & (np.abs(dv + w[e] - du) <= tol[u])) + e.start)
@@ -279,10 +308,11 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
             f"root {root}: node {x} at distance {float(dist[x])} has no shortest-path "
             f"parent; the edge lengths overflow or round away"
         )
-    parent = np.full(n, n, dtype=np.int64)
+    idx = eu.dtype
+    parent = np.full(n, n, dtype=idx)
     np.minimum.at(parent, child, cand)
     won = cand == parent[child]
-    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=idx)
     parent_edge[child[won]] = np.concatenate([fwd, bwd])[won]
     parent[counts == 0] = -1
 
@@ -290,7 +320,7 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     # ``depth`` counts the edges from each node to its ``anc``.
     anc = parent.copy()
     anc[root] = root
-    depth = np.ones(n, dtype=np.int64)
+    depth = np.ones(n, dtype=idx)
     depth[root] = 0
     lift = []
     while (anc != root).any():
@@ -308,6 +338,17 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         lift=tuple(lift),
         ties=_freeze(np.flatnonzero(counts > 1)),
     )
+
+
+def _level_order(dist: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """The nodes sorted by depth, then distance, then id: the permutation
+    ``np.lexsort((dist, depth))`` gives, by two stable sorts, the second on
+    uint16 depths (numpy's radix sort) while every depth is below 2**16."""
+    by_dist = np.argsort(dist, kind="stable")
+    depth = depth[by_dist]
+    if depth.max() < 1 << 16:
+        depth = depth.astype(np.uint16)
+    return by_dist[np.argsort(depth, kind="stable")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,25 +389,27 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     portion = np.zeros(n, dtype=np.float64)
     # Every u-side share is added before any v-side one, in edge order.
-    for near in (eu, ev):
+    for u_side in (True, False):
         for e in _edge_chunks(m):
-            gap = rs.dist[ev[e]] - rs.dist[eu[e]]  # w - gap is (du - dv) + w to the bit
+            # as intp once: numpy converts any other index dtype on every use
+            u, v = eu[e].astype(np.intp, copy=False), ev[e].astype(np.intp, copy=False)
+            gap = rs.dist[v] - rs.dist[u]  # w - gap is (du - dv) + w to the bit
             # (gap + w) / 2w formed from halves, which do not overflow; halving
             # is exact above 2**-1021, so the quotient is the same to the bit
             gap *= 0.5
             half = w[e] * 0.5
-            share = np.add(gap, half, out=gap) if near is eu else np.subtract(half, gap, out=gap)
+            share = np.add(gap, half, out=gap) if u_side else np.subtract(half, gap, out=gap)
             # clip((dv - du + w) / 2w, 0, 1) * w, in place
             np.clip(np.divide(share, w[e], out=share), 0.0, 1.0, out=share)
             share *= w[e]
-            np.add.at(portion, near[e], share)
+            np.add.at(portion, u if u_side else v, share)
 
     # Subtree sums sub[x] = portion[x] + sum of sub over the children of x,
     # one tree level at a time from the deepest, each level by decreasing
     # distance, then id.  np.add.at adds one by one, so every parent gets its
     # children in the order of a scan over the nodes sorted by distance,
     # depth and id, taken backwards.
-    order = np.lexsort((rs.dist, rs.depth))[::-1]
+    order = _level_order(rs.dist, rs.depth)[::-1]
     sub = portion
     for level in np.split(order, np.cumsum(np.bincount(rs.depth)[:0:-1]))[:-1]:
         np.add.at(sub, rs.parent[level], sub[level])

@@ -472,7 +472,8 @@ def sliced_pair_distances(
     :func:`pair_distances`), zeros if not given.  The roots stream: one
     root's tree, λ and Γ (for the measures the pairs use) are built, used
     and dropped before the next root's, so memory does not grow with the
-    root count.  A distance whose weighted sum, over edges or over roots,
+    root count; the tree goes as soon as Γ is built, before the pair core
+    allocates.  A distance whose weighted sum, over edges or over roots,
     overflows is refused with :class:`NonPositiveWeight` naming its pair.
     """
     t0 = time.perf_counter()
@@ -493,10 +494,11 @@ def sliced_pair_distances(
         rs, prep = prepare_root(g, int(root))
         t1 = time.perf_counter()
         table = gamma_masses(rs, pool)
+        del rs  # the tree is done with: freed before the pair core's buffers
         rows = (None, None) if first is None else (slot[first], slot[second])
         with np.errstate(over="ignore"):  # an overflowing sum reads inf, refused below
             pair_distances(prep, table, *rows, p, variant, into=acc)
-        del rs, prep, table, rows  # before the next root's are built
+        del prep, table, rows  # before the next root's are built
         prep_s += t1 - t0
         eval_s += time.perf_counter() - t1
     acc /= len(roots)

@@ -942,6 +942,36 @@ class TestUnwritableOutput:
         assert not any("Traceback" in line for line in err)
         assert sorted(os.listdir(files["dir"])) == before
 
+    @pytest.mark.parametrize("command", ["distance", "gram"])
+    @pytest.mark.parametrize("stem", ["x" * 246, "é" * 123], ids=["ascii", "two-byte"])
+    def test_name_of_250_bytes_is_written(self, files, tmp_path, command, stem):
+        # `open()` takes a 250-byte name, so its staged copy must fit too
+        folder = tmp_path / "fresh"
+        folder.mkdir()
+        out = folder / (stem + ".csv")
+        assert len(os.fsencode(out.name)) == 250
+        argv = [command, "--graph", files["graph"], "--measures", files["measures"],
+                "--out", str(out)]
+        assert main(argv) == 0
+        expected = [out.name] + ([out.name + ".json"] if command == "gram" else [])
+        assert sorted(os.listdir(folder)) == sorted(expected)
+        assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "name", ["x" * 255, "é" * 127 + "x", "€" * 85, "€" * 80 + "é"],
+        ids=["ascii", "two-byte", "three-byte", "mixed"],
+    )
+    def test_staged_name_fits_and_keeps_whole_characters(self, tmp_path, name):
+        staged = Path(cli_module._new_file_beside(str(tmp_path / name)))
+        try:
+            raw = os.fsencode(staged.name)
+            assert len(raw) <= 255
+            stem = raw.decode("utf-8").removeprefix(".").rsplit(".", 2)[0]
+            assert stem and name.startswith(stem)
+            assert len(raw) > 255 - 4  # cut by less than one character too many
+        finally:
+            staged.unlink()
+
 
 class TestVerifyCommand:
     def test_tree_suite_passes(self, tmp_path, capsys):

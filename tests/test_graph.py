@@ -15,8 +15,10 @@ from gsobolev import (
     Graph,
     NonPositiveWeight,
     ParseError,
+    gamma_masses,
     lambda_gamma,
     load_graph,
+    random_measures,
     save_graph,
     shortest_path_tree,
 )
@@ -258,6 +260,73 @@ class TestGraphInvariants:
         g = Graph.from_edges(1, [])
         assert g.total_length == 0.0
 
+    @pytest.mark.parametrize(
+        "convert",
+        [lambda a: a.astype(np.int8), lambda a: a.astype(np.int64), lambda a: a.astype(np.uint64),
+         lambda a: a.astype(np.float64), lambda a: a.tolist(), lambda a: a.reshape(1, -1)],
+        ids=["int8", "int64", "uint64", "float64", "list", "2-d"],
+    )
+    def test_endpoints_of_any_form_are_stored_as_int32(self, convert):
+        u, v = np.array([0, 1, 2]), np.array([1, 2, 3])
+        g = Graph(4, convert(u), convert(v), [1.0, 2.0, 3.0])
+        assert g.edge_u.dtype == g.edge_v.dtype == np.int32
+        assert g.edge_u.tolist() == u.tolist() and g.edge_v.tolist() == v.tolist()
+
+
+INDEX_GRAPHS = [
+    (random_weighted_graph(3, n_lo=30, n_hi=60), (0, 17)),
+    (grid_of(12), (0, 66)),
+    (Graph(31, np.arange(30), np.arange(1, 31), np.ones(30)), (0, 15)),
+    (Graph(20, np.zeros(19, np.int64), np.arange(1, 20), np.ones(19)), (0, 7)),
+]
+
+
+class TestIndexDtypes:
+    """Node and edge ids are int32 while the graph fits it; an int64 build
+    (the dtype rule forced) holds the same values and writes the same bytes."""
+
+    @pytest.mark.parametrize("g,roots", INDEX_GRAPHS, ids=["random", "grid", "path", "star"])
+    def test_int32_arrays_equal_an_int64_build(self, monkeypatch, tmp_path, g, roots):
+        def build():
+            h = Graph(g.node_count, g.edge_u.astype(np.int64), g.edge_v.astype(np.int64), g.edge_w)
+            save_graph(h, str(tmp_path / "g.txt"))
+            out = {"saved": (tmp_path / "g.txt").read_bytes(),
+                   "loaded": load_graph(str(tmp_path / "g.txt"))}
+            for name in ("edge_u", "edge_v"):
+                out[name] = getattr(h, name)
+            for name in ("indptr", "indices", "data"):
+                out[name] = getattr(h._csr, name)
+            measures = random_measures(h, 5, 3, seed=1)
+            for root in roots:
+                rs = shortest_path_tree(h, root)
+                for name in ("dist", "parent", "parent_edge", "depth", "ties"):
+                    out[name, root] = getattr(rs, name)
+                for k, lift in enumerate(rs.lift):
+                    out["lift", k, root] = lift
+                out["lambda", root] = lambda_gamma(h, rs).lambda_gamma
+                table = gamma_masses(rs, measures)
+                for name in ("indptr", "edge_ids", "values"):
+                    out["gamma", name, root] = getattr(table, name)
+            return out
+
+        narrow = build()
+        monkeypatch.setattr(graph_module, "_index_dtype", lambda n, m: np.int64)
+        wide = build()
+        assert narrow.keys() == wide.keys()
+        for key, a in narrow.items():
+            b = wide[key]
+            if key == "loaded":
+                assert a.edge_u.dtype == np.int32 and b.edge_u.dtype == np.int64
+            elif key == "saved":
+                assert a == b
+            elif key in ("indptr", "indices"):  # scipy picks the CSR's own index dtype
+                assert a.dtype == np.int32 and np.array_equal(a, b), key
+            elif a.dtype.kind == "i" and key[0] not in ("ties", "gamma"):
+                assert a.dtype == np.int32 and b.dtype == np.int64, key
+                assert np.array_equal(a, b), key
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
 
 CHUNK_GRAPHS = (
     [(random_weighted_graph(seed, n_lo=20, n_hi=300), seed) for seed in range(6)]
@@ -326,6 +395,16 @@ class TestScratchBounds:
         assert shortest_path_tree(dense, 0).parent.tobytes() == tree.tobytes()
         growth = scratch(dense) / scratch(sparse)
         assert abs(growth - 1.0) < 0.1, growth
+
+    def test_load_graph_peak_per_edge(self, tmp_path):
+        # the parsed rows are dropped for int32 endpoints, and the adjacency
+        # is merged on int32 edge ids, so the traced peak of a load (the kept
+        # graph, about 40 bytes an edge, included) stays under 60 bytes an edge
+        n, m = 10_000, 300_000
+        save_graph(_sparse_graph(n, m, seed=7), str(tmp_path / "g.txt"))
+        g, peak, _ = traced_peak(lambda: load_graph(str(tmp_path / "g.txt")))
+        assert g.edge_count == m
+        assert peak / m <= 60.0, peak / m
 
     def test_graph_build_scratch_per_edge(self):
         n, m = 10_000, 300_000
@@ -554,6 +633,30 @@ class TestLambdaGamma:
         g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e308)])
         prep = lambda_gamma(g, shortest_path_tree(g, 0))
         assert prep.lambda_gamma.tolist() == [1e308, 0.0]
+
+    @pytest.mark.parametrize(
+        "g,root",
+        [(grid_of(20), 0), (grid_of(20), 210),
+         (Graph(41, np.arange(40), np.arange(1, 41), np.ones(40)), 0),
+         (Graph(41, np.arange(40), np.arange(1, 41), np.ones(40)), 20),
+         (Graph(30, np.zeros(29, np.int64), np.arange(1, 30), np.ones(29)), 0),
+         (Graph(30, np.zeros(29, np.int64), np.arange(1, 30), np.ones(29)), 9)],
+        ids=["grid-corner", "grid-middle", "path-end", "path-middle", "star-hub", "star-leaf"],
+    )
+    def test_level_order_is_lexsort_on_tied_distances(self, g, root):
+        rs = shortest_path_tree(g, root)
+        want = np.lexsort((rs.dist, rs.depth))
+        assert np.array_equal(graph_module._level_order(rs.dist, rs.depth), want)
+
+    def test_level_order_is_lexsort_past_uint16_depths(self):
+        # depths at and past 2**16 are sorted in their own dtype
+        rng = np.random.default_rng(4)
+        dist = rng.integers(0, 50, 5000).astype(np.float64)
+        for top in (1 << 16, 100_000):
+            depth = rng.integers(top - 3, top + 1, 5000).astype(np.int32)
+            depth[::7] = rng.integers(0, 5, depth[::7].size)
+            want = np.lexsort((dist, depth))
+            assert np.array_equal(graph_module._level_order(dist, depth), want)
 
     def test_rejects_foreign_structure(self, path_graph, triangle):
         rs = shortest_path_tree(triangle, 0)

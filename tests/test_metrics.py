@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -800,6 +801,28 @@ class TestSlicedDistance:
         for (i, j), d in zip(pairs, want):
             expected[i, j] = expected[j, i] = d
         assert D.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("roots", [[3], [3, 0, 11]], ids=["one-root", "sliced-3"])
+    def test_tree_freed_before_pair_core(self, monkeypatch, roots):
+        # each root's tree is dropped as soon as its Γ table is built, so it
+        # is gone before the pair core allocates its buffers
+        g = random_weighted_graph(7, n_lo=14, n_hi=14)
+        ms = random_measures(g, 6, 3, seed=2)
+        trees, freed = [], []
+        gamma_masses, pair_distances = metrics.gamma_masses, metrics.pair_distances
+
+        def gamma(rs, pool):
+            trees.append(weakref.ref(rs))
+            return gamma_masses(rs, pool)
+
+        def core(*args, **kwargs):
+            freed.append(trees[-1]() is None)
+            return pair_distances(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "gamma_masses", gamma)
+        monkeypatch.setattr(metrics, "pair_distances", core)
+        sliced_pair_distances(g, ms, roots, None, None, 2.0)
+        assert len(trees) == len(roots) and freed == [True] * len(roots)
 
     @pytest.mark.filterwarnings("error")  # the refusal is the only report
     @pytest.mark.parametrize(
