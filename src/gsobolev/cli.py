@@ -165,7 +165,8 @@ def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     outside = np.flatnonzero((lo < 0) | (hi >= n))
     if outside.size:
         raise ParseError(f"{path}:{row_line(text, int(outside[0]))}: index outside [0, {n})")
-    keys = np.unique(lo * n + hi)
+    keys = np.sort(lo * n + hi)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0: the first is kept
     return (keys // n).astype(np.intp), (keys % n).astype(np.intp)
 
 

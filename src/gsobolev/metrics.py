@@ -481,12 +481,13 @@ def sliced_pair_distances(
         raise ValueError("need at least one root")
     n = len(measures)
     if first is None:
-        pool, size = measures, n * (n - 1) // 2
+        pool, size, rows = measures, n * (n - 1) // 2, (None, None)
     else:
         # Row slot[k] of each table holds measure k, for the measures in use.
         used = np.bincount(np.concatenate([first, second]), minlength=n) > 0
         slot = np.cumsum(used) - 1
         pool, size = [measures[k] for k in np.flatnonzero(used)], first.size
+        rows = slot[first], slot[second]
     acc = np.zeros(size) if into is None else into
     prep_s, eval_s = 0.0, time.perf_counter() - t0
     for root in roots:
@@ -495,10 +496,9 @@ def sliced_pair_distances(
         t1 = time.perf_counter()
         table = gamma_masses(rs, pool)
         del rs  # the tree is done with: freed before the pair core's buffers
-        rows = (None, None) if first is None else (slot[first], slot[second])
         with np.errstate(over="ignore"):  # an overflowing sum reads inf, refused below
             pair_distances(prep, table, *rows, p, variant, into=acc)
-        del prep, table, rows  # before the next root's are built
+        del prep, table  # before the next root's are built
         prep_s += t1 - t0
         eval_s += time.perf_counter() - t1
     acc /= len(roots)

@@ -19,7 +19,7 @@ import math
 import warnings
 from contextlib import nullcontext
 from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -54,23 +54,32 @@ def utf8_input(load: _Loader) -> _Loader:
     return wrapped  # type: ignore[return-value]
 
 
+def _lead(raw: str) -> str:
+    """The first non-blank character of a line, ``""`` for a blank one: a
+    ``"#"`` makes the line a whole-line comment."""
+    return raw.strip()[:1]
+
+
 def significant_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
     """``(line number, text)`` of the ``lines``, numbered from ``start``,
     that are neither blank nor a whole-line ``#`` comment."""
     for lineno, raw in enumerate(lines, start):
-        if raw.strip()[:1] not in ("", "#"):
+        if _lead(raw) not in ("", "#"):
             yield lineno, raw
+
+
+def _open(source: str | io.StringIO) -> ContextManager[TextIO]:
+    """The lines of a file path or an in-memory text, from its start."""
+    if isinstance(source, str):
+        return open(source, "r", encoding="utf-8")
+    source.seek(0)
+    return nullcontext(source)
 
 
 def _body(source: str | io.StringIO, start: int) -> Iterator[tuple[int, str]]:
     """The significant lines of a file path or an in-memory text, from
     line ``start`` on."""
-    if isinstance(source, str):
-        opened = open(source, "r", encoding="utf-8")
-    else:
-        source.seek(0)
-        opened = nullcontext(source)
-    with opened as fh:
+    with _open(source) as fh:
         yield from significant_lines(islice(fh, start - 1, None), start)
 
 
@@ -84,23 +93,6 @@ def _loadtxt(lines, dtype: np.dtype, skiprows: int = 0, comments: str | None = N
         )
 
 
-def _whole_line_comments(text: str, start: int) -> bool:
-    """Whether every ``#`` of ``text`` from line ``start`` on opens a
-    whole-line comment: only blanks before it on its line."""
-    pos = 0
-    for _ in range(start - 1):
-        pos = text.find("\n", pos) + 1
-        if not pos:
-            return True
-    while (pos := text.find("#", pos)) >= 0:
-        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
-            return False
-        pos = text.find("\n", pos)
-        if pos < 0:
-            break
-    return True
-
-
 def read_table(
     source: str | io.StringIO, dtype: np.dtype, name: str,
     errors: tuple[str, str], start: int = 1,
@@ -108,27 +100,28 @@ def read_table(
     """One ``dtype`` row per significant line of ``source``, a file path or
     an in-memory text, from line ``start`` on.
 
-    The lines go to one ``np.loadtxt`` call, which reads a file in chunks
-    and skips blank lines.  If it refuses them (a whole-line comment or a
-    bad line) and every ``#`` opens a whole-line comment, the text goes to
-    a second call that drops comments; if that refuses too, or a ``#``
-    trails data, each line is read alone and the first bad one raises
-    :class:`ParseError` ``"{name}:{line}: {message}"``, with ``errors[0]``
-    for a wrong field count and ``errors[1]`` for a field that does not
-    parse.
+    Two numpy passes, then a per-line diagnosis.  The lines go to one
+    ``np.loadtxt`` call, which reads a file in chunks and skips blank
+    lines.  If it refuses them (a whole-line comment or a bad line), the
+    lines are read one at a time, keeping none, to check that every line
+    holding a ``#`` is a whole-line comment; if so, a second call reads
+    ``source`` again, from its start, and drops the comments.  If that
+    refuses too, or a ``#`` trails data, each significant line is read
+    alone and the first bad one raises :class:`ParseError`
+    ``"{name}:{line}: {message}"``, with ``errors[0]`` for a wrong field
+    count and ``errors[1]`` for a field that does not parse.
     """
     try:
         return _loadtxt(source, dtype, skiprows=start - 1)
     except ValueError as exc:
         refusal = exc
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.getvalue()
-    if _whole_line_comments(text, start):
+    with _open(source) as fh:
+        whole = all("#" not in line or _lead(line) == "#" for line in islice(fh, start - 1, None))
+    if whole:
+        if not isinstance(source, str):
+            source.seek(0)  # the check read the text to its end
         try:
-            return _loadtxt(io.StringIO(text), dtype, skiprows=start - 1, comments="#")
+            return _loadtxt(source, dtype, skiprows=start - 1, comments="#")
         except ValueError as exc:
             refusal = exc
     for lineno, line in _body(source, start):

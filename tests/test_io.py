@@ -1,15 +1,17 @@
 """The CLI's text readers and writer against naive line-by-line references.
 
 `load_graph` and the pair-file parser read their tables through one
-reader, ``textio.read_table`` (one ``np.loadtxt`` call, then one that
-drops whole-line comments, then line by line to name a bad one); `load_measures`
-hands each line's tokens to the measure constructor, which holds the rules;
-the distance CSV, graph files and the Gram CSV are written by one array
-formatter, ``textio.write_rows``.  Each is checked here against the
-simplest per-line reading or writing of the same grammar, on generated
-files with whole-line comments, blank lines, CRLF endings, comma
-separators and malformed lines, and the formatter against per-value
-``'%.17g'`` and ``'%d'`` on random bit patterns and every decade.
+reader, ``textio.read_table``: two numpy passes (one ``np.loadtxt`` call;
+then, if every line holding a ``#`` is a whole-line comment, one more on
+the source read again that drops the comments), then a per-line diagnosis
+to name a bad line.  `load_measures` hands each line's tokens to the
+measure constructor, which holds the rules; the distance CSV, graph files
+and the Gram CSV are written by one array formatter,
+``textio.write_rows``.  Each is checked here against the simplest
+per-line reading or writing of the same grammar, on generated files with
+whole-line comments, blank lines, CRLF endings, comma separators and
+malformed lines, and the formatter against per-value ``'%.17g'`` and
+``'%d'`` on random bit patterns and every decade.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from gsobolev import (
     write_matrix_csv,
 )
 from gsobolev import cli, textio
+from gsobolev import graph as graph_module
 from gsobolev.cli import _parse_pairs, _write_distance_csv
+from conftest import traced_peak
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -589,6 +593,29 @@ class TestReadTableComments:
         skipped.write_text("5 4 # header\n# c\n" + "\n".join(self.LINES) + "\n")
         got = textio.read_table(str(skipped), dtype, "skipped", ("count", "field"), start=2)
         assert got.tobytes() == want.tobytes()
+
+    def test_commented_body_is_not_held_whole(self, tmp_path, monkeypatch):
+        # a comment every 1000 lines sends the body to the second numpy
+        # pass, which reads the file again rather than a copy of its text:
+        # the read's traced peak stays near the parsed rows' bytes
+        m = 100_000
+        w = np.random.default_rng(5).random(m) + 0.5
+        path = tmp_path / "g.txt"
+        path.write_text(f"{m + 1} {m}\n" + "".join(
+            ("# a comment\n" if k % 1000 == 0 else "") + f"{k} {k + 1} {x!r}\n"
+            for k, x in enumerate(w.tolist())
+        ))
+        reads = []
+
+        def traced(*args, **kwargs):
+            table, peak, _ = traced_peak(lambda: textio.read_table(*args, **kwargs))
+            reads.append(peak / table.nbytes)
+            return table
+
+        monkeypatch.setattr(graph_module, "read_table", traced)
+        g = load_graph(str(path))
+        assert g.edge_count == m and g.edge_w.tobytes() == w.tobytes()
+        assert len(reads) == 1 and reads[0] <= 1.5, reads
 
     @pytest.mark.parametrize("bad, message", [
         ("2 3 1e-3 # trailing", "t:4: count"), ("2 3 1e-3#x", "t:4: field"),
