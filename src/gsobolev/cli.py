@@ -455,7 +455,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 save_graph(g, graph_path)
                 _, parse_ms = _fastest(lambda: load_graph(graph_path))
             rs, tree_ms = _fastest(lambda: shortest_path_tree(g, 0))
-            prep, lambda_ms = _fastest(lambda: _with_weights(lambda_gamma(g, rs), p))
+            prep, lambda_ms = _fastest(lambda: _with_weights(lambda_gamma(rs), p))
             table, gamma_ms = _fastest(lambda: gamma_masses(rs, measures))
             vecs = [table.row(k) for k in range(len(table))]
             prep_ms = tree_ms + lambda_ms + gamma_ms

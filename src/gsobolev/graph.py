@@ -274,9 +274,10 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     """Grow the shortest-path tree of ``g`` from ``root``.
 
     Distances come from Dijkstra's algorithm.  Parents are then derived in a
-    deterministic pass: node ``u`` is a candidate parent of ``v`` when
-    ``dist[u] < dist[v]`` and ``dist[u] + w_uv`` matches ``dist[v]`` within
-    ``TIE_RTOL * max(1, dist[v])``; the smallest candidate id is kept, and
+    deterministic pass with one test per edge, oriented from its nearer end
+    ``a`` to its farther end ``b``: ``a`` is a candidate parent of ``b`` when
+    ``dist[a] < dist[b]`` and ``dist[a] + w_ab`` matches ``dist[b]`` within
+    ``TIE_RTOL * max(1, dist[b])``; the smallest candidate id is kept, and
     the nodes with more than one candidate are recorded as ``ties``.  This
     makes the recorded tree a pure function of the graph and the root,
     independent of heap order.  A node left without a candidate (lengths
@@ -287,19 +288,19 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         raise ValueError(f"root {root} outside [0, {n})")
     dist = _sp_dijkstra(g._csr, directed=True, indices=root)
     # Connectivity is a Graph invariant, so a distance is inf only by overflow.
-    tol = TIE_RTOL * np.maximum(1.0, dist)
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
-    fwd, bwd = [], []  # edges whose u parents v, and whose v parents u
+    found = []  # edges whose nearer end is a candidate parent of the farther one
     for e in _edge_chunks(g.edge_count):
-        # as intp once: numpy converts any other index dtype on every use
-        u, v = eu[e].astype(np.intp, copy=False), ev[e].astype(np.intp, copy=False)
-        du, dv = dist[u], dist[v]
-        fwd.append(np.flatnonzero((du < dv) & (np.abs(du + w[e] - dv) <= tol[v])) + e.start)
-        bwd.append(np.flatnonzero((dv < du) & (np.abs(dv + w[e] - du) <= tol[u])) + e.start)
-    fwd, bwd = np.concatenate(fwd), np.concatenate(bwd)
+        du, dv = dist[eu[e]], dist[ev[e]]
+        near, far = np.minimum(du, dv), np.maximum(du, dv)
+        tight = np.abs(near + w[e] - far) <= TIE_RTOL * np.maximum(1.0, far)
+        found.append(np.flatnonzero((near < far) & tight) + e.start)
+    found = np.concatenate(found)
     # Each child keeps its smallest candidate and the one edge joining them.
-    child = np.concatenate([ev[fwd], eu[bwd]])
-    cand = np.concatenate([eu[fwd], ev[bwd]])
+    u, v = eu[found], ev[found]
+    flip = dist[u] > dist[v]
+    child, cand = np.where(flip, u, v), np.where(flip, v, u)
+    del u, v, flip
     counts = np.bincount(child, minlength=n)
     orphans = np.flatnonzero(counts == 0)
     if orphans.size > 1:  # the root is always one
@@ -313,7 +314,7 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     np.minimum.at(parent, child, cand)
     won = cand == parent[child]
     parent_edge = np.full(n, -1, dtype=idx)
-    parent_edge[child[won]] = np.concatenate([fwd, bwd])[won]
+    parent_edge[child[won]] = found[won]
     parent[counts == 0] = -1
 
     # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
@@ -340,17 +341,6 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     )
 
 
-def _level_order(dist: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """The nodes sorted by depth, then distance, then id: the permutation
-    ``np.lexsort((dist, depth))`` gives, by two stable sorts, the second on
-    uint16 depths (numpy's radix sort) while every depth is below 2**16."""
-    by_dist = np.argsort(dist, kind="stable")
-    depth = depth[by_dist]
-    if depth.max() < 1 << 16:
-        depth = depth.astype(np.uint16)
-    return by_dist[np.argsort(depth, kind="stable")]
-
-
 @dataclass(frozen=True, eq=False)
 class EdgePrep:
     """Per-edge preprocessing for closed-form distances under one root.
@@ -371,9 +361,9 @@ class EdgePrep:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum that overflows is refused below
-def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
-    """Compute every edge's downstream length in ``O(|E| + |V|)`` work,
-    with one vectorized step per tree level.
+def lambda_gamma(rs: RootedStructure) -> EdgePrep:
+    """Compute every edge's downstream length under the tree ``rs`` of the
+    graph ``rs.graph``, with one vectorized step per tree level.
 
     Each edge's interior splits at the point equidistant from the root via
     either endpoint; the share reached through endpoint ``u`` of edge
@@ -383,8 +373,7 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     downstream length of the tree edge entering ``x``; one that overflows
     raises :class:`NonPositiveWeight`.
     """
-    if rs.graph is not g:
-        raise ValueError("rooted structure was built for a different graph")
+    g = rs.graph
     n, m = g.node_count, g.edge_count
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     portion = np.zeros(n, dtype=np.float64)
@@ -409,7 +398,7 @@ def lambda_gamma(g: Graph, rs: RootedStructure) -> EdgePrep:
     # distance, then id.  np.add.at adds one by one, so every parent gets its
     # children in the order of a scan over the nodes sorted by distance,
     # depth and id, taken backwards.
-    order = _level_order(rs.dist, rs.depth)[::-1]
+    order = np.lexsort((rs.dist, rs.depth))[::-1]
     sub = portion
     for level in np.split(order, np.cumsum(np.bincount(rs.depth)[:0:-1]))[:-1]:
         np.add.at(sub, rs.parent[level], sub[level])

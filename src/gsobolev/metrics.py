@@ -403,9 +403,10 @@ def sobolev_transport_distance(
 
 
 def prepare_root(g: Graph, root: int) -> tuple[RootedStructure, EdgePrep]:
-    """One-stop preprocessing for a root: tree plus downstream lengths."""
+    """One-stop preprocessing for a root of ``g``: its shortest-path tree,
+    and the downstream lengths :func:`lambda_gamma` reads off that tree."""
     rs = shortest_path_tree(g, root)
-    return rs, lambda_gamma(g, rs)
+    return rs, lambda_gamma(rs)
 
 
 def sample_roots(g: Graph, k: int, seed: int) -> list[int]:

@@ -29,15 +29,14 @@ from .kernels import (
     gram_matrix,
     min_eigenvalue,
 )
-from .measures import DiscreteMeasure, gamma_mass, gamma_masses
+from .measures import DiscreteMeasure, gamma_masses
 from .metrics import (
+    VARIANT_SOBOLEV_TRANSPORT,
     beta_weights,
     measure_distance,
     prepare_root,
     sample_roots,
     sliced_distance,
-    sobolev_ipm_distance,
-    sobolev_transport_distance,
 )
 from .oracles import beta_quadrature, distance_by_discretization, wasserstein1_lp
 from .synth import FAMILY_LOG, PointCloud, build_random_graph, random_measures, random_tree
@@ -151,10 +150,10 @@ def check_bounds(cases: list) -> tuple[SuiteCheck, SuiteCheck]:
     for rs, prep, pool, tuples in cases:
         L = rs.graph.total_length
         for i, j, *_ in tuples:
-            u, v = gamma_mass(rs, pool[i]), gamma_mass(rs, pool[j])
-            svals = {p: sobolev_ipm_distance(prep, u, v, p) for p in FINITE_ORDERS}
+            pair = partial(measure_distance, rs, prep, pool[i], pool[j])
+            svals = {p: pair(p) for p in FINITE_ORDERS}
             for p in FINITE_ORDERS:
-                st = sobolev_transport_distance(prep, u, v, p)
+                st = pair(p, VARIANT_SOBOLEV_TRANSPORT)
                 s = svals[p]
                 lo = (1.0 + L) ** ((1.0 - p) / p) * st
                 gap = max(lo - s, s - st)
@@ -175,9 +174,8 @@ def check_w1_lower_bound(cases: list) -> SuiteCheck:
     for g, rs, prep, mu, nu in cases:
         L = g.total_length
         w1 = wasserstein1_lp(g, mu, nu)
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
         for p in FINITE_ORDERS:
-            s = sobolev_ipm_distance(prep, u, v, p)
+            s = measure_distance(rs, prep, mu, nu, p)
             bound = (L * (1.0 + L)) ** ((1.0 - p) / p) * w1
             gap = bound - s
             tally.add(gap, gap > REL_SLACK * max(s, bound, 1.0))
@@ -203,9 +201,8 @@ def check_discretization(cases: list) -> SuiteCheck:
     ``KERNEL_ORDERS``.  Each case is ``(g, rs, prep, mu, nu)``."""
     tally = _Tally()
     for g, rs, prep, mu, nu in cases:
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
         for p in KERNEL_ORDERS:
-            closed_pow = sobolev_ipm_distance(prep, u, v, p) ** p
+            closed_pow = measure_distance(rs, prep, mu, nu, p) ** p
             ref = distance_by_discretization(g, rs.root, mu, nu, p)
             err = abs(closed_pow - ref)
             tally.add(err, err >= DISC_ATOL)
@@ -318,8 +315,7 @@ def tree_suite(seed: int = 0) -> SuiteReport:
         size = int(rng.integers(1, min(20, n) + 1))
         mu, nu = random_measures(g, 2, size, seed=_child_seed(rng))
         rs, prep = prepare_root(g, int(rng.integers(n)))
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        err = abs(sobolev_ipm_distance(prep, u, v, 1.0) - wasserstein1_lp(g, mu, nu))
+        err = abs(measure_distance(rs, prep, mu, nu, 1.0) - wasserstein1_lp(g, mu, nu))
         tally.add(err, err >= TREE_ATOL)
     return SuiteReport("tree", seed, [tally.check("w1_equality")])
 
@@ -370,8 +366,7 @@ def oracle_suite(seed: int = 0) -> SuiteReport:
     ]
     agree = _Tally()
     for g, rs, prep, mu, nu in tree_cases:
-        u, v = gamma_mass(rs, mu), gamma_mass(rs, nu)
-        s1 = sobolev_ipm_distance(prep, u, v, 1.0)
+        s1 = measure_distance(rs, prep, mu, nu, 1.0)
         w1 = wasserstein1_lp(g, mu, nu)
         d = distance_by_discretization(g, rs.root, mu, nu, 1.0, resolution=2000)
         err = max(abs(s1 - w1), abs(s1 - d), abs(w1 - d))

@@ -303,7 +303,7 @@ class TestIndexDtypes:
                     out[name, root] = getattr(rs, name)
                 for k, lift in enumerate(rs.lift):
                     out["lift", k, root] = lift
-                out["lambda", root] = lambda_gamma(h, rs).lambda_gamma
+                out["lambda", root] = lambda_gamma(rs).lambda_gamma
                 table = gamma_masses(rs, measures)
                 for name in ("indptr", "edge_ids", "values"):
                     out["gamma", name, root] = getattr(table, name)
@@ -344,7 +344,7 @@ class TestEdgeChunks:
 
         def arrays():
             rs = shortest_path_tree(g, root)
-            lam = lambda_gamma(g, rs).lambda_gamma
+            lam = lambda_gamma(rs).lambda_gamma
             return [rs.parent, rs.parent_edge, rs.depth, rs.ties, lam]
 
         m = g.edge_count
@@ -386,7 +386,7 @@ class TestScratchBounds:
         n = 20_000
 
         def scratch(g):
-            _, peak, held = traced_peak(lambda: lambda_gamma(g, shortest_path_tree(g, 0)))
+            _, peak, held = traced_peak(lambda: lambda_gamma(shortest_path_tree(g, 0)))
             return peak - held
 
         sparse, dense = _sparse_graph(n, 3 * n, seed=5), _sparse_graph(n, 3 * n, 5, long=3 * n)
@@ -544,14 +544,14 @@ class TestRootPathEdges:
 class TestLambdaGamma:
     def test_path_graph(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)
-        prep = lambda_gamma(path_graph, rs)
+        prep = lambda_gamma(rs)
         # beyond the leaf edge there is nothing; beyond the root edge, one unit
         np.testing.assert_allclose(prep.lambda_gamma, [1.0, 0.0])
         assert path_graph.total_length == 2.0
 
     def test_figure_pinned_value(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
-        prep = lambda_gamma(figure_graph, rs)
+        prep = lambda_gamma(rs)
         e5 = edge_id(figure_graph, 1, 4)
         # two unit edges hang below node 4 and nothing else reaches in
         assert prep.lambda_gamma[e5] == pytest.approx(2.0, abs=1e-12)
@@ -563,14 +563,14 @@ class TestLambdaGamma:
         # the far edge (2,3) is split at node 2's end (share zero), so one
         # full unit sits beyond edge (0,1).
         rs = shortest_path_tree(square_cycle, 0)
-        prep = lambda_gamma(square_cycle, rs)
+        prep = lambda_gamma(rs)
         assert prep.lambda_gamma[edge_id(square_cycle, 0, 1)] == pytest.approx(1.0)
         assert prep.lambda_gamma[edge_id(square_cycle, 0, 3)] == pytest.approx(1.0)
 
     def test_triangle_breakpoint_half(self, triangle):
         # the far edge's interior splits evenly between both root paths
         rs = shortest_path_tree(triangle, 0)
-        prep = lambda_gamma(triangle, rs)
+        prep = lambda_gamma(rs)
         assert prep.lambda_gamma[edge_id(triangle, 0, 1)] == pytest.approx(0.5)
         assert prep.lambda_gamma[edge_id(triangle, 0, 2)] == pytest.approx(0.5)
         assert prep.lambda_gamma[edge_id(triangle, 1, 2)] == 0.0
@@ -584,7 +584,7 @@ class TestLambdaGamma:
         w = rng.uniform(0.1, 3.0, size=n - 1)
         g = Graph.from_edges(n, [(i + 1, parents[i], w[i]) for i in range(n - 1)])
         rs = shortest_path_tree(g, 0)
-        prep = lambda_gamma(g, rs)
+        prep = lambda_gamma(rs)
 
         children: dict[int, list[int]] = {}
         for i, par in enumerate(parents):
@@ -604,7 +604,7 @@ class TestLambdaGamma:
     def test_bounds_and_nesting(self, seed):
         g = random_weighted_graph(seed)
         rs = shortest_path_tree(g, 0)
-        prep = lambda_gamma(g, rs)
+        prep = lambda_gamma(rs)
         L = g.total_length
         for v in range(1, g.node_count):
             e = rs.parent_edge[v]
@@ -620,19 +620,33 @@ class TestLambdaGamma:
         "g,root",
         [(random_weighted_graph(seed, n_lo=20, n_hi=300), seed) for seed in range(10)]
         + [(star_of(2000), 0), (star_of(2000), 5), (path_of(10_000), 0), (path_of(10_000), 4321)]
-        + [(grid_of(60), 0), (grid_of(60), 1830)],
+        + [(grid_of(60), 0), (grid_of(60), 1830)]
+        # a unit path 69,999 levels deep: past 2**16 levels
+        + [(Graph(70_000, np.arange(69_999), np.arange(1, 70_000), np.ones(69_999)), 0)],
     )
     def test_matches_sequential_scan(self, g, root):
         rs = shortest_path_tree(g, root % g.node_count)
-        prep = lambda_gamma(g, rs)
+        prep = lambda_gamma(rs)
         np.testing.assert_array_equal(prep.lambda_gamma, lambda_by_scan(g, rs))
 
     def test_lengths_near_float_max(self):
         # (gap + w) / 2w would overflow to inf / inf = nan on the long edge;
         # the shares are formed from halves instead
         g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e308)])
-        prep = lambda_gamma(g, shortest_path_tree(g, 0))
+        prep = lambda_gamma(shortest_path_tree(g, 0))
         assert prep.lambda_gamma.tolist() == [1e308, 0.0]
+
+    @staticmethod
+    def _check_level_order(g, rs):
+        # λ walks its levels in np.lexsort((dist, depth)) order, which must put
+        # every parent ahead of its children; the reference scan walks by
+        # distance first, so the two agree only if the level order is sound
+        order = np.lexsort((rs.dist, rs.depth))
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        below = np.flatnonzero(rs.parent >= 0)
+        assert np.all(position[rs.parent[below]] < position[below])
+        np.testing.assert_array_equal(lambda_gamma(rs).lambda_gamma, lambda_by_scan(g, rs))
 
     @pytest.mark.parametrize(
         "g,root",
@@ -644,22 +658,18 @@ class TestLambdaGamma:
         ids=["grid-corner", "grid-middle", "path-end", "path-middle", "star-hub", "star-leaf"],
     )
     def test_level_order_is_lexsort_on_tied_distances(self, g, root):
-        rs = shortest_path_tree(g, root)
-        want = np.lexsort((rs.dist, rs.depth))
-        assert np.array_equal(graph_module._level_order(rs.dist, rs.depth), want)
+        self._check_level_order(g, shortest_path_tree(g, root))
 
     def test_level_order_is_lexsort_past_uint16_depths(self):
-        # depths at and past 2**16 are sorted in their own dtype
-        rng = np.random.default_rng(4)
-        dist = rng.integers(0, 50, 5000).astype(np.float64)
-        for top in (1 << 16, 100_000):
-            depth = rng.integers(top - 3, top + 1, 5000).astype(np.int32)
-            depth[::7] = rng.integers(0, 5, depth[::7].size)
-            want = np.lexsort((dist, depth))
-            assert np.array_equal(graph_module._level_order(dist, depth), want)
-
-    def test_rejects_foreign_structure(self, path_graph, triangle):
-        rs = shortest_path_tree(triangle, 0)
-        with pytest.raises(ValueError):
-            lambda_gamma(path_graph, rs)
+        # a unit path 2**16 + 3 levels deep, with unit bristles on the levels
+        # around 2**16 and one node reached at a tied distance from two levels
+        n_path = (1 << 16) + 4
+        top = np.arange(n_path - 8, n_path - 2)
+        u = np.concatenate([np.arange(n_path - 1), top, [n_path - 6, n_path - 4]])
+        v = np.concatenate([np.arange(1, n_path), np.arange(n_path, n_path + top.size),
+                            [n_path + top.size] * 2])
+        g = Graph(n_path + top.size + 1, u, v, np.ones(u.size))
+        rs = shortest_path_tree(g, 0)
+        assert rs.depth.max() > 1 << 16
+        self._check_level_order(g, rs)
 
