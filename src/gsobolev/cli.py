@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import os
@@ -148,26 +147,67 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Graph, list[DiscreteMeasure]
 
 _PAIR_LINE = np.dtype([("i", np.int64), ("j", np.int64)])
 
+# Pairs per run of _parse_pairs' in-place passes: bounds their scratch.
+_PAIR_RUN = 1 << 16
+
+
+class _CommaFreeLines:
+    """The lines of the text file ``path`` with every comma read as a blank,
+    one line at a time; each iteration reads the file anew from its start."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __iter__(self) -> Iterator[str]:
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                yield line.replace(",", " ")
+
 
 @utf8_input
 def _parse_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct pairs ``i <= j`` of a pair file, sorted, as two index arrays.
 
-    Commas count as blanks, and the lines are read by
+    Commas count as blanks, and the lines stream to
     :func:`textio.read_table`; a bad line, or an index outside ``[0, n)``,
     raises a :class:`ParseError` naming it.  Pairs are deduplicated and
     sorted as the keys ``min * n + max``.
+
+    The pairs are held once, as the parsed rows: each row is sorted to
+    ``(min, max)`` in place, and the keys, their distinct values and the
+    two results are all written into the rows' own buffer, whose first
+    half then holds the second indices and whose second half the first.
+    The copies that move values towards the buffer's front run in runs of
+    ``_PAIR_RUN`` pairs: a run is read whole before it is written at or
+    before where it was read, so no value is overwritten before it is read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = io.StringIO(fh.read().replace(",", " "))
-    pairs = read_table(text, _PAIR_LINE, path, ("pair line must be 'i j'",) * 2)
-    lo, hi = np.minimum(pairs["i"], pairs["j"]), np.maximum(pairs["i"], pairs["j"])
-    outside = np.flatnonzero((lo < 0) | (hi >= n))
+    lines = _CommaFreeLines(path)
+    rows = read_table(lines, _PAIR_LINE, path, ("pair line must be 'i j'",) * 2)
+    size = rows.size
+    pair = rows.view(np.int64).reshape(size, 2)
+    pair.sort(axis=1)
+    outside = np.flatnonzero((pair[:, 0] < 0) | (pair[:, 1] >= n))
     if outside.size:
-        raise ParseError(f"{path}:{row_line(text, int(outside[0]))}: index outside [0, {n})")
-    keys = np.sort(lo * n + hi)
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0: the first is kept
-    return (keys // n).astype(np.intp), (keys % n).astype(np.intp)
+        raise ParseError(f"{path}:{row_line(lines, int(outside[0]))}: index outside [0, {n})")
+    buf = pair.reshape(-1)
+    runs = range(0, size, _PAIR_RUN)
+    for s in runs:
+        run = pair[s : s + _PAIR_RUN]
+        buf[s : s + len(run)] = run[:, 0] * n + run[:, 1]
+    keys = buf[:size]
+    keys.sort()
+    fresh = np.empty(size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    count = 0
+    for s in runs:
+        kept = keys[s : s + _PAIR_RUN][fresh[s : s + _PAIR_RUN]]
+        keys[count : count + kept.size] = kept
+        count += kept.size
+    first, second = buf[size : size + count], keys[:count]
+    np.floor_divide(second, n, out=first)
+    np.remainder(second, n, out=second)
+    return first.astype(np.intp, copy=False), second.astype(np.intp, copy=False)
 
 
 def _write_distance_csv(

@@ -4,10 +4,10 @@ Everything downstream starts from three immutable objects.  A :class:`Graph`
 is a validated, connected, positively weighted simple graph whose edge ids are
 stable file/constructor order.  A :class:`RootedStructure` records the
 shortest-path tree grown from a chosen root, with deterministic handling of
-equal-length path ties.  An :class:`EdgePrep` carries, for every edge, the
-total length of the region of the graph whose root paths traverse that edge
-(the downstream length), which is the only graph-dependent quantity the
-closed-form distances need.
+equal-length path ties.  An :class:`EdgePrep` carries, for every edge of
+that tree, the total length of the region of the graph whose root paths
+traverse that edge (the downstream length), which is the only
+graph-dependent quantity the closed-form distances need.
 
 All arrays are frozen after construction.
 """
@@ -250,12 +250,17 @@ class RootedStructure:
     for every non-root node, the tree predecessor; when several predecessors
     produce equal-length root paths (within ``TIE_RTOL`` relative tolerance)
     the smallest node id wins, and ``ties`` lists those nodes, ascending.
+    ``tree_edges`` lists the ``n - 1`` tree edge ids, ascending, and
+    ``rank[x]`` is the position there of the edge entering ``x`` (``-1`` at
+    the root): the per-root arrays of :class:`EdgePrep` and the columns of a
+    Γ table are indexed by this rank, which grows with the edge id.
     ``depth`` counts the tree edges on each node's root path, and
     ``lift[k][x]`` is the node ``2**k`` tree steps above ``x`` (the root once
     the path ends), kept for every ``k`` with ``2**k`` below the largest
-    depth.  ``parent``, ``parent_edge``, ``depth`` and ``lift`` hold ids in
-    the graph's index dtype, that of ``graph.edge_u``: int32 while the node
-    count and twice the edge count fit it, int64 otherwise.
+    depth.  ``parent``, ``parent_edge``, ``tree_edges``, ``rank``, ``depth``
+    and ``lift`` hold ids in the graph's index dtype, that of
+    ``graph.edge_u``: int32 while the node count and twice the edge count
+    fit it, int64 otherwise.
     """
 
     graph: Graph
@@ -263,6 +268,8 @@ class RootedStructure:
     dist: np.ndarray
     parent: np.ndarray
     parent_edge: np.ndarray
+    tree_edges: np.ndarray
+    rank: np.ndarray
     depth: np.ndarray
     lift: tuple[np.ndarray, ...]
     ties: np.ndarray
@@ -280,8 +287,10 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     ``TIE_RTOL * max(1, dist[b])``; the smallest candidate id is kept, and
     the nodes with more than one candidate are recorded as ``ties``.  This
     makes the recorded tree a pure function of the graph and the root,
-    independent of heap order.  A node left without a candidate (lengths
-    that overflow or round away) raises :class:`NonPositiveWeight`.
+    independent of heap order.  The kept edges, taken in the edge order the
+    test runs in, are ``tree_edges``, and each one's place among them is its
+    child's ``rank``.  A node left without a candidate (lengths that
+    overflow or round away) raises :class:`NonPositiveWeight`.
     """
     n = g.node_count
     if not 0 <= root < n:
@@ -313,8 +322,15 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
     parent = np.full(n, n, dtype=idx)
     np.minimum.at(parent, child, cand)
     won = cand == parent[child]
+    # found runs in edge order, so the tree edges come out ascending, and
+    # their ranks need no sort
+    tree_edges, child = found[won].astype(idx), child[won]
+    del found, cand, won
     parent_edge = np.full(n, -1, dtype=idx)
-    parent_edge[child[won]] = found[won]
+    parent_edge[child] = tree_edges
+    rank = np.full(n, -1, dtype=idx)
+    rank[child] = np.arange(tree_edges.size, dtype=idx)
+    del child
     parent[counts == 0] = -1
 
     # Depth by pointer doubling: in round k, ``anc`` jumps 2^k tree steps and
@@ -335,6 +351,8 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
         dist=_freeze(dist),
         parent=_freeze(parent),
         parent_edge=_freeze(parent_edge),
+        tree_edges=_freeze(tree_edges),
+        rank=_freeze(rank),
         depth=_freeze(depth),
         lift=tuple(lift),
         ties=_freeze(np.flatnonzero(counts > 1)),
@@ -343,15 +361,18 @@ def shortest_path_tree(g: Graph, root: int) -> RootedStructure:
 
 @dataclass(frozen=True, eq=False)
 class EdgePrep:
-    """Per-edge preprocessing for closed-form distances under one root.
+    """Per-tree-edge preprocessing for closed-form distances under one root.
 
-    ``lambda_gamma[e]`` is the downstream length of edge ``e``: the total
-    length of everything reached from the root through ``e`` (full lengths of
-    tree edges strictly below it plus the breakpoint shares of every other
-    edge hanging off that subtree).  Edges outside the shortest-path tree are
-    inert in the closed forms (no root path crosses them), so their entry is
-    kept at zero.  ``beta_cache`` maps each requested order ``p`` to the
-    frozen per-edge weight vector.
+    Edges outside the shortest-path tree are inert in the closed forms (no
+    root path crosses them), so every vector here has one entry per tree
+    edge, ``n - 1`` in all, in the order of the tree's ``tree_edges``: entry
+    ``r`` belongs to graph edge ``tree_edges[r]``, the edge of rank ``r``.
+    ``lambda_gamma[r]`` is its downstream length: the total length of
+    everything reached from the root through it (full lengths of tree edges
+    strictly below it plus the breakpoint shares of every other edge hanging
+    off that subtree), and ``edge_lengths[r]`` its length.  ``beta_cache``
+    maps each requested order ``p`` to the frozen weight vector, ``beta(p)``
+    or, at ``p = inf``, ``1 / (1 + lambda_gamma)``.
     """
 
     root: int
@@ -362,8 +383,9 @@ class EdgePrep:
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum that overflows is refused below
 def lambda_gamma(rs: RootedStructure) -> EdgePrep:
-    """Compute every edge's downstream length under the tree ``rs`` of the
-    graph ``rs.graph``, with one vectorized step per tree level.
+    """Compute every tree edge's downstream length under the tree ``rs`` of
+    the graph ``rs.graph``, with one vectorized step per tree level, in the
+    rank order of ``rs.tree_edges``.
 
     Each edge's interior splits at the point equidistant from the root via
     either endpoint; the share reached through endpoint ``u`` of edge
@@ -403,7 +425,7 @@ def lambda_gamma(rs: RootedStructure) -> EdgePrep:
     for level in np.split(order, np.cumsum(np.bincount(rs.depth)[:0:-1]))[:-1]:
         np.add.at(sub, rs.parent[level], sub[level])
 
-    below = rs.parent_edge >= 0
+    below = rs.rank >= 0
     over = np.flatnonzero(below & ~np.isfinite(sub))
     if over.size:
         x, e = int(over[0]), int(rs.parent_edge[over[0]])
@@ -411,11 +433,11 @@ def lambda_gamma(rs: RootedStructure) -> EdgePrep:
             f"root {rs.root}: edge {e} ({eu[e]}-{ev[e]}) has downstream length "
             f"{float(sub[x])}; the edge lengths overflow in its sum"
         )
-    lam = np.zeros(m, dtype=np.float64)
-    lam[rs.parent_edge[below]] = sub[below]
+    lam = np.empty(n - 1, dtype=np.float64)
+    lam[rs.rank[below]] = sub[below]
     return EdgePrep(
         root=rs.root,
         lambda_gamma=_freeze(lam),
-        edge_lengths=g.edge_w,
+        edge_lengths=_freeze(w[rs.tree_edges]),
     )
 

@@ -1,12 +1,12 @@
 """Node-supported probability measures and their cumulative edge vectors.
 
 A :class:`DiscreteMeasure` is a probability measure supported on graph nodes.
-For a fixed root, each measure collapses to a sparse vector indexed by edge
-id: the entry at edge ``e`` is the total mass whose recorded root path
-crosses ``e``.  Distances only ever read these vectors, as the rows of a
-:class:`GammaTable`: a list of measures becomes one table, and a single
-measure's vector is a one-row table cached on the rooted structure, keyed by
-the (hashable) measure.
+For a fixed root, each measure collapses to a sparse vector over the edges
+of that root's shortest-path tree: the entry at a tree edge is the total
+mass whose recorded root path crosses it.  Distances only ever read these
+vectors, as the rows of a :class:`GammaTable`: a list of measures becomes one
+table, and a single measure's vector is a one-row table cached on the rooted
+structure, keyed by the (hashable) measure.
 """
 
 from __future__ import annotations
@@ -85,8 +85,11 @@ class GammaTable:
     """Cumulative edge vectors of a list of measures under one root, as the
     rows of a CSR layout: row ``k`` holds ``edge_ids[indptr[k]:indptr[k + 1]]``,
     increasing, and the matching ``values``; one measure's vector is a
-    one-row table.  The arrays are read-only.  The distance kernels read the
-    rows without bounds checks, so construction checks the layout."""
+    one-row table.  Each column id is a tree edge's rank under the table's
+    root, the index of :class:`EdgePrep`'s vectors, not a graph edge id:
+    ``rs.tree_edges[edge_ids]`` gives the graph edge ids back.  The arrays
+    are read-only.  The distance kernels read the rows without bounds
+    checks, so construction checks the layout."""
 
     root: int
     indptr: np.ndarray
@@ -102,7 +105,7 @@ class GammaTable:
             and (ptr[1:] >= ptr[:-1]).all()
             and csr_has_canonical_format(ptr.size - 1, ptr, self.edge_ids)
         ):
-            raise ValueError("rows must be CSR rows of strictly increasing edge ids")
+            raise ValueError("rows must be CSR rows of strictly increasing column ids")
         for arr in (self.indptr, self.edge_ids, self.values):
             arr.flags.writeable = False
 
@@ -124,7 +127,7 @@ _PASS_ENTRIES = 1 << 15
 
 # Most entries a Γ table may be predicted to hold (the support points' root
 # path lengths summed; equal (measure, edge) entries merge, so the table
-# holds at most that many).  A stored entry costs 16 bytes (an int64 edge id
+# holds at most that many).  A stored entry costs 16 bytes (an int64 column
 # and a float64 value), and up to _GAMMA_ENTRY_BYTES = 24 while the passes'
 # pieces are joined (all pieces plus one joined array), so the budget caps a
 # table near 1 GiB and its build near 1.5 GiB.  Above it, gamma_masses
@@ -149,7 +152,8 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
     whose root paths hold about ``_PASS_ENTRIES`` entries.  A table predicted
     to hold more than ``_GAMMA_ENTRY_BUDGET`` entries raises
     :class:`SizeLimitExceeded` before it is built."""
-    n, m = rs.graph.node_count, rs.graph.edge_count
+    n = rs.graph.node_count
+    stride = max(n - 1, 1)  # columns per measure in the keys; a one-node tree has none
     supports = list(map(attrgetter("nodes"), measures))
     sizes = np.fromiter(map(len, supports), np.int64, len(supports))
     nodes = np.fromiter(chain.from_iterable(supports), np.int64)
@@ -167,34 +171,36 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
         )
     masses = np.fromiter(chain.from_iterable(map(attrgetter("masses"), measures)), np.float64)
     ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(sizes.size) * m, sizes)
+    owner = np.repeat(np.arange(sizes.size) * stride, sizes)
     # Measure k joins pass ceil(entries through k / _PASS_ENTRIES), so a pass
     # holds its first measure and at most _PASS_ENTRIES entries more.
     group = -(-np.cumsum(depth)[ends - 1] // _PASS_ENTRIES)
     bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), sizes.size)
-    # Each pass leaves its rows' entry counts, its edge ids and its values;
-    # the edge ids are joined (and their pieces dropped) before the values,
+    # Each pass leaves its rows' entry counts, its columns and its values;
+    # the columns are joined (and their pieces dropped) before the values,
     # so the build holds all pieces plus one joined array at most.
-    counts, edge_ids, values = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    counts, columns, values = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         pts = slice(ends[start] - sizes[start], ends[stop - 1])
         key, sums = _root_path_sums(rs, owner[pts], nodes[pts], masses[pts])
-        counts.append(np.diff(np.searchsorted(key, np.arange(start, stop + 1) * m)))
-        edge_ids.append(np.remainder(key, m, out=key))
+        counts.append(np.diff(np.searchsorted(key, np.arange(start, stop + 1) * stride)))
+        columns.append(np.remainder(key, stride, out=key))
         values.append(sums)
         del key, sums
     indptr = np.cumsum(np.concatenate(counts))
-    edge_ids = np.concatenate(edge_ids)
+    columns = np.concatenate(columns)
     values = np.concatenate(values)
-    return GammaTable(rs.root, indptr, edge_ids, values)
+    return GammaTable(rs.root, indptr, columns, values)
 
 
 def _root_path_sums(
     rs: RootedStructure, owner: np.ndarray, nodes: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys ``k * edge_count + edge`` and the summed masses of the
+    """Sorted keys ``k * stride + rank`` and the summed masses of the
     cumulative vectors of measures ``k``, from support points
-    ``nodes``/``masses`` of measure ``owner // edge_count`` (non-decreasing).
+    ``nodes``/``masses`` of measure ``owner // stride`` (non-decreasing):
+    ``rank`` is a tree edge's rank, and ``stride`` the tree's edge count,
+    at least 1.
 
     Point ``p``'s root path is its run of ``depth[p]`` slots in ``up``, one
     run after another: slot ``j`` of a run holds the node ``j`` tree steps
@@ -215,7 +221,7 @@ def _root_path_sums(
         src = np.repeat(start[live] - (np.cumsum(width) - width), width)
         src += np.arange(src.size)
         up[src + span] = lift[up[src]]
-    key = np.repeat(owner, depth) + rs.parent_edge[up]
+    key = np.repeat(owner, depth) + rs.rank[up]
     uniq, entry = np.unique(key, return_inverse=True)
     return uniq, np.bincount(entry, weights=np.repeat(masses, depth))
 

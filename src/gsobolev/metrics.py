@@ -45,9 +45,10 @@ def _check_order(p: float, *, allow_inf: bool = False) -> float:
 
 
 def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
-    """Per-edge closed-form weights for order ``p`` (cached on ``prep``).
+    """Closed-form weights for order ``p``, one per tree edge in the rank
+    order of ``prep``'s vectors (cached on ``prep``).
 
-    For edge ``e`` with length ``w`` and downstream length ``g``, the weight
+    For a tree edge with length ``w`` and downstream length ``g``, the weight
     ``integral_0^1 (1 + g + w t)**(1-p) w dt`` equals, with ``q = 2 - p``::
 
         (1 + g)**q * expm1(q * log1p(w / (1 + g))) / q     (q != 0)
@@ -58,12 +59,20 @@ def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
     and tends to the second.  Order 1 returns ``w`` exactly, so the transport
     baseline and this distance coincide bit for bit.
     """
-    p = _check_order(p)
+    return _cached_weights(prep, _check_order(p))
+
+
+def _cached_weights(prep: EdgePrep, p: float) -> np.ndarray:
+    """The IPM's weight vector for a checked order ``p``, made once and kept
+    in ``prep.beta_cache``: :func:`beta_weights`' ``beta(p)`` for finite
+    ``p``, and ``1 / (1 + downstream length)`` at ``p = inf``."""
     cached = prep.beta_cache.get(p)
     if cached is not None:
         return cached
     w = prep.edge_lengths
-    if p == 1.0:
+    if math.isinf(p):
+        weights = 1.0 / (1.0 + prep.lambda_gamma)
+    elif p == 1.0:
         weights = w.copy()
     else:
         scale = 1.0 + prep.lambda_gamma
@@ -76,24 +85,23 @@ def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
 
 
 def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
-    """The per-edge vector :func:`_reduce_pairs` takes for a (variant,
-    order): ``beta(p)`` for the regularized IPM, raw edge lengths for the
-    transport baseline, and the downstream lengths themselves for the IPM's
-    max form at ``p = inf``, whose weight ``1 / (1 + downstream length)``
-    is computed per gathered entry, so no edge-sized vector is made for it.
+    """The weight vector :func:`_reduce_pairs` takes for a (variant, order),
+    one entry per tree edge in rank order: ``beta(p)`` for the regularized
+    IPM, raw edge lengths for the transport baseline, and, for the IPM's
+    max form at ``p = inf``, ``1 / (1 + lambda_gamma)``, made once per root
+    and cached on ``prep`` as ``beta(p)`` is.
 
-    The weight along an edge is largest at the far end of the edge's
-    downstream region, where it equals ``1 + lambda_gamma[e]``; the essential
-    supremum of the weighted difference is therefore attained there.
+    The regularizing weight along an edge is largest at the far end of the
+    edge's downstream region, where it equals ``1 + lambda_gamma[r]``; the
+    essential supremum of the weighted difference is therefore attained
+    there.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     p = _check_order(p, allow_inf=variant == VARIANT_SOBOLEV_IPM)
     if variant == VARIANT_SOBOLEV_TRANSPORT:
         return prep.edge_lengths
-    if math.isinf(p):
-        return prep.lambda_gamma
-    return beta_weights(prep, p)
+    return _cached_weights(prep, p)
 
 
 def _reduce_pairs(
@@ -104,7 +112,8 @@ def _reduce_pairs(
     p: float,
 ) -> np.ndarray:
     """Distances of the pairs whose differences ``Gamma_i - Gamma_j`` are
-    the CSR rows ``(indptr, edges, diff)``, one row per pair.
+    the CSR rows ``(indptr, edges, diff)``, one row per pair, ``edges``
+    holding tree-edge ranks, the indices of ``weights``.
 
     Within a row, edges come in increasing order.  Each row is reduced on
     its own, sequentially in that order: scipy's ``csr_matvec``, with the
@@ -115,17 +124,15 @@ def _reduce_pairs(
     is the test that catches a build that does.  Zero differences may be
     present or absent: adding ``+0.0`` to a nonnegative sum, or a zero to a
     max, changes no bit.  A row without entries is at distance 0.  ``diff``
-    is overwritten with the terms.  At ``p = inf``, ``weights`` are the
-    downstream lengths ``lam``, and each term is multiplied by
-    ``1.0 / (1.0 + lam[edge])``, made for its own entry.
+    is overwritten with the terms.  At ``p = inf`` each term is multiplied
+    by its edge's weight, ``1 / (1 + downstream length)``, and each row
+    takes the largest.
     """
     n_pairs = indptr.size - 1
     # d * d and |d| * |d| have the same bits, so p = 2 squares d as it is.
     terms = diff if p == 2.0 else np.abs(diff, out=diff)
     if math.isinf(p):
-        scale = weights.take(edges)
-        scale += 1.0
-        terms *= np.divide(1.0, scale, out=scale)
+        terms *= weights.take(edges)
         out = np.zeros(n_pairs)
         filled = np.flatnonzero(np.diff(indptr))
         if filled.size:
@@ -143,9 +150,9 @@ def _merge_reduce(
     indptr: np.ndarray, edges: np.ndarray, diff: np.ndarray,
 ) -> np.ndarray:
     """Distances of ``k`` pairs, pair ``i`` between row ``i`` of the CSR
-    layouts ``a`` and ``b`` (each ``(indptr, edge ids, values)``).  scipy's
+    layouts ``a`` and ``b`` (each ``(indptr, columns, values)``).  scipy's
     ``csr_minus_csr`` merges them into ``indptr``, ``edges`` and ``diff``
-    (unchecked, so they must fit), edges sorted and exact zeros dropped,
+    (unchecked, so they must fit), columns sorted and exact zeros dropped,
     and :func:`_reduce_pairs` sums each pair."""
     csr_minus_csr(k, weights.size, *a, *b, indptr, edges, diff)
     stored = indptr[k]

@@ -14,12 +14,11 @@ formats whole blocks of numbers with array operations, byte-identical to
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from contextlib import nullcontext
 from itertools import islice
-from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, TextIO, TypeVar
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -68,17 +67,17 @@ def significant_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[in
             yield lineno, raw
 
 
-def _open(source: str | io.StringIO) -> ContextManager[TextIO]:
-    """The lines of a file path or an in-memory text, from its start."""
+def _open(source: str | Iterable[str]) -> ContextManager[Iterable[str]]:
+    """The lines of a file path, or the lines ``source`` gives, from the
+    first."""
     if isinstance(source, str):
         return open(source, "r", encoding="utf-8")
-    source.seek(0)
     return nullcontext(source)
 
 
-def _body(source: str | io.StringIO, start: int) -> Iterator[tuple[int, str]]:
-    """The significant lines of a file path or an in-memory text, from
-    line ``start`` on."""
+def _body(source: str | Iterable[str], start: int) -> Iterator[tuple[int, str]]:
+    """The significant lines of a file path or of the lines ``source``
+    gives, from line ``start`` on."""
     with _open(source) as fh:
         yield from significant_lines(islice(fh, start - 1, None), start)
 
@@ -94,11 +93,12 @@ def _loadtxt(lines, dtype: np.dtype, skiprows: int = 0, comments: str | None = N
 
 
 def read_table(
-    source: str | io.StringIO, dtype: np.dtype, name: str,
+    source: str | Iterable[str], dtype: np.dtype, name: str,
     errors: tuple[str, str], start: int = 1,
 ) -> np.ndarray:
-    """One ``dtype`` row per significant line of ``source``, a file path or
-    an in-memory text, from line ``start`` on.
+    """One ``dtype`` row per significant line of ``source``, from line
+    ``start`` on.  ``source`` is a file path, or an iterable that gives the
+    lines anew, from the first, each time it is iterated.
 
     Two numpy passes, then a per-line diagnosis.  The lines go to one
     ``np.loadtxt`` call, which reads a file in chunks and skips blank
@@ -118,8 +118,6 @@ def read_table(
     with _open(source) as fh:
         whole = all("#" not in line or _lead(line) == "#" for line in islice(fh, start - 1, None))
     if whole:
-        if not isinstance(source, str):
-            source.seek(0)  # the check read the text to its end
         try:
             return _loadtxt(source, dtype, skiprows=start - 1, comments="#")
         except ValueError as exc:
@@ -134,7 +132,7 @@ def read_table(
     raise ParseError(f"{name}: {refusal}")
 
 
-def row_line(source: str | io.StringIO, row: int, start: int = 1) -> int:
+def row_line(source: str | Iterable[str], row: int, start: int = 1) -> int:
     """The line number of row ``row`` of the table :func:`read_table` reads
     from ``source`` and ``start``."""
     return next(islice(_body(source, start), row, None))[0]

@@ -124,6 +124,35 @@ def root_path_edges(rs, x: int) -> list[int]:
     return out
 
 
+def lambda_by_scan(g, rs):
+    """Reference downstream lengths by graph edge id, 0 off the tree: edge
+    shares gathered per node, then one children-before-parents scan over the
+    nodes sorted by distance, depth and id, taken backwards."""
+    eu, ev, w = g.edge_u, g.edge_v, g.edge_w
+    du, dv = rs.dist[eu], rs.dist[ev]
+    portion = np.zeros(g.node_count)
+    np.add.at(portion, eu, np.clip((dv - du + w) / (2.0 * w), 0.0, 1.0) * w)
+    np.add.at(portion, ev, np.clip((du - dv + w) / (2.0 * w), 0.0, 1.0) * w)
+    sub = portion.copy()
+    for x in np.lexsort((rs.depth, rs.dist))[::-1]:
+        if x != rs.root:
+            sub[rs.parent[x]] += sub[x]
+    lam = np.zeros(g.edge_count)
+    below = rs.parent_edge >= 0
+    lam[rs.parent_edge[below]] = sub[below]
+    return lam
+
+
+def by_edge(rs, ranked):
+    """A per-root array in tree-edge rank order (λ, edge lengths, β) laid out
+    by graph edge id, as the edge-sized arrays were: entry
+    ``rs.tree_edges[r]`` holds ``ranked[r]``, and an edge off the tree 0."""
+    assert ranked.shape == rs.tree_edges.shape
+    out = np.zeros(rs.graph.edge_count, dtype=ranked.dtype)
+    out[rs.tree_edges] = ranked
+    return out
+
+
 def traced_peak(fn):
     """``fn()`` under ``tracemalloc``: its result, the traced peak during the
     call and the traced bytes still held when it returns."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -10,22 +11,27 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from gsobolev import (
+    VARIANT_SOBOLEV_IPM,
     Disconnected,
     DuplicateEdge,
     Graph,
     NonPositiveWeight,
     ParseError,
+    beta_weights,
     gamma_masses,
     lambda_gamma,
     load_graph,
+    prepare_root,
     random_measures,
     save_graph,
     shortest_path_tree,
 )
 from gsobolev import graph as graph_module
 from gsobolev.graph import TIE_RTOL
+from gsobolev.metrics import _edge_weights
 from conftest import (
-    edge_id, grid_of, path_of, random_weighted_graph, root_path_edges, traced_peak,
+    by_edge, edge_id, grid_of, lambda_by_scan, path_of, random_weighted_graph, root_path_edges,
+    traced_peak,
 )
 
 
@@ -51,25 +57,6 @@ def star_of(leaves, seed=0):
     chords = {(i, i + 1) for i in rng.choice(np.arange(1, leaves), size=leaves // 4)}
     edges += [(int(a), int(b), float(rng.uniform(0.5, 2.0))) for a, b in sorted(chords)]
     return Graph.from_edges(leaves + 1, edges)
-
-
-def lambda_by_scan(g, rs):
-    """Reference downstream lengths: edge shares gathered per node, then one
-    children-before-parents scan over the nodes sorted by distance, depth
-    and id, taken backwards."""
-    eu, ev, w = g.edge_u, g.edge_v, g.edge_w
-    du, dv = rs.dist[eu], rs.dist[ev]
-    portion = np.zeros(g.node_count)
-    np.add.at(portion, eu, np.clip((dv - du + w) / (2.0 * w), 0.0, 1.0) * w)
-    np.add.at(portion, ev, np.clip((du - dv + w) / (2.0 * w), 0.0, 1.0) * w)
-    sub = portion.copy()
-    for x in np.lexsort((rs.depth, rs.dist))[::-1]:
-        if x != rs.root:
-            sub[rs.parent[x]] += sub[x]
-    lam = np.zeros(g.edge_count)
-    below = rs.parent_edge >= 0
-    lam[rs.parent_edge[below]] = sub[below]
-    return lam
 
 
 class TestLoadGraph:
@@ -299,7 +286,8 @@ class TestIndexDtypes:
             measures = random_measures(h, 5, 3, seed=1)
             for root in roots:
                 rs = shortest_path_tree(h, root)
-                for name in ("dist", "parent", "parent_edge", "depth", "ties"):
+                for name in ("dist", "parent", "parent_edge", "tree_edges", "rank", "depth",
+                             "ties"):
                     out[name, root] = getattr(rs, name)
                 for k, lift in enumerate(rs.lift):
                     out["lift", k, root] = lift
@@ -345,7 +333,7 @@ class TestEdgeChunks:
         def arrays():
             rs = shortest_path_tree(g, root)
             lam = lambda_gamma(rs).lambda_gamma
-            return [rs.parent, rs.parent_edge, rs.depth, rs.ties, lam]
+            return [rs.parent, rs.parent_edge, rs.tree_edges, rs.rank, rs.depth, rs.ties, lam]
 
         m = g.edge_count
         monkeypatch.setattr(graph_module, "_EDGE_CHUNK", m)
@@ -395,6 +383,21 @@ class TestScratchBounds:
         assert shortest_path_tree(dense, 0).parent.tobytes() == tree.tobytes()
         growth = scratch(dense) / scratch(sparse)
         assert abs(growth - 1.0) < 0.1, growth
+
+    def test_root_arrays_are_tree_sized(self):
+        # lambda, the edge lengths and every weight vector hold one entry per
+        # tree edge, whatever the edge count; so a beta build at p = 1.5, a
+        # few such vectors at once, peaks at a multiple of the node count
+        n = 5_000
+        g = _sparse_graph(n, 12 * n, seed=8)
+        assert g.edge_count >= 10 * n
+        rs, prep = prepare_root(g, 0)
+        assert rs.tree_edges.shape == (n - 1,)
+        beta, peak, _ = traced_peak(lambda: beta_weights(prep, 1.5))
+        vectors = [prep.lambda_gamma, prep.edge_lengths, beta, beta_weights(prep, 2.0),
+                   _edge_weights(prep, math.inf, VARIANT_SOBOLEV_IPM)]
+        assert all(vec.shape == (n - 1,) for vec in vectors)
+        assert peak <= 8 * 8 * n, peak / n
 
     def test_load_graph_peak_per_edge(self, tmp_path):
         # the parsed rows are dropped for int32 endpoints, and the adjacency
@@ -546,15 +549,15 @@ class TestLambdaGamma:
         rs = shortest_path_tree(path_graph, 0)
         prep = lambda_gamma(rs)
         # beyond the leaf edge there is nothing; beyond the root edge, one unit
-        np.testing.assert_allclose(prep.lambda_gamma, [1.0, 0.0])
+        np.testing.assert_allclose(by_edge(rs, prep.lambda_gamma), [1.0, 0.0])
         assert path_graph.total_length == 2.0
 
     def test_figure_pinned_value(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
-        prep = lambda_gamma(rs)
+        lam = by_edge(rs, lambda_gamma(rs).lambda_gamma)
         e5 = edge_id(figure_graph, 1, 4)
         # two unit edges hang below node 4 and nothing else reaches in
-        assert prep.lambda_gamma[e5] == pytest.approx(2.0, abs=1e-12)
+        assert lam[e5] == pytest.approx(2.0, abs=1e-12)
         kids = [v for v in range(10) if rs.parent[v] == 4]
         assert kids == [3, 9]
 
@@ -563,17 +566,17 @@ class TestLambdaGamma:
         # the far edge (2,3) is split at node 2's end (share zero), so one
         # full unit sits beyond edge (0,1).
         rs = shortest_path_tree(square_cycle, 0)
-        prep = lambda_gamma(rs)
-        assert prep.lambda_gamma[edge_id(square_cycle, 0, 1)] == pytest.approx(1.0)
-        assert prep.lambda_gamma[edge_id(square_cycle, 0, 3)] == pytest.approx(1.0)
+        lam = by_edge(rs, lambda_gamma(rs).lambda_gamma)
+        assert lam[edge_id(square_cycle, 0, 1)] == pytest.approx(1.0)
+        assert lam[edge_id(square_cycle, 0, 3)] == pytest.approx(1.0)
 
     def test_triangle_breakpoint_half(self, triangle):
         # the far edge's interior splits evenly between both root paths
         rs = shortest_path_tree(triangle, 0)
-        prep = lambda_gamma(rs)
-        assert prep.lambda_gamma[edge_id(triangle, 0, 1)] == pytest.approx(0.5)
-        assert prep.lambda_gamma[edge_id(triangle, 0, 2)] == pytest.approx(0.5)
-        assert prep.lambda_gamma[edge_id(triangle, 1, 2)] == 0.0
+        lam = by_edge(rs, lambda_gamma(rs).lambda_gamma)
+        assert lam[edge_id(triangle, 0, 1)] == pytest.approx(0.5)
+        assert lam[edge_id(triangle, 0, 2)] == pytest.approx(0.5)
+        assert lam[edge_id(triangle, 1, 2)] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tree_case_equals_subtree_weight(self, seed):
@@ -584,7 +587,7 @@ class TestLambdaGamma:
         w = rng.uniform(0.1, 3.0, size=n - 1)
         g = Graph.from_edges(n, [(i + 1, parents[i], w[i]) for i in range(n - 1)])
         rs = shortest_path_tree(g, 0)
-        prep = lambda_gamma(rs)
+        lam = by_edge(rs, lambda_gamma(rs).lambda_gamma)
 
         children: dict[int, list[int]] = {}
         for i, par in enumerate(parents):
@@ -598,21 +601,21 @@ class TestLambdaGamma:
 
         for v in range(1, n):
             e = rs.parent_edge[v]
-            assert prep.lambda_gamma[e] == pytest.approx(subtree_weight(v), rel=1e-9)
+            assert lam[e] == pytest.approx(subtree_weight(v), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bounds_and_nesting(self, seed):
         g = random_weighted_graph(seed)
         rs = shortest_path_tree(g, 0)
-        prep = lambda_gamma(rs)
+        by_id = by_edge(rs, lambda_gamma(rs).lambda_gamma)
         L = g.total_length
         for v in range(1, g.node_count):
             e = rs.parent_edge[v]
-            lam = prep.lambda_gamma[e]
+            lam = by_id[e]
             assert -1e-9 <= lam <= L - g.edge_w[e] + 1e-9 * max(1.0, L)
             par = rs.parent[v]
             if par != 0:
-                outer = prep.lambda_gamma[rs.parent_edge[par]]
+                outer = by_id[rs.parent_edge[par]]
                 # everything beyond e, plus e itself, sits beyond the parent edge
                 assert lam + g.edge_w[e] <= outer + 1e-9 * max(1.0, L)
 
@@ -627,14 +630,14 @@ class TestLambdaGamma:
     def test_matches_sequential_scan(self, g, root):
         rs = shortest_path_tree(g, root % g.node_count)
         prep = lambda_gamma(rs)
-        np.testing.assert_array_equal(prep.lambda_gamma, lambda_by_scan(g, rs))
+        np.testing.assert_array_equal(by_edge(rs, prep.lambda_gamma), lambda_by_scan(g, rs))
 
     def test_lengths_near_float_max(self):
         # (gap + w) / 2w would overflow to inf / inf = nan on the long edge;
         # the shares are formed from halves instead
         g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1e308)])
-        prep = lambda_gamma(shortest_path_tree(g, 0))
-        assert prep.lambda_gamma.tolist() == [1e308, 0.0]
+        rs = shortest_path_tree(g, 0)
+        assert by_edge(rs, lambda_gamma(rs).lambda_gamma).tolist() == [1e308, 0.0]
 
     @staticmethod
     def _check_level_order(g, rs):
@@ -646,7 +649,8 @@ class TestLambdaGamma:
         position[order] = np.arange(order.size)
         below = np.flatnonzero(rs.parent >= 0)
         assert np.all(position[rs.parent[below]] < position[below])
-        np.testing.assert_array_equal(lambda_gamma(rs).lambda_gamma, lambda_by_scan(g, rs))
+        np.testing.assert_array_equal(by_edge(rs, lambda_gamma(rs).lambda_gamma),
+                                      lambda_by_scan(g, rs))
 
     @pytest.mark.parametrize(
         "g,root",

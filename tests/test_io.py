@@ -261,6 +261,46 @@ class TestPairFiles:
         first, second = _parse_pairs(str(path), 3)
         assert (first.tolist(), second.tolist()) == ([0, 1], [1, 2])
 
+    @staticmethod
+    def _numpy_pairs(ij, n):
+        """The pairs of the rows ``ij`` as plain numpy reads them: the keys
+        ``min * n + max``, sorted and distinct, split into two intp arrays."""
+        keys = np.unique(ij.min(axis=1) * n + ij.max(axis=1))
+        return (keys // n).astype(np.intp), (keys % n).astype(np.intp)
+
+    @pytest.mark.parametrize("run", [1, 2, 3, 7, 64])
+    def test_runs_change_no_byte(self, tmp_path, monkeypatch, run):
+        # the in-place passes move values towards the buffer's front in runs
+        # of _PAIR_RUN pairs; any run length, with many repeated pairs,
+        # gives the plain reading byte for byte
+        monkeypatch.setattr(cli, "_PAIR_RUN", run)
+        n = 30
+        ij = np.random.default_rng(run).integers(0, n, (500, 2))
+        path = tmp_path / "pairs.txt"
+        path.write_text("".join(f"{i},{j}\n" for i, j in ij.tolist()))
+        got = _parse_pairs(str(path), n)
+        for a, b in zip(got, self._numpy_pairs(ij, n)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_pair_text_is_held_once(self, tmp_path):
+        # the lines stream to the reader, commas replaced line by line, and
+        # everything after runs in the parsed rows' own buffer: the traced
+        # peak stays within 1.5x the rows' bytes (the text held whole, a
+        # comma-free copy and a StringIO of it took about 6x)
+        n, size = 5000, 300_000
+        ij = np.random.default_rng(4).integers(0, n, (size, 2))
+        path = tmp_path / "pairs.txt"
+        path.write_text("".join(
+            f"{i},{j}\n" if k % 2 else f"{i} {j}\n" for k, (i, j) in enumerate(ij.tolist())
+        ))
+        got, peak, _ = traced_peak(lambda: _parse_pairs(str(path), n))
+        want = self._numpy_pairs(ij, n)
+        assert want[0].size < size  # some pairs repeat
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        rows = size * cli._PAIR_LINE.itemsize
+        assert peak <= 1.5 * rows, peak / rows
+
     def test_index_beyond_int64_is_a_malformed_line(self, tmp_path):
         path = tmp_path / "pairs.txt"
         path.write_text(f"0 1\n1 {2**63}\n")

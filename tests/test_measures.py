@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from gsobolev import (
+    VARIANT_SOBOLEV_IPM,
+    VARIANT_SOBOLEV_TRANSPORT,
     DiscreteMeasure,
+    EdgePrep,
     GammaTable,
     Graph,
     MassNotNormalized,
@@ -14,15 +19,19 @@ from gsobolev import (
     NodeOutOfRange,
     ParseError,
     SizeLimitExceeded,
+    beta_weights,
     gamma_mass,
     gamma_masses,
     load_measures,
+    pair_distances,
+    prepare_root,
     save_measures,
     shortest_path_tree,
 )
 from gsobolev import measures as measures_module
 from conftest import (
-    edge_id, grid_of, path_of, random_weighted_graph, root_path_edges, traced_peak,
+    by_edge, edge_id, grid_of, lambda_by_scan, path_of, random_weighted_graph, root_path_edges,
+    traced_peak,
 )
 
 
@@ -124,14 +133,14 @@ class TestGammaMass:
         vec = gamma_mass(rs, DiscreteMeasure.dirac(2))
         assert isinstance(vec, GammaTable) and vec.root == 0
         assert vec.indptr.tolist() == [0, 2]
-        assert vec.edge_ids.tolist() == [0, 1]
+        assert rs.tree_edges[vec.edge_ids].tolist() == [0, 1]
         assert vec.values.tolist() == [1.0, 1.0]
 
     def test_path_mixture(self, path_graph):
         rs = shortest_path_tree(path_graph, 0)
         mu = DiscreteMeasure((1, 2), (0.9, 0.1))
         vec = gamma_mass(rs, mu)
-        assert vec.edge_ids.tolist() == [0, 1]
+        assert rs.tree_edges[vec.edge_ids].tolist() == [0, 1]
         np.testing.assert_allclose(vec.values, [1.0, 0.1])
 
     def test_mass_at_root_invisible(self, path_graph):
@@ -142,7 +151,8 @@ class TestGammaMass:
     def test_figure_dirac_crosses_two_edges(self, figure_graph):
         rs = shortest_path_tree(figure_graph, 0)
         vec = gamma_mass(rs, DiscreteMeasure.dirac(4))
-        assert vec.edge_ids.tolist() == [edge_id(figure_graph, 0, 1), edge_id(figure_graph, 1, 4)]
+        want = [edge_id(figure_graph, 0, 1), edge_id(figure_graph, 1, 4)]
+        assert rs.tree_edges[vec.edge_ids].tolist() == want
         assert vec.values.tolist() == [1.0, 1.0]
 
     def test_cache_returns_same_object(self, path_graph):
@@ -175,9 +185,9 @@ class TestGammaMass:
                 expect[e] += mass
                 touched.add(e)
         vec = gamma_mass(rs, mu)
-        assert vec.edge_ids.tolist() == sorted(touched)
+        assert rs.tree_edges[vec.edge_ids].tolist() == sorted(touched)
         dense = np.zeros(g.edge_count)
-        dense[vec.edge_ids] = vec.values
+        dense[rs.tree_edges[vec.edge_ids]] = vec.values
         np.testing.assert_array_equal(dense, expect)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -192,9 +202,40 @@ class TestGammaMass:
         mu = DiscreteMeasure(tuple(int(x) for x in nodes), tuple(masses / masses.sum()))
         vec = gamma_mass(rs, mu)
         root_edges = {int(rs.parent_edge[v]) for v in range(g.node_count) if rs.parent[v] == 0}
-        out = sum(val for e, val in zip(vec.edge_ids, vec.values) if e in root_edges)
+        edges = rs.tree_edges[vec.edge_ids]
+        out = sum(val for e, val in zip(edges, vec.values) if e in root_edges)
         away = sum(m for n, m in zip(mu.nodes, mu.masses) if n != 0)
         assert out == pytest.approx(away, abs=1e-12)
+
+
+# The shape sweep: graphs and roots whose root paths are thousands of edges
+# long and shared (path, broom handle), short and shared (star, caterpillar
+# legs) or one of many shortest paths (grid).
+SHAPES = [
+    (path_of(3000, seed=1), (0, 1234)), (caterpillar_of(300, 2), (0, 450)),
+    (broom_of(400, 300), (0, 650)), (star_of(500), (0, 3)), (grid_of(60, 1.0), (0, 1830)),
+]
+SHAPE_IDS = ["path", "caterpillar", "broom", "star", "grid"]
+
+
+def edge_id_distances(rows, first, second, weights, p):
+    """Naive pair distances over graph edge ids: ``rows`` maps each
+    measure's edge ids to its Γ values, and ``weights`` is edge-sized (at
+    ``p = inf``, ``1 / (1 + λ)``).  A dict union of the two rows, edges
+    sorted, terms summed (or maxed) one by one; powers taken as numpy
+    arrays, as the library takes them."""
+    sums = []
+    for a, b in zip(first, second):
+        u, v = rows[a], rows[b]
+        edges = sorted(u.keys() | v.keys())
+        diff = np.abs(np.array([u.get(e, 0.0) - v.get(e, 0.0) for e in edges]))
+        terms = diff if p in (1.0, math.inf) else diff**p
+        acc = 0.0
+        for e, term in zip(edges, terms.tolist()):
+            acc = max(acc, term * weights[e]) if math.isinf(p) else acc + term * weights[e]
+        sums.append(acc)
+    sums = np.array(sums)
+    return sums if p in (1.0, math.inf) else sums ** (1.0 / p)
 
 
 def assert_table_rows(table, rs, pool):
@@ -233,7 +274,8 @@ class TestGammaMasses:
         for k, (ref, mu) in enumerate(zip(expect, pool)):
             row = table.row(k)
             ids, vals = walk_sums(rs, mu)
-            assert row.edge_ids.tolist() == ref.edge_ids.tolist() == ids
+            assert row.edge_ids.tolist() == ref.edge_ids.tolist()
+            assert rs.tree_edges[row.edge_ids].tolist() == ids
             assert row.values.tolist() == ref.values.tolist() == vals
         # the batch neither reads nor fills the per-measure cache
         assert gamma_mass(rs, pool[1]) is early[0] and gamma_mass(rs, pool[5]) is early[1]
@@ -273,12 +315,7 @@ class TestGammaMasses:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("entries", [1, measures_module._PASS_ENTRIES], ids=["one", "default"])
-    @pytest.mark.parametrize(
-        "g, roots",
-        [(path_of(3000, seed=1), (0, 1234)), (caterpillar_of(300, 2), (0, 450)),
-         (broom_of(400, 300), (0, 650)), (star_of(500), (0, 3)), (grid_of(60, 1.0), (0, 1830))],
-        ids=["path", "caterpillar", "broom", "star", "grid"],
-    )
+    @pytest.mark.parametrize("g, roots", SHAPES, ids=SHAPE_IDS)
     def test_shapes_match_the_walk(self, monkeypatch, g, roots, entries):
         # each point's root path is a run of its own length, whether it is
         # thousands of edges long and shared (path, broom handle), short and
@@ -293,8 +330,57 @@ class TestGammaMasses:
             assert table.indptr.dtype == table.edge_ids.dtype == np.int64
             for k, mu in enumerate(pool):
                 ids, vals = walk_sums(rs, mu)
-                assert table.row(k).edge_ids.tobytes() == np.array(ids, np.int64).tobytes()
+                assert rs.tree_edges[table.row(k).edge_ids].tolist() == ids
                 assert table.row(k).values.tobytes() == np.array(vals, np.float64).tobytes()
+
+    @pytest.mark.parametrize("g, roots", SHAPES, ids=SHAPE_IDS)
+    def test_rank_columns_keep_the_bits_of_edge_ids(self, g, roots):
+        # with chords far longer than any root path added (the tree stays as
+        # it was) and the edge ids shuffled, no shape's tree edges are a
+        # prefix of its edge list; mapped back to edge ids (Γ through
+        # tree_edges, λ by scatter), Γ, λ and the distances equal the
+        # per-node walk, the sequential λ scan and a per-edge sum over edge
+        # ids, bit for bit
+        n, m = g.node_count, g.edge_count
+        rng = np.random.default_rng(m)
+        a, b = rng.integers(0, n, (2, n // 4))
+        keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+        keys = np.setdiff1d(keys[keys % (n + 1) != 0], np.minimum(g.edge_u, g.edge_v) * n
+                            + np.maximum(g.edge_u, g.edge_v))  # no loop, no repeated pair
+        u, v = np.concatenate([g.edge_u, keys // n]), np.concatenate([g.edge_v, keys % n])
+        w = np.concatenate([g.edge_w, np.full(keys.size, 1e6)])
+        perm = rng.permutation(u.size)
+        g = Graph(n, u[perm], v[perm], w[perm])
+        pool = [random_measure(rng, g.node_count, int(rng.integers(1, 9))) for _ in range(6)]
+        first, second = np.triu_indices(len(pool), 1)
+        for root in roots:
+            rs, prep = prepare_root(g, root)
+            edges = rs.tree_edges
+            assert edges.size == g.node_count - 1 and (np.diff(edges) > 0).all()
+            assert edges[-1] >= edges.size  # not a prefix of the edge list
+            below = rs.rank >= 0
+            assert edges[rs.rank[below]].tobytes() == rs.parent_edge[below].tobytes()
+            lam = lambda_by_scan(g, rs)
+            assert by_edge(rs, prep.lambda_gamma).tobytes() == lam.tobytes()
+            assert prep.edge_lengths.tobytes() == g.edge_w[edges].tobytes()
+            table, rows = gamma_masses(rs, pool), []
+            for k, mu in enumerate(pool):
+                ids, vals = walk_sums(rs, mu)
+                assert edges[table.row(k).edge_ids].tolist() == ids
+                assert table.row(k).values.tolist() == vals
+                rows.append(dict(zip(ids, vals)))
+            by_id = EdgePrep(root, lambda_gamma=lam, edge_lengths=g.edge_w)
+            for p, variant in [(p, VARIANT_SOBOLEV_IPM) for p in (1.0, 1.5, 2.0, 3.0, math.inf)] \
+                    + [(p, VARIANT_SOBOLEV_TRANSPORT) for p in (1.0, 1.5, 2.0, 3.0)]:
+                if variant == VARIANT_SOBOLEV_TRANSPORT:
+                    weights = g.edge_w
+                elif math.isinf(p):
+                    weights = 1.0 / (1.0 + lam)
+                else:
+                    weights = beta_weights(by_id, p)
+                want = edge_id_distances(rows, first, second, weights, p)
+                got = pair_distances(prep, table, first, second, p, variant)
+                assert got.tobytes() == want.tobytes(), (root, p, variant)
 
     def test_build_peak_per_entry(self):
         # a deep table of 3.4M entries: its build holds the passes' edge ids

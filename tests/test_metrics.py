@@ -244,9 +244,13 @@ class TestOrderAndVariantValidation:
             assert one > 0.0
             assert np.float64(one).tobytes() == np.float64(by_measure).tobytes()
             assert np.float64(one).tobytes() == batch[k].tobytes()
-        # the max form's weights are made per entry: nothing edge-sized is kept
-        assert prep.beta_cache == {}
-        assert _edge_weights(prep, math.inf, VARIANT_SOBOLEV_IPM) is prep.lambda_gamma
+        # the max form's weights 1 / (1 + lam) are made once per root, one per
+        # tree edge, and kept on the prep as beta is
+        weights = _edge_weights(prep, math.inf, VARIANT_SOBOLEV_IPM)
+        assert prep.beta_cache.keys() == {math.inf} and prep.beta_cache[math.inf] is weights
+        assert _edge_weights(prep, math.inf, VARIANT_SOBOLEV_IPM) is weights
+        assert weights.tobytes() == (1.0 / (1.0 + prep.lambda_gamma)).tobytes()
+        assert weights.size == g.node_count - 1 and not weights.flags.writeable
 
 
 class TestMetricBehavior:
@@ -338,7 +342,7 @@ class TestReducePairs:
         lam = rng.random(n_edges) * 10.0  # downstream lengths: the weight is 1 / (1 + lam)
         want = np.zeros(n_pairs)
         np.maximum.at(want, rows, (1.0 / (1.0 + lam[edges])) * np.abs(diff))
-        got = _reduce_pairs(indptr, edges, diff, lam, math.inf)
+        got = _reduce_pairs(indptr, edges, diff, 1.0 / (1.0 + lam), math.inf)
         assert got.tobytes() == want.tobytes()
         empty = np.zeros(0, dtype=np.intp)
         got = _reduce_pairs(np.zeros(4, dtype=np.intp), empty, np.zeros(0), lam, math.inf)
@@ -359,11 +363,10 @@ class TestReducePairs:
         indptr, edges, diff = csr_rows(rng, np.asarray(counts), n_edges)
         weights = rng.random(n_edges) * 10.0 ** rng.uniform(-3, 3, n_edges)
         # elementwise as numpy computes it; each row then reduced in order.
-        # At p = inf the weights are downstream lengths lam, and each term's
-        # weight is 1 / (1 + lam) of its own edge.
+        # At p = inf the weights stand for 1 / (1 + lam), lam the downstream
+        # lengths.
         terms = np.abs(diff) if p in (1.0, math.inf) else np.abs(diff) ** p
-        scale = 1.0 / (1.0 + weights[edges]) if math.isinf(p) else weights[edges]
-        terms = (scale * terms).tolist()
+        terms = (weights[edges] * terms).tolist()
         want = []
         for start, stop in zip(indptr[:-1], indptr[1:]):
             acc = 0.0
@@ -428,9 +431,9 @@ def merge_pool(seed: int, support: int = 3, tail: tuple = ()):
 def oracle_distances(table, first, second, weights, p):
     """Naive pair distances: a dict union of the two rows, edges sorted,
     terms summed one by one in Python.  Powers are taken as numpy arrays,
-    as the library takes them.  At ``p = inf`` the weights are the
-    downstream lengths ``lam``, and each term is weighted by
-    ``1 / (1 + lam[edge])``, worked out for that term."""
+    as the library takes them.  At ``p = inf`` the weights are
+    ``1 / (1 + lam)``, ``lam`` the downstream lengths, and each row takes
+    the largest weighted term."""
     weights = weights.tolist()
     sums = []
     for a, b in zip(first, second):
@@ -441,7 +444,7 @@ def oracle_distances(table, first, second, weights, p):
         acc = 0.0
         for e, term in zip(edges, terms.tolist()):
             if math.isinf(p):
-                acc = max(acc, term * (1.0 / (1.0 + weights[e])))
+                acc = max(acc, term * weights[e])
             else:
                 acc += term * weights[e]
         sums.append(acc)

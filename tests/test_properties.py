@@ -119,11 +119,11 @@ class TestGammaLinearity:
 
         dense = np.zeros(GRAPH.edge_count)
         vec = gamma_mass(RS, mix)
-        dense[vec.edge_ids] = vec.values
+        dense[RS.tree_edges[vec.edge_ids]] = vec.values
         want = np.zeros(GRAPH.edge_count)
         for meas, scale in ((mu, alpha), (nu, 1.0 - alpha)):
             v = gamma_mass(RS, meas)
-            want[v.edge_ids] += scale * v.values
+            want[RS.tree_edges[v.edge_ids]] += scale * v.values
         np.testing.assert_allclose(dense, want, atol=1e-12)
 
 
