@@ -218,16 +218,17 @@ def _write_distance_csv(
     block of ``CELL_BLOCK`` pairs at a time; the count of numbers formatted
     by Python (see :func:`textio.write_rows`).  The pairs are ``first[k]``
     and ``second[k]`` or, with both ``None``, every ``i < j`` of ``n``
-    measures in row-major order, whose ``i`` and ``j`` columns are built
-    per block, so they are never listed."""
+    measures in row-major order, whose ``i`` and ``j`` columns are located
+    per block (:meth:`metrics._Triangle.locate`), so they are never
+    listed."""
     if first is None:
-        tri, block = _Triangle(n), np.empty(2 * CELL_BLOCK, np.int64)
+        tri = _Triangle(n)
     slow = 0
     with open(path, "wb") as fh:
         fh.write(b"i,j,distance\n")
         for s in range(0, values.size, CELL_BLOCK):
             e = min(s + CELL_BLOCK, values.size)
-            pairs = tri.pairs(s, e, block) if first is None else (first[s:e], second[s:e])
+            pairs = tri.locate(np.arange(s, e)) if first is None else (first[s:e], second[s:e])
             slow += write_rows(fh, (np.column_stack(pairs), values[s:e]), ",")
     return slow
 

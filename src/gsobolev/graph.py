@@ -371,8 +371,9 @@ class EdgePrep:
     everything reached from the root through it (full lengths of tree edges
     strictly below it plus the breakpoint shares of every other edge hanging
     off that subtree), and ``edge_lengths[r]`` its length.  ``beta_cache``
-    maps each requested order ``p`` to the frozen weight vector, ``beta(p)``
-    or, at ``p = inf``, ``1 / (1 + lambda_gamma)``.
+    maps each requested order ``p`` other than 1 to the frozen weight
+    vector, ``beta(p)`` or, at ``p = inf``, ``1 / (1 + lambda_gamma)``;
+    order 1 has no entry, since ``beta(1)`` is ``edge_lengths`` itself.
     """
 
     root: int

@@ -45,8 +45,9 @@ def _check_order(p: float, *, allow_inf: bool = False) -> float:
 
 
 def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
-    """Closed-form weights for order ``p``, one per tree edge in the rank
-    order of ``prep``'s vectors (cached on ``prep``).
+    """Closed-form weights for a finite order ``p``, one per tree edge in the
+    rank order of ``prep``'s vectors: :func:`_edge_weights` of the
+    regularized IPM.
 
     For a tree edge with length ``w`` and downstream length ``g``, the weight
     ``integral_0^1 (1 + g + w t)**(1-p) w dt`` equals, with ``q = 2 - p``::
@@ -59,37 +60,17 @@ def beta_weights(prep: EdgePrep, p: float) -> np.ndarray:
     and tends to the second.  Order 1 returns ``w`` exactly, so the transport
     baseline and this distance coincide bit for bit.
     """
-    return _cached_weights(prep, _check_order(p))
-
-
-def _cached_weights(prep: EdgePrep, p: float) -> np.ndarray:
-    """The IPM's weight vector for a checked order ``p``, made once and kept
-    in ``prep.beta_cache``: :func:`beta_weights`' ``beta(p)`` for finite
-    ``p``, and ``1 / (1 + downstream length)`` at ``p = inf``."""
-    cached = prep.beta_cache.get(p)
-    if cached is not None:
-        return cached
-    w = prep.edge_lengths
-    if math.isinf(p):
-        weights = 1.0 / (1.0 + prep.lambda_gamma)
-    elif p == 1.0:
-        weights = w.copy()
-    else:
-        scale = 1.0 + prep.lambda_gamma
-        weights = np.log1p(w / scale)
-        q = 2.0 - p
-        if q != 0.0:
-            weights = scale**q * np.expm1(q * weights) / q
-    weights.flags.writeable = False
-    return prep.beta_cache.setdefault(p, weights)
+    return _edge_weights(prep, _check_order(p), VARIANT_SOBOLEV_IPM)
 
 
 def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
     """The weight vector :func:`_reduce_pairs` takes for a (variant, order),
     one entry per tree edge in rank order: ``beta(p)`` for the regularized
-    IPM, raw edge lengths for the transport baseline, and, for the IPM's
-    max form at ``p = inf``, ``1 / (1 + lambda_gamma)``, made once per root
-    and cached on ``prep`` as ``beta(p)`` is.
+    IPM (:func:`beta_weights`), and, for its max form at ``p = inf``,
+    ``1 / (1 + lambda_gamma)``, each made once per root and kept frozen in
+    ``prep.beta_cache``.  The transport baseline, and the IPM at order 1,
+    whose ``beta(1)`` is the edge length exactly, take ``prep.edge_lengths``
+    itself, so nothing is made or kept for them.
 
     The regularizing weight along an edge is largest at the far end of the
     edge's downstream region, where it equals ``1 + lambda_gamma[r]``; the
@@ -99,9 +80,21 @@ def _edge_weights(prep: EdgePrep, p: float, variant: str) -> np.ndarray:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     p = _check_order(p, allow_inf=variant == VARIANT_SOBOLEV_IPM)
-    if variant == VARIANT_SOBOLEV_TRANSPORT:
+    if variant == VARIANT_SOBOLEV_TRANSPORT or p == 1.0:
         return prep.edge_lengths
-    return _cached_weights(prep, p)
+    cached = prep.beta_cache.get(p)
+    if cached is not None:
+        return cached
+    scale = 1.0 + prep.lambda_gamma
+    if math.isinf(p):
+        weights = 1.0 / scale
+    else:
+        weights = np.log1p(prep.edge_lengths / scale)
+        q = 2.0 - p
+        if q != 0.0:
+            weights = scale**q * np.expm1(q * weights) / q
+    weights.flags.writeable = False
+    return prep.beta_cache.setdefault(p, weights)
 
 
 def _reduce_pairs(
@@ -234,10 +227,11 @@ def _in_lanes(bounds: np.ndarray, buffers, run_lane) -> None:
 
 
 class _Triangle:
-    """The pairs ``(i, j)``, ``i < j``, of ``n`` rows, in row-major order."""
+    """The pairs ``(i, j)``, ``i < j``, of ``n`` rows, in row-major order,
+    numbered, never listed: :meth:`locate` gives the rows and columns of
+    any pair numbers, a block's ``np.arange(s, e)`` among them."""
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.columns = np.arange(n, dtype=np.int64)
         # where row i's pairs (i, i + 1) .. (i, n - 1) begin; the last is the pair count
         self.begin = self.columns * (2 * n - 1 - self.columns) // 2
@@ -247,21 +241,6 @@ class _Triangle:
         """The rows and columns of the pairs numbered ``pairs``."""
         rows = self.begin.searchsorted(pairs, "right") - 1
         return rows, pairs - self.begin[rows] + rows + 1
-
-    def pairs(self, s: int, e: int, out: np.ndarray) -> np.ndarray:
-        """Pairs ``[s, e)`` as their rows, then their columns, in the first
-        ``2 (e - s)`` entries of the vector ``out``, written one row's run at
-        a time, so nothing of the block's size is allocated.  Returns them
-        as a ``(2, e - s)`` view."""
-        r, c = (int(x) for x in self.locate(s))
-        done, k = 0, e - s
-        out = out[: 2 * k].reshape(2, k)
-        while done < k:
-            run = min(k - done, self.n - c)  # the rest of row r, or of the block
-            out[0, done : done + run] = r
-            out[1, done : done + run] = self.columns[c : c + run]
-            done, r, c = done + run, r + 1, r + 2
-        return out
 
 
 def pair_distances(
@@ -284,17 +263,17 @@ def pair_distances(
     as is.
 
     Both modes share one cutter and one body; a mode supplies only the
-    stored entries of its first and its second rows before a pair number
-    (running sums over listed rows, a closed form over the triangle) and
-    a block's rows and columns, which it writes into a lane's buffer
-    (copied from the lists, or built by :class:`_Triangle`).  Blocks end
-    before the pair whose running entry count reaches each multiple of
-    ``_BLOCK_ENTRIES``, found by bisection.  Per block, one call of scipy's
-    ``csr_row_index`` gathers the first rows, then the second rows, from
-    the table's own arrays, and :func:`_merge_reduce` turns them into
-    distances, as it does for the per-pair functions, whose values every
-    entry equals bit for bit.  The kernels do not bounds-check, so rows
-    and ``into`` are validated first.
+    stored entries of both sides before a pair number (one running sum
+    over the listed pairs, one per-row prefix and a closed form within a
+    row of the triangle) and a block's rows and columns (slices of the
+    lists, or :meth:`_Triangle.locate` of the block's pair numbers).
+    Blocks end before the pair whose running entry count reaches each
+    multiple of ``_BLOCK_ENTRIES``, found by bisection.  Per block, one
+    call of scipy's ``csr_row_index`` gathers the first rows, then the
+    second rows, from the table's own arrays, and :func:`_merge_reduce`
+    turns them into distances, as it does for the per-pair functions,
+    whose values every entry equals bit for bit.  The kernels do not
+    bounds-check, so rows and ``into`` are validated first.
 
     The blocks are dealt to lanes (:func:`_in_lanes`).  Every kernel
     releases the GIL, so the lanes run at once; a one-block call starts no
@@ -308,31 +287,30 @@ def pair_distances(
     nnz = np.diff(table.indptr)
     if first is None and second is None:
         tri = _Triangle(n)
-        size, pairs, shapes = tri.size, tri.pairs, ((tri.size,), (n, n))
+        size, shapes = tri.size, ((tri.size,), (n, n))
         ends = np.concatenate([[0], np.cumsum(nnz)])  # entries of the rows before each
         # Entries before row i's pairs: each earlier row r once per pair of its
         # own on the first side, and the rows after r on the second.
-        a_rows = np.concatenate([[0], np.cumsum((n - 1 - tri.columns) * nnz)])
-        b_rows = np.concatenate([[0], np.cumsum(ends[-1] - ends[1:])])
+        row_starts = np.concatenate(
+            [[0], np.cumsum((n - 1 - tri.columns) * nnz + ends[-1] - ends[1:])]
+        )
 
-        def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def entries(before: np.ndarray) -> np.ndarray:
             r, c = tri.locate(before)
-            return a_rows[r] + (c - r - 1) * nnz[r], b_rows[r] + ends[c] - ends[r + 1]
+            return row_starts[r] + (c - r - 1) * nnz[r] + ends[c] - ends[r + 1]
+
+        def pairs(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+            return tri.locate(np.arange(s, e))
 
     else:
         first, second = _rows(first, n), _rows(second, n)
         if first.size != second.size:
             raise ValueError(f"{first.size} first rows against {second.size} second rows")
         size, shapes = first.size, ((first.size,),)
-        a_end, b_end = (np.concatenate([[0], np.cumsum(nnz[rows])]) for rows in (first, second))
+        entries = np.concatenate([[0], np.cumsum(nnz[first] + nnz[second])]).take
 
-        def entries(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return a_end[before], b_end[before]
-
-        def pairs(s: int, e: int, out: np.ndarray) -> np.ndarray:
-            out = out[: 2 * (e - s)].reshape(2, e - s)
-            out[0], out[1] = first[s:e], second[s:e]
-            return out
+        def pairs(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+            return first[s:e], second[s:e]
 
     if into is None:
         into = np.zeros(size)
@@ -348,21 +326,20 @@ def pair_distances(
         return into
     matrix, flat = into.ndim == 2, into.reshape(-1)
     # The running entry count is nondecreasing, so each cut is a bisection.
-    targets = np.arange(_BLOCK_ENTRIES, sum(entries(np.int64(size))), _BLOCK_ENTRIES)
+    targets = np.arange(_BLOCK_ENTRIES, entries(np.int64(size)), _BLOCK_ENTRIES)
     lo, hi = np.zeros(targets.size, np.int64), np.full(targets.size, size - 1)
     for _ in range(size.bit_length()):
         mid = (lo + hi) // 2
-        reached = sum(entries(mid + 1)) >= targets
+        reached = entries(mid + 1) >= targets
         lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
     bounds = np.unique(np.concatenate([[0], lo, [size]]))
     layout = table.indptr, table.edge_ids, table.values
 
     def buffers(starts: np.ndarray, stops: np.ndarray) -> tuple:
-        (a0, b0), (a1, b1) = entries(starts), entries(stops)
-        entry_size, k_size = (a1 - a0 + b1 - b0).max(), (stops - starts).max()
+        entry_size = (entries(stops) - entries(starts)).max()
+        k_size = (stops - starts).max()
         return (
-            np.empty(2 * k_size, np.int64),  # a block's rows, then its columns
-            np.zeros(2 * k_size + 1, np.int64),  # where each starts in `gathered`
+            np.zeros(2 * k_size + 1, np.int64),  # where each row starts in `gathered`
             (np.empty(entry_size, np.int64), np.empty(entry_size)),  # gathered rows
             np.empty(k_size + 1, np.int64),  # the merge: row pointers,
             np.empty(entry_size, np.int64),  # edges
@@ -370,13 +347,14 @@ def pair_distances(
         )
 
     def run_lane(starts: np.ndarray, stops: np.ndarray, scratch: tuple) -> None:
-        block, ptrs, gathered, *merged = scratch
+        ptrs, gathered, *merged = scratch
         for start, stop in zip(starts.tolist(), stops.tolist()):
             k = stop - start
-            rows, cols = pairs(start, stop, block)
-            nnz.take(block[: 2 * k], out=ptrs[1 : 2 * k + 1], mode="clip")
+            rows, cols = pairs(start, stop)
+            both = np.concatenate((rows, cols))
+            nnz.take(both, out=ptrs[1 : 2 * k + 1], mode="clip")
             np.add.accumulate(ptrs[1 : 2 * k + 1], out=ptrs[1 : 2 * k + 1])
-            csr_row_index(2 * k, block[: 2 * k], *layout, *gathered)
+            csr_row_index(2 * k, both, *layout, *gathered)
             # csr_minus_csr reads row i of a side at [ptr[i], ptr[i + 1]), so
             # the second rows' pointers may go on from where the first rows end
             values = _merge_reduce(

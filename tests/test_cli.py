@@ -652,6 +652,13 @@ class TestRootStreaming:
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_verify_report_bytes(self, tmp_path):
+        # the MD5 of the full verify report at seed 0, pinned like the CSV
+        # digests above to the numpy and scipy builds the CI installs
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.md5(out.read_bytes()).hexdigest() == "552ee3e30c740bc579b202cb7383ac47"
+
     @pytest.mark.parametrize("command", ["distance", "gram"])
     def test_gamma_budget_refusal_exits_three(self, files, monkeypatch, capsys, command):
         # the three diracs' root paths hold 0 + 1 + 2 entries from root 0
