@@ -176,19 +176,20 @@ def gamma_masses(rs: RootedStructure, measures: Sequence[DiscreteMeasure]) -> Ga
     # holds its first measure and at most _PASS_ENTRIES entries more.
     group = -(-np.cumsum(depth)[ends - 1] // _PASS_ENTRIES)
     bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), sizes.size)
-    # Each pass leaves its rows' entry counts, its columns and its values;
-    # the columns are joined (and their pieces dropped) before the values,
-    # so the build holds all pieces plus one joined array at most.
-    counts, columns, values = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    # Each pass leaves its sorted keys and its values.  Passes run in measure
+    # order, so the joined keys are sorted: one search finds every row start.
+    # The keys are joined (their pieces dropped) before the values, so the
+    # build holds all pieces plus one joined array at most.
+    keys, values = [np.zeros(0, np.int64)], [np.zeros(0)]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         pts = slice(ends[start] - sizes[start], ends[stop - 1])
         key, sums = _root_path_sums(rs, owner[pts], nodes[pts], masses[pts])
-        counts.append(np.diff(np.searchsorted(key, np.arange(start, stop + 1) * stride)))
-        columns.append(np.remainder(key, stride, out=key))
+        keys.append(key)
         values.append(sums)
         del key, sums
-    indptr = np.cumsum(np.concatenate(counts))
-    columns = np.concatenate(columns)
+    keys = np.concatenate(keys)
+    indptr = np.searchsorted(keys, np.arange(sizes.size + 1) * stride)
+    columns = np.remainder(keys, stride, out=keys)
     values = np.concatenate(values)
     return GammaTable(rs.root, indptr, columns, values)
 

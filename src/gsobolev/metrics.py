@@ -182,13 +182,14 @@ _BLOCK_ENTRIES = 1 << 15
 
 
 def _rows(rows, n: int) -> np.ndarray:
-    """``rows`` as indices in ``[0, n)``: negative rows wrap, and rows
-    outside ``[-n, n)`` raise ``IndexError`` before any kernel reads them."""
+    """``rows`` as int64 indices, read as given (int64 rows are not copied):
+    a row outside ``[0, n)``, negative ones included, raises ``IndexError``
+    before any kernel reads it."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if rows.size and not (-n <= rows.min() and rows.max() < n):
-        bad = rows[(rows < -n) | (rows >= n)][0]
-        raise IndexError(f"row {bad} outside [-{n}, {n})")
-    return np.where(rows < 0, rows + n, rows)
+    if rows.size and not (0 <= rows.min() and rows.max() < n):
+        bad = rows[(rows < 0) | (rows >= n)][0]
+        raise IndexError(f"row {bad} outside [0, {n})")
+    return rows
 
 
 def _lane_count() -> int:
@@ -273,7 +274,9 @@ def pair_distances(
     second rows, from the table's own arrays, and :func:`_merge_reduce`
     turns them into distances, as it does for the per-pair functions,
     whose values every entry equals bit for bit.  The kernels do not
-    bounds-check, so rows and ``into`` are validated first.
+    bounds-check, so rows and ``into`` are validated first: listed rows are
+    read as given, never copied when int64, and a row outside ``[0, n)``
+    raises ``IndexError``.
 
     The blocks are dealt to lanes (:func:`_in_lanes`).  Every kernel
     releases the GIL, so the lanes run at once; a one-block call starts no
@@ -454,7 +457,9 @@ def sliced_pair_distances(
     averaged over ``roots`` as :func:`sliced_distance` averages them, with
     the set-up time (trees and λ) and the evaluation time (Γ and distances)
     in ms, each summed over the roots.  With ``first`` and ``second`` both
-    ``None``, the pairs are all ``i < j``.  The sum is kept in ``into`` (see
+    ``None``, the pairs are all ``i < j``; listed rows outside
+    ``[0, len(measures))`` raise ``IndexError``, and only the measures they
+    name get a row in each root's Γ table.  The sum is kept in ``into`` (see
     :func:`pair_distances`), zeros if not given.  The roots stream: one
     root's tree, λ and Γ (for the measures the pairs use) are built, used
     and dropped before the next root's, so memory does not grow with the
@@ -470,7 +475,9 @@ def sliced_pair_distances(
         pool, size, rows = measures, n * (n - 1) // 2, (None, None)
     else:
         # Row slot[k] of each table holds measure k, for the measures in use.
-        used = np.bincount(np.concatenate([first, second]), minlength=n) > 0
+        first, second = _rows(first, n), _rows(second, n)
+        used = np.zeros(n, bool)
+        used[first] = used[second] = True
         slot = np.cumsum(used) - 1
         pool, size = [measures[k] for k in np.flatnonzero(used)], first.size
         rows = slot[first], slot[second]

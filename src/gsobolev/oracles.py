@@ -32,12 +32,10 @@ LP_MAX_SUPPORT = 500
 
 @dataclass(frozen=True, eq=False)
 class TransportPlanLP:
-    """Optimal transport solution between two node-supported measures."""
+    """Optimal transport solution between two node-supported measures: the
+    ``cost`` and ``plan`` rows follow the source's support nodes, and their
+    columns the sink's."""
 
-    source_nodes: tuple[int, ...]
-    source_masses: tuple[float, ...]
-    sink_nodes: tuple[int, ...]
-    sink_masses: tuple[float, ...]
     cost: np.ndarray
     plan: np.ndarray
     objective: float
@@ -95,15 +93,7 @@ def transport_plan_lp(g: Graph, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tra
         or np.abs(plan.sum(axis=0) - b).max() > 1e-9
     ):
         raise InfeasibleMass("LP plan violates its marginals beyond 1e-9")
-    return TransportPlanLP(
-        source_nodes=mu.nodes,
-        source_masses=mu.masses,
-        sink_nodes=nu.nodes,
-        sink_masses=nu.masses,
-        cost=cost,
-        plan=plan,
-        objective=float(res.fun),
-    )
+    return TransportPlanLP(cost=cost, plan=plan, objective=float(res.fun))
 
 
 def wasserstein1_lp(g: Graph, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -117,6 +117,25 @@ class TestParsers:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--seed", "abc"], "seed must be an integer, got 'abc'"),
+            (["synth", "--family", "dense", "--out-prefix", "O"], "unknown family 'dense'"),
+        ],
+        ids=["verify-seed", "synth-family"],
+    )
+    def test_unknown_flag_value_exits_two(self, tmp_path, capsys, argv, message):
+        # refused before any suite runs or any file is written
+        try:
+            code = main([str(tmp_path / "o") if a == "O" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["distance", "--p", "0.5"],

@@ -211,6 +211,21 @@ class TestLoadGraph:
 
 
 class TestGraphInvariants:
+    @pytest.mark.parametrize(
+        "n, u, v, w, message",
+        [
+            (0, [], [], [], "graph needs at least one node"),
+            (3, [0, 1], [1], [1.0, 1.0], "edge arrays must share one length"),
+            (3, [0], [1, 2], [1.0], "edge arrays must share one length"),
+            (3, [0, -1], [1, 2], [1.0, 1.0], r"edge endpoint outside \[0, node_count\)"),
+            (3, [0, 1], [1, 3], [1.0, 1.0], r"edge endpoint outside \[0, node_count\)"),
+        ],
+        ids=["no-nodes", "short-v", "short-w", "endpoint-minus-one", "endpoint-n"],
+    )
+    def test_malformed_graph_refused(self, n, u, v, w, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, u, v, w)
+
     def test_arrays_frozen(self, path_graph):
         with pytest.raises(ValueError):
             path_graph.edge_w[0] = 3.0

@@ -240,6 +240,7 @@ class TestDefiniteness:
         rep = check_negative_definite(np.zeros((0, 0)))
         assert rep.passed
         assert quadratic_form_violations(np.zeros((0, 0))) == (0, 0.0)
+        assert min_eigenvalue(np.zeros((0, 0))) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_quadratic_forms_match_inline_loop(self, seed):

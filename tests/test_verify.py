@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from gsobolev.verify import run_suites
 
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "verify_all_seed0.json"
@@ -33,3 +35,8 @@ def test_verify_report_matches_golden():
         ], got_rep["suite"]
         for got_chk, want_chk in zip(got_rep["checks"], want_rep["checks"]):
             assert _close(got_chk["worst"], want_chk["worst"]), (got_rep["suite"], got_chk)
+
+
+def test_unknown_suite_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites(["nope"])
